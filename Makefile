@@ -6,7 +6,7 @@ GO ?= go
 COVER_MIN ?= 80
 COVER_PKGS ?= ./internal/pipeline ./internal/dsp ./internal/detect
 
-.PHONY: build vet lint lint-deep test race short bench bench-go bench-json benchdiff cover fuzz daemon-smoke ci
+.PHONY: build vet lint lint-deep test race short bench bench-go bench-json benchdiff cover fuzz daemon-smoke rfbench-check ci
 
 build:
 	$(GO) build ./...
@@ -99,4 +99,12 @@ daemon-smoke:
 		-run 'TestSmokeConcurrentRoomsBitIdentical|TestIngestDrainNoFrameLoss|TestDaemonSIGTERMDrain' \
 		./internal/service ./cmd/rfprotectd
 
-ci: lint-deep build race cover fuzz benchdiff daemon-smoke
+# The end-to-end benchmark harness is a module of its own (cmd/rfbench/go.mod,
+# replacing rfprotect with the checkout), so the ./... patterns above never
+# build or test it. It compiles against the pipeline, radar and service
+# APIs, so an API change must keep it green: vet it and run its tests,
+# including the traced mirror-vs-daemon bit-identity check.
+rfbench-check:
+	cd cmd/rfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
+
+ci: lint-deep build race cover fuzz benchdiff daemon-smoke rfbench-check

@@ -288,29 +288,29 @@ func BenchmarkStreamingCaptureTrack(b *testing.B) {
 	sc := sess.Scene
 	b.Run("streaming", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pr := radar.NewProcessor(radar.DefaultConfig())
+			plan := radar.CompileFrontEndPlan(radar.DefaultConfig(), sc.Params)
 			trk := pipeline.NewTrack(radar.TrackerConfig{})
-			stages := append(pipeline.FrontEndStages(pr, sc.Radar), trk)
+			stages := append(pipeline.FrontEndStagesPlanned(plan, sc.Radar, pipeline.NewPools(sc.Params)), trk)
 			rng := rand.New(rand.NewSource(1))
-			if _, err := pipeline.New(sc.Stream(0, nFrames, rng), stages...).Run(nil); err != nil {
+			if _, err := pipeline.New(sc.Stream(0, nFrames, rng), stages...).Run(context.Background()); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	// The pooled variant of the same chain: frames come from a FramePool,
-	// profiles from a ProfilePool, and the pipeline recycles both after an
-	// item's last stage. Detections and tracks are bit-identical (see
-	// internal/pipeline's pooled equivalence tests); -benchmem shows the
-	// allocs/op drop.
+	// The same chain with its buffers recycled: frames come from the
+	// FramePool the source draws from, and the pipeline returns every
+	// buffer to its pool after an item's last stage. Detections and tracks
+	// are bit-identical (see internal/pipeline's golden tests); -benchmem
+	// shows the allocs/op drop.
 	b.Run("streaming-pooled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pr := radar.NewProcessor(radar.DefaultConfig())
+			plan := radar.CompileFrontEndPlan(radar.DefaultConfig(), sc.Params)
 			pools := pipeline.NewPools(sc.Params)
 			trk := pipeline.NewTrack(radar.TrackerConfig{})
-			stages := append(pipeline.FrontEndStagesPooled(pr, sc.Radar, pools), trk)
+			stages := append(pipeline.FrontEndStagesPlanned(plan, sc.Radar, pools), trk)
 			rng := rand.New(rand.NewSource(1))
 			src := sc.Stream(0, nFrames, rng).UsePool(pools.Frames)
-			if _, err := pipeline.New(src, stages...).UsePools(pools).Run(nil); err != nil {
+			if _, err := pipeline.New(src, stages...).UsePools(pools).Run(context.Background()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -329,9 +329,9 @@ func BenchmarkStreamingCaptureTrack(b *testing.B) {
 	for _, depth := range []int{1, 4} {
 		b.Run(fmt.Sprintf("concurrent-depth-%d", depth), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				pr := radar.NewProcessor(radar.DefaultConfig())
+				plan := radar.CompileFrontEndPlan(radar.DefaultConfig(), sc.Params)
 				trk := pipeline.NewTrack(radar.TrackerConfig{})
-				stages := append(pipeline.FrontEndStages(pr, sc.Radar), trk)
+				stages := append(pipeline.FrontEndStagesPlanned(plan, sc.Radar, pipeline.NewPools(sc.Params)), trk)
 				rng := rand.New(rand.NewSource(1))
 				p := pipeline.New(sc.Stream(0, nFrames, rng), stages...)
 				if _, err := p.RunConcurrent(context.Background(), depth); err != nil {
@@ -351,7 +351,7 @@ func BenchmarkDopplerStage(b *testing.B) {
 	sc := sess.Scene
 	rng := rand.New(rand.NewSource(1))
 	frame := sc.FrameAt(0, rng)
-	dop := pipeline.NewDoppler(radar.NewProcessor(radar.DefaultConfig()), 8, 0)
+	dop := pipeline.NewDopplerPlanned(radar.CompileFrontEndPlan(radar.DefaultConfig(), sc.Params), 8, 0, radar.NewDopplerPool())
 	ctx := context.Background()
 	for i := 0; i < 8; i++ {
 		if err := dop.Process(ctx, &pipeline.Item{Index: i, Frame: frame}); err != nil {
@@ -375,9 +375,9 @@ func BenchmarkStreamingCancellation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		pr := radar.NewProcessor(radar.DefaultConfig())
+		plan := radar.CompileFrontEndPlan(radar.DefaultConfig(), sc.Params)
 		rng := rand.New(rand.NewSource(1))
-		p := pipeline.New(sc.Stream(0, -1, rng), pipeline.FrontEndStages(pr, sc.Radar)...)
+		p := pipeline.New(sc.Stream(0, -1, rng), pipeline.FrontEndStagesPlanned(plan, sc.Radar, pipeline.NewPools(sc.Params))...)
 		if _, err := p.Run(ctx); !errors.Is(err, context.Canceled) {
 			b.Fatalf("Run = %v, want context.Canceled", err)
 		}

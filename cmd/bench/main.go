@@ -416,12 +416,12 @@ func runSnapshot(minDur time.Duration, seed int64, streamLens []int, quick bool)
 	// Item; after that a 16-frame Run must allocate exactly nothing.
 	bsrc := &replaySource{f: frameA, n: 16}
 	bp := pipeline.New(bsrc, &countStage{})
-	if _, err := bp.Run(nil); err != nil {
+	if _, err := bp.Run(context.Background()); err != nil {
 		fatal("pipeline-run", err)
 	}
 	itemS := measure(minDur, func() {
 		bsrc.i = 0
-		if _, err := bp.Run(nil); err != nil {
+		if _, err := bp.Run(context.Background()); err != nil {
 			fatal("pipeline-run", err)
 		}
 	})
@@ -446,14 +446,15 @@ func runSnapshot(minDur time.Duration, seed int64, streamLens []int, quick bool)
 		fmt.Fprintf(os.Stderr, "%-36s frames=%-4d %12.0f ns/frame  %8.1f frames/s  %8.1f allocs/frame  peak heap %6.1f MiB\n",
 			name, frames, r.ns, 1e9/r.ns, r.allocs, float64(r.peak)/(1<<20))
 	}
+	span := streamLens[len(streamLens)-1]
 	for _, n := range streamLens {
-		s := captureRun(seed, n, modeStreaming)
+		s := captureRun(seed, n, span, modeStreaming)
 		addStream("streaming_capture_track", n, s)
-		c := captureRun(seed, n, modeConcurrent)
+		c := captureRun(seed, n, span, modeConcurrent)
 		addStream("streaming_capture_track_concurrent", n, c)
-		p := captureRun(seed, n, modePooled)
+		p := captureRun(seed, n, span, modePooled)
 		addStream("streaming_capture_track_pooled", n, p)
-		if n == streamLens[len(streamLens)-1] {
+		if n == span {
 			// Stage-overlap speedup of the ≥2-stage chain at the longest
 			// capture; near 1× on a single CPU, above it once stages can
 			// genuinely run on different cores. The pooled ratio is the
@@ -464,7 +465,7 @@ func runSnapshot(minDur time.Duration, seed int64, streamLens []int, quick bool)
 				snap.Speedups["pooled_allocs_reduction"] = s.allocs / p.allocs
 			}
 		}
-		b := captureRun(seed, n, modeBatch)
+		b := captureRun(seed, n, span, modeBatch)
 		addStream("batch_capture_track", n, b)
 	}
 
@@ -536,8 +537,8 @@ func writeSnapshot(path string, snap *Snapshot) {
 
 // captureRun modes: the sequential streaming pipeline, the stage-overlapped
 // concurrent scheduler (goroutine per stage, bounded channels), the pooled
-// pipeline (same sequential chain with recycled frame/profile buffers), and
-// the batch path.
+// pipeline (the same sequential chain with its buffers recycled through
+// UsePools), and the batch path.
 const (
 	modeStreaming = iota
 	modeConcurrent
@@ -556,16 +557,18 @@ type streamSample struct {
 
 // captureRun measures one eavesdropper session — synthesize nFrames of a
 // home with a programmed ghost, range-angle process, track — through the
-// selected path. All paths produce bit-identical tracks; only cost and
-// footprint differ.
-func captureRun(seed int64, nFrames int, mode int) streamSample {
+// selected path. The ghost walks for span frames, the longest capture of the
+// run, so it is present in every frame of every capture length; a shorter
+// ghost would leave the later frames to noise peaks. All paths produce
+// bit-identical tracks; only cost and footprint differ.
+func captureRun(seed int64, nFrames, span int, mode int) streamSample {
 	sess, err := core.NewSession(core.SessionConfig{Room: scene.HomeRoom()})
 	if err != nil {
 		fatal("session", err)
 	}
 	sc := sess.Scene
 	cx := sc.Radar.Position.X
-	ghost := make(geom.Trajectory, 40)
+	ghost := make(geom.Trajectory, span)
 	for i := range ghost {
 		f := float64(i) / float64(len(ghost)-1)
 		ghost[i] = geom.Point{X: cx + 0.3 + f, Y: 2.7 + 1.5*f}
@@ -583,32 +586,31 @@ func captureRun(seed int64, nFrames int, mode int) streamSample {
 	var tracks []*radar.Track
 	var frames []*fmcw.Frame
 	switch mode {
-	case modeStreaming, modeConcurrent:
+	case modeBatch:
+		frames = sc.Capture(0, nFrames, rng)
+		tracks = radar.TrackDetections(radar.TrackerConfig{}, pr.ProcessFrames(frames, sc.Radar))
+	default:
+		// One chain for every streaming row: the pooled row only adds the
+		// recycling half (source pool + UsePools).
+		plan := pr.Plan(sc.Params)
+		pools := pipeline.NewPools(sc.Params)
 		trk := pipeline.NewTrack(radar.TrackerConfig{})
-		stages := append(pipeline.FrontEndStages(pr, sc.Radar), trk)
-		p := pipeline.New(sc.Stream(0, nFrames, rng), stages...)
+		src := sc.Stream(0, nFrames, rng)
+		p := pipeline.New(src, append(pipeline.FrontEndStagesPlanned(plan, sc.Radar, pools), trk)...)
+		if mode == modePooled {
+			src.UsePool(pools.Frames)
+			p.UsePools(pools)
+		}
 		var err error
 		if mode == modeConcurrent {
 			_, err = p.RunConcurrent(context.Background(), 2)
 		} else {
-			_, err = p.Run(nil)
+			_, err = p.Run(context.Background())
 		}
 		if err != nil {
 			fatal("pipeline", err)
 		}
 		tracks = trk.Tracks()
-	case modePooled:
-		pools := pipeline.NewPools(sc.Params)
-		trk := pipeline.NewTrack(radar.TrackerConfig{})
-		stages := append(pipeline.FrontEndStagesPooled(pr, sc.Radar, pools), trk)
-		src := sc.Stream(0, nFrames, rng).UsePool(pools.Frames)
-		if _, err := pipeline.New(src, stages...).UsePools(pools).Run(nil); err != nil {
-			fatal("pooled pipeline", err)
-		}
-		tracks = trk.Tracks()
-	default:
-		frames = sc.Capture(0, nFrames, rng)
-		tracks = radar.TrackDetections(radar.TrackerConfig{}, pr.ProcessFrames(frames, sc.Radar))
 	}
 	elapsed := time.Since(start)
 	// Collect transient garbage first so the reading is the heap the run
@@ -646,7 +648,7 @@ func dopplerStageRun(seed int64) func() {
 	cfg := radar.DefaultConfig()
 	cfg.Workers = 1
 	dpool := radar.NewDopplerPool()
-	dop := pipeline.NewDopplerPooled(radar.NewProcessor(cfg), 8, 0, dpool)
+	dop := pipeline.NewDopplerPlanned(radar.CompileFrontEndPlan(cfg, params), 8, 0, dpool)
 	ctx := context.Background()
 	it := &pipeline.Item{Frame: frame}
 	i := 0

@@ -60,10 +60,12 @@ func main() {
 	//    bounded channels — the output is bit-identical either way.
 	nFrames := int(3 * sc.Params.FrameRate)
 	rng := rand.New(rand.NewSource(42))
-	pr := radar.NewProcessor(radar.DefaultConfig())
+	plan := radar.CompileFrontEndPlan(radar.DefaultConfig(), sc.Params)
+	pools := pipeline.NewPools(sc.Params)
 	trk := pipeline.NewTrack(radar.TrackerConfig{})
-	stages := append(pipeline.FrontEndStages(pr, sc.Radar), trk)
-	p := pipeline.New(sc.Stream(0, nFrames, rng), stages...)
+	stages := append(pipeline.FrontEndStagesPlanned(plan, sc.Radar, pools), trk)
+	src := sc.Stream(0, nFrames, rng).UsePool(pools.Frames)
+	p := pipeline.New(src, stages...).UsePools(pools)
 	if *concurrent {
 		_, err = p.RunConcurrent(context.Background(), 2)
 	} else {

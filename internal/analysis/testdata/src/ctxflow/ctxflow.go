@@ -15,9 +15,9 @@ func WorkCtx(ctx context.Context) error { return ctx.Err() }
 // runner carries the method form of the same pair.
 type runner struct{}
 
-func (runner) Step() {}
+func (runner) Tick() {}
 
-func (runner) StepCtx(ctx context.Context) error { return ctx.Err() }
+func (runner) TickCtx(ctx context.Context) error { return ctx.Err() }
 
 // synth holds a ctx and synthesizes a fresh root anyway.
 func synth(ctx context.Context) error {
@@ -34,8 +34,8 @@ func bare(ctx context.Context) error {
 
 // bareMethod is the method-form of bare.
 func bareMethod(ctx context.Context, r runner) error {
-	r.Step() // want `call StepCtx`
-	return r.StepCtx(ctx)
+	r.Tick() // want `call TickCtx`
+	return r.TickCtx(ctx)
 }
 
 // nilHandoff throws the received ctx away.
@@ -67,5 +67,5 @@ func threaded(ctx context.Context, r runner) error {
 	if err := WorkCtx(ctx); err != nil {
 		return err
 	}
-	return r.StepCtx(ctx)
+	return r.TickCtx(ctx)
 }

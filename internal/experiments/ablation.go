@@ -145,7 +145,10 @@ func peakPowerOfHuman(params fmcw.Params, seed int64) (float64, error) {
 	f0 := sc.FrameAt(0, rng)
 	f1 := sc.FrameAt(0.3, rng)
 	pr := radar.NewProcessor(radar.DefaultConfig())
-	prof := pr.RangeAngle(radar.BackgroundSubtract(f1, f0))
+	prof, err := pr.RangeAngle(nil, radar.BackgroundSubtract(f1, f0))
+	if err != nil {
+		return 0, err
+	}
 	return maxOf(prof.Power), nil
 }
 
@@ -166,7 +169,10 @@ func peakPowerOfGhost(params fmcw.Params, mode reflector.AmplitudeMode, seed int
 	f0 := sc.FrameAt(0, rng)
 	f1 := sc.FrameAt(0.3, rng)
 	pr := radar.NewProcessor(radar.DefaultConfig())
-	prof := pr.RangeAngle(radar.BackgroundSubtract(f1, f0))
+	prof, err := pr.RangeAngle(nil, radar.BackgroundSubtract(f1, f0))
+	if err != nil {
+		return 0, err
+	}
 	return maxOf(prof.Power), nil
 }
 

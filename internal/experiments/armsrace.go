@@ -153,16 +153,18 @@ func armsraceTraj(seed int64, i int, radarPos geom.Point) geom.Trajectory {
 // sliding-window Doppler, velocity-attaching tracker, spoof scorer — and
 // returns the verdict on the capture's dominant track.
 func captureScore(ctx context.Context, sc *scene.Scene, rng *rand.Rand) (detect.TrackScore, bool, error) {
-	pr := radar.NewProcessor(radar.DefaultConfig())
+	plan := radar.CompileFrontEndPlan(radar.DefaultConfig(), sc.Params)
+	pools := pipeline.NewPools(sc.Params)
 	trkStage := pipeline.NewTrackWithVelocity(radar.TrackerConfig{KeepVelocityHistory: true}, sc.Radar)
 	scorer := detect.NewTrackScorer(detect.Config{}, sc.Radar)
-	stages := pipeline.FrontEndStages(pr, sc.Radar)
+	stages := pipeline.FrontEndStagesPlanned(plan, sc.Radar, pools)
 	stages = append(stages,
-		pipeline.NewDoppler(pr, armsraceWindow, 0),
+		pipeline.NewDopplerPlanned(plan, armsraceWindow, 0, pools.Doppler),
 		trkStage,
 		&scoreStage{sc: scorer, trk: trkStage},
 	)
-	pipe := pipeline.New(sc.Stream(0, armsraceFrames, rng), stages...)
+	src := sc.Stream(0, armsraceFrames, rng).UsePool(pools.Frames)
+	pipe := pipeline.New(src, stages...).UsePools(pools)
 	if _, err := pipe.Run(ctx); err != nil {
 		return detect.TrackScore{}, false, err
 	}
@@ -217,14 +219,15 @@ func humanScene(traj geom.Trajectory) (*scene.Scene, error) {
 	return sess.Scene, nil
 }
 
-// ArmsRace runs the full experiment. See ArmsRaceCtx.
+// ArmsRace runs the full experiment, uncancelable. See ArmsRaceCtx.
 func ArmsRace(sz Sizes, seed int64) (ArmsRaceResult, error) {
-	return ArmsRaceCtx(nil, sz, seed)
+	return ArmsRaceCtx(context.Background(), sz, seed) //rfvet:allow ctxflow -- legacy context-free entry point: the streaming captures need a real root
 }
 
 // ArmsRaceCtx runs the detector arms race at the given scale: sz.TrajPerRoom
-// trajectory pairs per class. A nil ctx never cancels; a done ctx aborts
-// between captures with ctx.Err().
+// trajectory pairs per class. ctx must be non-nil (the captures run through
+// the streaming pipeline); a done ctx aborts between captures with
+// ctx.Err().
 func ArmsRaceCtx(ctx context.Context, sz Sizes, seed int64) (ArmsRaceResult, error) {
 	var res ArmsRaceResult
 	n := sz.TrajPerRoom

@@ -58,7 +58,7 @@ func Fig10Ctx(ctx context.Context, sz Sizes, seed int64) (Fig10Result, error) {
 			return res, err
 		}
 		pr := radar.NewProcessor(radar.DefaultConfig())
-		prof, err := pr.RangeAngleCtx(ctx, radar.BackgroundSubtract(f1, f0))
+		prof, err := pr.RangeAngle(ctx, radar.BackgroundSubtract(f1, f0))
 		if err != nil {
 			return res, err
 		}
@@ -85,7 +85,7 @@ func Fig10Ctx(ctx context.Context, sz Sizes, seed int64) (Fig10Result, error) {
 			return res, err
 		}
 		pr := radar.NewProcessor(radar.DefaultConfig())
-		prof, err := pr.RangeAngleCtx(ctx, radar.BackgroundSubtract(f1, f0))
+		prof, err := pr.RangeAngle(ctx, radar.BackgroundSubtract(f1, f0))
 		if err != nil {
 			return res, err
 		}

@@ -80,11 +80,9 @@ func (p *Pipeline) RunConcurrent(ctx context.Context, depth int) (frames int, er
 			if failed.Load() {
 				return
 			}
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					fail(i, -1, err)
-					return
-				}
+			if err := ctx.Err(); err != nil {
+				fail(i, -1, err)
+				return
 			}
 			f, err := p.src.Next(ctx)
 			if err == io.EOF {

@@ -52,14 +52,15 @@ func runChain(t *testing.T, nFrames, depth int) chainOutputs {
 	t.Helper()
 	s := testSession(t)
 	breathDist := s.Scene.Radar.DistanceOf(s.Tag.Config().AntennaPosition(1))
-	pr := radar.NewProcessor(radar.DefaultConfig())
+	plan := radar.CompileFrontEndPlan(radar.DefaultConfig(), s.Scene.Params)
+	pools := NewPools(s.Scene.Params)
 	profsC := NewCollectProfiles()
 	detsC := NewCollectDetections()
 	dopC := &dopplerCollector{}
 	trk := NewTrackWithVelocity(radar.TrackerConfig{}, s.Scene.Radar)
 	breath := NewBreathingPhase(radar.BreathingExtractor{}, breathDist)
-	stages := append(FrontEndStages(pr, s.Scene.Radar),
-		NewDoppler(pr, 8, 0), profsC, detsC, dopC, trk, breath)
+	stages := append(FrontEndStagesPlanned(plan, s.Scene.Radar, pools),
+		NewDopplerPlanned(plan, 8, 0, pools.Doppler), profsC, detsC, dopC, trk, breath)
 	p := New(s.Scene.Stream(0, nFrames, rand.New(rand.NewSource(17))), stages...)
 	var n int
 	var err error
@@ -152,9 +153,10 @@ func TestConcurrentCancelNoLeak(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	trk := NewTrack(radar.TrackerConfig{})
-	pr := radar.NewProcessor(radar.DefaultConfig())
-	stages := append(FrontEndStages(pr, s.Scene.Radar),
-		NewDoppler(pr, 8, 0), trk, &cancelAfter{n: 3, cancel: cancel})
+	plan := radar.CompileFrontEndPlan(radar.DefaultConfig(), s.Scene.Params)
+	pools := NewPools(s.Scene.Params)
+	stages := append(FrontEndStagesPlanned(plan, s.Scene.Radar, pools),
+		NewDopplerPlanned(plan, 8, 0, pools.Doppler), trk, &cancelAfter{n: 3, cancel: cancel})
 	p := New(s.Scene.Stream(0, -1, rand.New(rand.NewSource(2))), stages...)
 	frames, err := p.RunConcurrent(ctx, 2)
 	if !errors.Is(err, context.Canceled) {
@@ -178,8 +180,7 @@ func TestConcurrentCancelBeforeStart(t *testing.T) {
 	s := testSession(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	p := New(s.Scene.Stream(0, 10, rand.New(rand.NewSource(2))),
-		FrontEndStages(radar.NewProcessor(radar.DefaultConfig()), s.Scene.Radar)...)
+	p := New(s.Scene.Stream(0, 10, rand.New(rand.NewSource(2))), frontEnd(s.Scene)...)
 	frames, err := p.RunConcurrent(ctx, 4)
 	if !errors.Is(err, context.Canceled) || frames != 0 {
 		t.Fatalf("RunConcurrent = (%d, %v), want (0, context.Canceled)", frames, err)
@@ -230,7 +231,7 @@ func (s *errAfterSource) Next(ctx context.Context) (*fmcw.Frame, error) {
 func TestConcurrentSourceError(t *testing.T) {
 	broken := errors.New("antenna unplugged")
 	src := &errAfterSource{n: 4, err: broken, base: fmcw.DefaultParams()}
-	n, err := New(src, NewBackgroundSubtract()).RunConcurrent(context.Background(), 2)
+	n, err := New(src, newBackgroundSubtract(fmcw.NewFramePool(src.base))).RunConcurrent(context.Background(), 2)
 	if !errors.Is(err, broken) {
 		t.Fatalf("RunConcurrent = %v, want the source error", err)
 	}
@@ -283,7 +284,7 @@ func TestPacedSourceRate(t *testing.T) {
 	fast := NewPaced(FromFrames(mk()), 0)
 	start = time.Now()
 	for i := 0; i < 4; i++ {
-		if _, err := fast.Next(nil); err != nil {
+		if _, err := fast.Next(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}

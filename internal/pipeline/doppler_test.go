@@ -39,8 +39,8 @@ func scattererFrames(p fmcw.Params, nFrames int, r0, v float64) []*fmcw.Frame {
 // sliding-window map ending at the last frame.
 func lastDopplerMap(t *testing.T, frames []*fmcw.Frame, window int) *radar.RangeDopplerMap {
 	t.Helper()
-	pr := radar.NewProcessor(radar.DefaultConfig())
-	dop := NewDoppler(pr, window, 0)
+	plan := radar.CompileFrontEndPlan(radar.DefaultConfig(), frames[0].Params)
+	dop := NewDopplerPlanned(plan, window, 0, radar.NewDopplerPool())
 	col := &dopplerCollector{}
 	if _, err := New(FromFrames(frames), dop, col).Run(context.Background()); err != nil {
 		t.Fatal(err)
@@ -152,9 +152,10 @@ func TestDopplerStageWindowSlides(t *testing.T) {
 // radial velocity of the right sign and magnitude.
 func TestTrackVelocitySurfaced(t *testing.T) {
 	s := testSession(t)
-	pr := radar.NewProcessor(radar.DefaultConfig())
+	plan := radar.CompileFrontEndPlan(radar.DefaultConfig(), s.Scene.Params)
+	pools := NewPools(s.Scene.Params)
 	trk := NewTrackWithVelocity(radar.TrackerConfig{}, s.Scene.Radar)
-	stages := append(FrontEndStages(pr, s.Scene.Radar), NewDoppler(pr, 8, 0), trk)
+	stages := append(FrontEndStagesPlanned(plan, s.Scene.Radar, pools), NewDopplerPlanned(plan, 8, 0, pools.Doppler), trk)
 	p := New(s.Scene.Stream(0, 40, rand.New(rand.NewSource(17))), stages...)
 	if _, err := p.Run(context.Background()); err != nil {
 		t.Fatal(err)

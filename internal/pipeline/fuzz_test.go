@@ -42,20 +42,21 @@ func fuzzFrames(n int) []*fmcw.Frame {
 // order, duplicates allowed. A fresh chain is built per call because stages
 // hold cross-frame state.
 func fuzzStages(order []byte, array fmcw.Array) []Stage {
-	pr := radar.NewProcessor(radar.DefaultConfig())
+	plan := radar.CompileFrontEndPlan(radar.DefaultConfig(), fuzzParams())
+	pools := NewPools(fuzzParams())
 	var stages []Stage
 	for _, b := range order {
 		switch b % 8 {
 		case 0:
-			stages = append(stages, NewBackgroundSubtract())
+			stages = append(stages, newBackgroundSubtract(pools.Frames))
 		case 1:
-			stages = append(stages, NewRangeAngle(pr))
+			stages = append(stages, newRangeAngle(plan, pools.Profiles))
 		case 2:
-			stages = append(stages, NewPeakExtract(pr, array))
+			stages = append(stages, newPeakExtract(plan, array))
 		case 3:
 			stages = append(stages, NewTrack(radar.TrackerConfig{}))
 		case 4:
-			stages = append(stages, NewDoppler(pr, 3, 0))
+			stages = append(stages, NewDopplerPlanned(plan, 3, 0, pools.Doppler))
 		case 5:
 			stages = append(stages, NewBreathingPhase(radar.BreathingExtractor{}, 2))
 		case 6:

@@ -17,10 +17,8 @@ type loopSource struct {
 }
 
 func (s *loopSource) Next(ctx context.Context) (*fmcw.Frame, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	if s.i >= s.n {
 		return nil, io.EOF
@@ -49,12 +47,12 @@ func TestRunItemFreeListAllocsPerRun(t *testing.T) {
 	src := &loopSource{f: fmcw.NewFrame(fmcw.DefaultParams(), 0), n: 16}
 	p := New(src, &nopStage{})
 	// Warm-up: materialize the one steady-state Item.
-	if _, err := p.Run(nil); err != nil {
+	if _, err := p.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		src.reset()
-		if _, err := p.Run(nil); err != nil {
+		if _, err := p.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {

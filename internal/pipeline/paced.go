@@ -39,16 +39,12 @@ func NewPaced(src Source, frameRate float64) *PacedSource {
 func (s *PacedSource) Next(ctx context.Context) (*fmcw.Frame, error) {
 	if s.interval > 0 && !s.next.IsZero() {
 		if wait := time.Until(s.next); wait > 0 {
-			if ctx == nil {
-				time.Sleep(wait)
-			} else {
-				t := time.NewTimer(wait)
-				select {
-				case <-t.C:
-				case <-ctx.Done():
-					t.Stop()
-					return nil, ctx.Err()
-				}
+			t := time.NewTimer(wait)
+			select {
+			case <-t.C:
+			case <-ctx.Done():
+				t.Stop()
+				return nil, ctx.Err()
 			}
 		}
 	}

@@ -37,8 +37,8 @@ type Item struct {
 // Stage is one processing step applied to every item in stream order.
 // Stages run sequentially within a frame and hold whatever bounded state
 // they need across frames (one history frame, a tracker, an unwrap offset);
-// they must not retain the Item or its Frame beyond the call unless
-// accumulation is their documented purpose (collectors, trackers).
+// they must not retain the Item or its buffers beyond the call — what they
+// keep, they copy (collectors, trackers).
 type Stage interface {
 	// Name identifies the stage in errors and diagnostics.
 	Name() string
@@ -56,12 +56,10 @@ type Pipeline struct {
 	// the list once its last stage has run (and its pooled buffers have
 	// been recycled), so the steady state of Run and RunConcurrent holds
 	// exactly one live Item per in-flight frame and allocates none. Safe
-	// under the Stage contract — stages must not retain the Item beyond
-	// Process (retaining the slices and buffers it points at is a separate,
-	// already-documented concern of the pooling contract). A mutex free
-	// list rather than sync.Pool for the same reason fmcw.FramePool uses
-	// one: the GC never empties it, so AllocsPerRun tests can assert an
-	// exact zero.
+	// under the Stage contract — stages must not retain the Item or its
+	// buffers beyond Process. A mutex free list rather than sync.Pool for
+	// the same reason fmcw.FramePool uses one: the GC never empties it, so
+	// AllocsPerRun tests can assert an exact zero.
 	itemMu   sync.Mutex
 	itemFree []*Item
 }
@@ -69,9 +67,7 @@ type Pipeline struct {
 // getItem pops a recycled Item (or allocates the first few) and stamps it
 // as frame i carrying f. Every field starts zero like the &Item{...} literal
 // it replaces, except that the Detections backing array survives (emptied)
-// so a buffer-reusing peak stage (NewPeakExtractPooled) appends into it
-// without allocating; the default PeakExtractStage overwrites the field with
-// a fresh slice and never reads the recycled one.
+// so the peak-extract stage appends into it without allocating.
 func (p *Pipeline) getItem(i int, f *fmcw.Frame) *Item {
 	p.itemMu.Lock()
 	var it *Item
@@ -107,9 +103,9 @@ func New(src Source, stages ...Stage) *Pipeline {
 // Pools bundles the buffer pools of a zero-allocation streaming run: raw
 // and background-subtracted frames share one FramePool (they have the same
 // shape), profiles and Doppler maps each have their own. A Pools value ties
-// the producers to the recycler — the source and pooled stages Get from
-// these pools, and the pipeline Puts every item's buffers back after its
-// last stage (see Pipeline.UsePools).
+// the producers to the recycler — the source and stages Get from these
+// pools, and the pipeline Puts every item's buffers back after its last
+// stage (see Pipeline.UsePools).
 type Pools struct {
 	Frames   *fmcw.FramePool
 	Profiles *radar.ProfilePool
@@ -129,13 +125,12 @@ func NewPools(p fmcw.Params) *Pools {
 // profile, Doppler map) into the given pools once the item has completed
 // every stage — the consumer half of the buffer-ownership contract in
 // DESIGN.md "Buffer ownership & pooling". The producer half is the caller's:
-// only attach pools whose buffers the source and stages actually draw from
-// (scene.FrameStream.UsePool(pl.Frames) + FrontEndStagesPooled(...)).
-// Attaching pools to a pipeline whose source replays caller-owned frames
-// (FromFrames) would zero and reuse those frames mid-replay. Collector
-// stages (FramesCollector, ProfilesCollector) retain buffers past item
-// completion and are likewise incompatible with a pooled run — collect
-// copies instead. It returns p for chaining.
+// the pools must be the ones the source and stages draw from
+// (scene.FrameStream.UsePool(pl.Frames) + FrontEndStagesPlanned(plan, array,
+// pl)). Attaching pools to a pipeline whose source replays caller-owned
+// frames (FromFrames) would zero and reuse those frames mid-replay; such a
+// run leaves UsePools off, and the stages then allocate every buffer. It
+// returns p for chaining.
 func (p *Pipeline) UsePools(pl *Pools) *Pipeline {
 	p.pools = pl
 	return p
@@ -149,16 +144,10 @@ func (p *Pipeline) recycle(it *Item) {
 	if pl == nil {
 		return
 	}
-	if pl.Frames != nil {
-		pl.Frames.Put(it.Frame)
-		pl.Frames.Put(it.Diff)
-	}
-	if pl.Profiles != nil {
-		pl.Profiles.Put(it.Profile)
-	}
-	if pl.Doppler != nil {
-		pl.Doppler.Put(it.RangeDoppler)
-	}
+	pl.Frames.Put(it.Frame)
+	pl.Frames.Put(it.Diff)
+	pl.Profiles.Put(it.Profile)
+	pl.Doppler.Put(it.RangeDoppler)
 }
 
 // Run drains the source through the stage chain: synthesize (or read) one
@@ -166,13 +155,10 @@ func (p *Pipeline) recycle(it *Item) {
 // number of frames fully processed and the first error. A done context
 // stops the run between per-frame steps (and inside the ctx-aware kernels
 // below them) with ctx.Err(); an exhausted source ends it with a nil error.
-// A nil ctx never cancels.
 func (p *Pipeline) Run(ctx context.Context) (frames int, err error) {
 	for i := 0; ; i++ {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return i, err
-			}
+		if err := ctx.Err(); err != nil {
+			return i, err
 		}
 		f, err := p.src.Next(ctx)
 		if err == io.EOF {
@@ -218,10 +204,8 @@ func FromFrames(frames []*fmcw.Frame) Source {
 }
 
 func (s *frameSlice) Next(ctx context.Context) (*fmcw.Frame, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	if s.i >= len(s.frames) {
 		return nil, io.EOF

@@ -41,6 +41,13 @@ func testSession(t *testing.T) *core.Session {
 	return s
 }
 
+// frontEnd is the standard front-end chain over a fresh plan and pools for
+// the scene's frame shape.
+func frontEnd(sc *scene.Scene) []Stage {
+	plan := radar.CompileFrontEndPlan(radar.DefaultConfig(), sc.Params)
+	return FrontEndStagesPlanned(plan, sc.Radar, NewPools(sc.Params))
+}
+
 // TestStreamingEquivalentToBatch is the golden contract of the streaming
 // pipeline: for the same scene and seed, streaming frame by frame produces
 // bit-identical frames, range–angle profiles, detections, tracks, and
@@ -59,7 +66,11 @@ func TestStreamingEquivalentToBatch(t *testing.T) {
 	var batchProfiles []*radar.Profile
 	prP := radar.NewProcessor(radar.DefaultConfig())
 	for i := 1; i < len(batchFrames); i++ {
-		batchProfiles = append(batchProfiles, prP.RangeAngle(radar.BackgroundSubtract(batchFrames[i], batchFrames[i-1])))
+		prof, err := prP.RangeAngle(context.Background(), radar.BackgroundSubtract(batchFrames[i], batchFrames[i-1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		batchProfiles = append(batchProfiles, prof)
 	}
 	batchTimes, batchPhase := radar.BreathingExtractor{}.PhaseSeries(batchFrames, breathDist)
 
@@ -69,7 +80,7 @@ func TestStreamingEquivalentToBatch(t *testing.T) {
 	detsC := NewCollectDetections()
 	trk := NewTrack(radar.TrackerConfig{})
 	breath := NewBreathingPhase(radar.BreathingExtractor{}, breathDist)
-	stages := append([]Stage{framesC}, FrontEndStages(radar.NewProcessor(radar.DefaultConfig()), s.Scene.Radar)...)
+	stages := append([]Stage{framesC}, frontEnd(s.Scene)...)
 	stages = append(stages, profsC, detsC, trk, breath)
 	p := New(s.Scene.Stream(0, nFrames, rand.New(rand.NewSource(seed))), stages...)
 	n, err := p.Run(context.Background())
@@ -139,7 +150,7 @@ func TestStreamingEquivalenceAnyWorkerCount(t *testing.T) {
 	s := testSession(t)
 	run := func() [][]radar.Detection {
 		detsC := NewCollectDetections()
-		stages := append(FrontEndStages(radar.NewProcessor(radar.DefaultConfig()), s.Scene.Radar), detsC)
+		stages := append(frontEnd(s.Scene), detsC)
 		p := New(s.Scene.Stream(0, nFrames, rand.New(rand.NewSource(seed))), stages...)
 		if _, err := p.Run(context.Background()); err != nil {
 			t.Fatal(err)
@@ -183,7 +194,7 @@ func TestCancelStopsMidCapture(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	trk := NewTrack(radar.TrackerConfig{})
-	stages := append(FrontEndStages(radar.NewProcessor(radar.DefaultConfig()), s.Scene.Radar), trk, &cancelAfter{n: 3, cancel: cancel})
+	stages := append(frontEnd(s.Scene), trk, &cancelAfter{n: 3, cancel: cancel})
 	// n < 0: an unbounded stream — only cancellation can stop this run.
 	p := New(s.Scene.Stream(0, -1, rand.New(rand.NewSource(2))), stages...)
 	frames, err := p.Run(ctx)
@@ -210,8 +221,7 @@ func TestCancelBeforeStart(t *testing.T) {
 	s := testSession(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	p := New(s.Scene.Stream(0, 10, rand.New(rand.NewSource(2))),
-		FrontEndStages(radar.NewProcessor(radar.DefaultConfig()), s.Scene.Radar)...)
+	p := New(s.Scene.Stream(0, 10, rand.New(rand.NewSource(2))), frontEnd(s.Scene)...)
 	frames, err := p.Run(ctx)
 	if !errors.Is(err, context.Canceled) || frames != 0 {
 		t.Fatalf("Run = (%d, %v), want (0, context.Canceled)", frames, err)
@@ -224,8 +234,7 @@ func TestDeadlineExpiresMidCapture(t *testing.T) {
 	s := testSession(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	p := New(s.Scene.Stream(0, -1, rand.New(rand.NewSource(2))),
-		FrontEndStages(radar.NewProcessor(radar.DefaultConfig()), s.Scene.Radar)...)
+	p := New(s.Scene.Stream(0, -1, rand.New(rand.NewSource(2))), frontEnd(s.Scene)...)
 	if _, err := p.Run(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Run = %v, want context.DeadlineExceeded", err)
 	}
@@ -240,8 +249,8 @@ func TestFromFramesReplay(t *testing.T) {
 	want := pr.ProcessFrames(frames, s.Scene.Radar)
 
 	detsC := NewCollectDetections()
-	stages := append(FrontEndStages(radar.NewProcessor(radar.DefaultConfig()), s.Scene.Radar), detsC)
-	if _, err := New(FromFrames(frames), stages...).Run(nil); err != nil {
+	stages := append(frontEnd(s.Scene), detsC)
+	if _, err := New(FromFrames(frames), stages...).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(detsC.Detections(), want) {

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -12,40 +13,33 @@ import (
 	"rfprotect/internal/scene"
 )
 
-// chainResult captures everything a pooled run may NOT retain through
-// pooled buffers: detections are fresh slices from Detect, tracks live in
-// the tracker — both safe to keep after the buffers are recycled.
+// chainResult is what a run of the full chain leaves behind once its buffers
+// are recycled: the collected (copied) detections and the tracker's tracks.
 type chainResult struct {
 	frames int
 	dets   [][]radar.Detection
 	tracks []*radar.Track
 }
 
-// runPooledChain runs the full eavesdropper chain (background-subtract →
-// range-angle → peak-extract → doppler → track-with-velocity) over nFrames,
-// pooled or not, sequentially or concurrently.
-func runPooledChain(t *testing.T, s interface {
-	Stream(t0 float64, n int, rng *rand.Rand) *scene.FrameStream
-}, params fmcw.Params, array fmcw.Array, nFrames, seed, workers, depth int, pooled bool) chainResult {
+// runGoldenChain runs the full eavesdropper chain (background-subtract →
+// range-angle → peak-extract → doppler → track-with-velocity) over nFrames
+// at the given worker count, sequentially (depth 0) or concurrently, with or
+// without buffer recycling.
+func runGoldenChain(t *testing.T, sc *scene.Scene, nFrames int, seed int64, workers, depth int, pooled bool) chainResult {
 	t.Helper()
 	cfg := radar.DefaultConfig()
 	cfg.Workers = workers
-	pr := radar.NewProcessor(cfg)
+	plan := radar.CompileFrontEndPlan(cfg, sc.Params)
+	pools := NewPools(sc.Params)
 	detsC := NewCollectDetections()
-	trk := NewTrackWithVelocity(radar.TrackerConfig{}, array)
-
-	src := s.Stream(0, nFrames, rand.New(rand.NewSource(int64(seed)))).UseWorkers(workers)
-	var stages []Stage
-	var p *Pipeline
+	trk := NewTrackWithVelocity(radar.TrackerConfig{}, sc.Radar)
+	stages := FrontEndStagesPlanned(plan, sc.Radar, pools)
+	stages = append(stages, NewDopplerPlanned(plan, 6, 0, pools.Doppler), trk, detsC)
+	src := sc.Stream(0, nFrames, rand.New(rand.NewSource(seed))).UseWorkers(workers)
+	p := New(src, stages...)
 	if pooled {
-		pl := NewPools(params)
-		stages = FrontEndStagesPooled(pr, array, pl)
-		stages = append(stages, NewDopplerPooled(pr, 6, 0, pl.Doppler), trk, detsC)
-		p = New(src.UsePool(pl.Frames), stages...).UsePools(pl)
-	} else {
-		stages = FrontEndStages(pr, array)
-		stages = append(stages, NewDoppler(pr, 6, 0), trk, detsC)
-		p = New(src, stages...)
+		src.UsePool(pools.Frames)
+		p.UsePools(pools)
 	}
 	var n int
 	var err error
@@ -60,38 +54,187 @@ func runPooledChain(t *testing.T, s interface {
 	return chainResult{frames: n, dets: detsC.Detections(), tracks: trk.Tracks()}
 }
 
-// TestPooledEquivalentToUnpooled is the golden contract of the pooled path:
-// for every worker count and for both the sequential and the concurrent
-// runner, a pooled run produces the same detections and tracks as the
-// allocating run, frame for frame and point for point.
+// TestChainEquivalentToBatch is the golden contract of the one front-end
+// chain: for every worker count, for the sequential and the concurrent
+// runner, and with and without UsePools, it produces the detections and
+// tracks of the batch reference — Processor.ProcessFrames +
+// radar.TrackDetections over Scene.Capture — frame for frame and point for
+// point.
+func TestChainEquivalentToBatch(t *testing.T) {
+	const nFrames = 18
+	const seed = 11
+	sc := testSession(t).Scene
+	frames := sc.Capture(0, nFrames, rand.New(rand.NewSource(seed)))
+	wantDets := radar.NewProcessor(radar.DefaultConfig()).ProcessFrames(frames, sc.Radar)
+	wantTracks := radar.TrackDetections(radar.TrackerConfig{}, wantDets)
+	for _, workers := range []int{1, 2, 0} {
+		for _, depth := range []int{0, 1, 4} { // 0 = sequential Run
+			for _, pooled := range []bool{false, true} {
+				name := fmt.Sprintf("workers=%d depth=%d pooled=%v", workers, depth, pooled)
+				got := runGoldenChain(t, sc, nFrames, seed, workers, depth, pooled)
+				if got.frames != nFrames {
+					t.Fatalf("%s: %d frames, want %d", name, got.frames, nFrames)
+				}
+				if !reflect.DeepEqual(got.dets, wantDets) {
+					t.Fatalf("%s: detections differ from the batch reference", name)
+				}
+				if len(got.tracks) != len(wantTracks) {
+					t.Fatalf("%s: %d tracks, want %d", name, len(got.tracks), len(wantTracks))
+				}
+				for i, w := range wantTracks {
+					g := got.tracks[i]
+					if g.ID != w.ID || g.Confirmed != w.Confirmed || !reflect.DeepEqual(g.Points, w.Points) {
+						t.Fatalf("%s: track %d differs from the batch reference", name, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPooledEquivalentToUnpooled pins what recycling must not change: for
+// every worker count and runner, the chain run with UsePools leaves the same
+// detections and tracks as the same chain run without it — including the
+// Doppler radial velocities, which the batch reference does not compute, so
+// a pooled range–Doppler map recycled too early would show up here.
 func TestPooledEquivalentToUnpooled(t *testing.T) {
 	const nFrames = 18
 	const seed = 11
-	s := testSession(t)
-	params, array := s.Scene.Params, s.Scene.Radar
-	want := runPooledChain(t, s.Scene, params, array, nFrames, seed, 0, 0, false)
-	if want.frames != nFrames {
-		t.Fatalf("reference run processed %d frames, want %d", want.frames, nFrames)
-	}
+	sc := testSession(t).Scene
 	for _, workers := range []int{1, 2, 0} {
 		for _, depth := range []int{0, 1, 4} { // 0 = sequential Run
-			got := runPooledChain(t, s.Scene, params, array, nFrames, seed, workers, depth, true)
+			name := fmt.Sprintf("workers=%d depth=%d", workers, depth)
+			want := runGoldenChain(t, sc, nFrames, seed, workers, depth, false)
+			got := runGoldenChain(t, sc, nFrames, seed, workers, depth, true)
 			if got.frames != want.frames {
-				t.Fatalf("workers=%d depth=%d: %d frames, want %d", workers, depth, got.frames, want.frames)
+				t.Fatalf("%s: %d frames, want %d", name, got.frames, want.frames)
 			}
 			if !reflect.DeepEqual(got.dets, want.dets) {
-				t.Fatalf("workers=%d depth=%d: pooled detections differ from unpooled", workers, depth)
+				t.Fatalf("%s: pooled detections differ from unpooled", name)
 			}
 			if len(got.tracks) != len(want.tracks) {
-				t.Fatalf("workers=%d depth=%d: %d tracks, want %d", workers, depth, len(got.tracks), len(want.tracks))
+				t.Fatalf("%s: %d tracks, want %d", name, len(got.tracks), len(want.tracks))
 			}
-			for i := range want.tracks {
-				if got.tracks[i].ID != want.tracks[i].ID ||
-					got.tracks[i].Confirmed != want.tracks[i].Confirmed ||
-					!reflect.DeepEqual(got.tracks[i].Points, want.tracks[i].Points) {
-					t.Fatalf("workers=%d depth=%d: track %d differs", workers, depth, i)
+			for i, w := range want.tracks {
+				g := got.tracks[i]
+				if g.ID != w.ID || g.Confirmed != w.Confirmed || !reflect.DeepEqual(g.Points, w.Points) ||
+					g.HasVelocity != w.HasVelocity || g.RadialVelocity != w.RadialVelocity {
+					t.Fatalf("%s: track %d differs", name, i)
 				}
 			}
+		}
+	}
+}
+
+// dopplerMapsCollector keeps a copy of every range–Doppler map, so it stays
+// valid after the pipeline recycles the pooled map.
+type dopplerMapsCollector struct{ maps []*radar.RangeDopplerMap }
+
+func (c *dopplerMapsCollector) Name() string { return "collect-doppler-maps" }
+
+func (c *dopplerMapsCollector) Process(ctx context.Context, it *Item) error {
+	if it.RangeDoppler != nil {
+		cp := *it.RangeDoppler
+		cp.Power = append([]float64(nil), it.RangeDoppler.Power...)
+		c.maps = append(c.maps, &cp)
+	}
+	return nil
+}
+
+// TestPlannedEquivalentToUnpooled checks the planned Doppler stage against
+// the allocating kernel wrapper: with pooled maps, sequentially and
+// concurrently, every sliding-window map the chain emits equals
+// Processor.RangeDoppler over the same window of source frames.
+func TestPlannedEquivalentToUnpooled(t *testing.T) {
+	const nFrames = 14
+	const window = 6
+	const seed = 7
+	sc := testSession(t).Scene
+	frames := sc.Capture(0, nFrames, rand.New(rand.NewSource(seed)))
+	pr := radar.NewProcessor(radar.DefaultConfig())
+	pri := 1 / sc.Params.FrameRate
+	var want []*radar.RangeDopplerMap
+	for end := window; end <= nFrames; end++ {
+		m, err := pr.RangeDoppler(context.Background(), frames[end-window:end], 0, pri)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, m)
+	}
+
+	for _, depth := range []int{0, 4} { // 0 = sequential Run
+		cfg := radar.DefaultConfig()
+		cfg.Workers = 1
+		plan := radar.CompileFrontEndPlan(cfg, sc.Params)
+		pools := NewPools(sc.Params)
+		mapsC := &dopplerMapsCollector{}
+		stages := append(FrontEndStagesPlanned(plan, sc.Radar, pools),
+			NewDopplerPlanned(plan, window, 0, pools.Doppler), mapsC)
+		src := sc.Stream(0, nFrames, rand.New(rand.NewSource(seed))).UsePool(pools.Frames)
+		p := New(src, stages...).UsePools(pools)
+		var err error
+		if depth > 0 {
+			_, err = p.RunConcurrent(context.Background(), depth)
+		} else {
+			_, err = p.Run(context.Background())
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(mapsC.maps) != len(want) {
+			t.Fatalf("depth=%d: %d range–Doppler maps, want %d", depth, len(mapsC.maps), len(want))
+		}
+		for i, w := range want {
+			if !reflect.DeepEqual(mapsC.maps[i], w) {
+				t.Fatalf("depth=%d: map %d differs from Processor.RangeDoppler", depth, i)
+			}
+		}
+	}
+}
+
+// TestCollectorsCopyUnderUsePools pins the collectors' retention contract:
+// with every buffer recycled through UsePools, the collected frames and
+// profiles still equal the source frames and the batch RangeAngle outputs,
+// because each collector keeps its own copy rather than a pooled buffer that
+// a later frame overwrites.
+func TestCollectorsCopyUnderUsePools(t *testing.T) {
+	const nFrames = 8
+	const seed = 5
+	sc := testSession(t).Scene
+	want := sc.Capture(0, nFrames, rand.New(rand.NewSource(seed)))
+
+	pools := NewPools(sc.Params)
+	framesC := NewCollectFrames()
+	profsC := NewCollectProfiles()
+	plan := radar.CompileFrontEndPlan(radar.DefaultConfig(), sc.Params)
+	stages := append([]Stage{framesC}, FrontEndStagesPlanned(plan, sc.Radar, pools)...)
+	stages = append(stages, profsC)
+	src := sc.Stream(0, nFrames, rand.New(rand.NewSource(seed))).UsePool(pools.Frames)
+	if _, err := New(src, stages...).UsePools(pools).Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	got := framesC.Frames()
+	if len(got) != nFrames {
+		t.Fatalf("collected %d frames, want %d", len(got), nFrames)
+	}
+	for i := range want {
+		if got[i].Time != want[i].Time || !reflect.DeepEqual(got[i].Data, want[i].Data) {
+			t.Fatalf("collected frame %d differs from the source frame", i)
+		}
+	}
+	profs := profsC.Profiles()
+	if len(profs) != nFrames-1 {
+		t.Fatalf("collected %d profiles, want %d", len(profs), nFrames-1)
+	}
+	pr := radar.NewProcessor(radar.DefaultConfig())
+	for i := 1; i < nFrames; i++ {
+		ref, err := pr.RangeAngle(context.Background(), radar.BackgroundSubtract(want[i], want[i-1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if profs[i-1].Time != ref.Time || !reflect.DeepEqual(profs[i-1].Power, ref.Power) {
+			t.Fatalf("collected profile %d differs from the batch RangeAngle output", i-1)
 		}
 	}
 }
@@ -103,9 +246,9 @@ func TestPooledRunRecyclesBuffers(t *testing.T) {
 	const nFrames = 12
 	s := testSession(t)
 	pl := NewPools(s.Scene.Params)
-	pr := radar.NewProcessor(radar.DefaultConfig())
-	stages := FrontEndStagesPooled(pr, s.Scene.Radar, pl)
-	stages = append(stages, NewDopplerPooled(pr, 4, 0, pl.Doppler))
+	plan := radar.CompileFrontEndPlan(radar.DefaultConfig(), s.Scene.Params)
+	stages := FrontEndStagesPlanned(plan, s.Scene.Radar, pl)
+	stages = append(stages, NewDopplerPlanned(plan, 4, 0, pl.Doppler))
 	src := s.Scene.Stream(0, nFrames, rand.New(rand.NewSource(1))).UsePool(pl.Frames)
 	if _, err := New(src, stages...).UsePools(pl).Run(context.Background()); err != nil {
 		t.Fatal(err)
@@ -124,18 +267,15 @@ func TestPooledRunRecyclesBuffers(t *testing.T) {
 	}
 }
 
-// TestStagesZeroAllocsSteadyState drives the three pooled hot-path stages
-// directly (no pipeline loop, Workers: 1) and asserts the steady state
-// allocates nothing per frame: the subtract stage, the range-FFT/beamform
-// stage, and the sliding-window Doppler stage.
-func TestStagesZeroAllocsSteadyState(t *testing.T) {
+// allocGuardFrames returns the small-shape params and array of the
+// zero-allocation guards with a ring of distinct source frames, so the
+// differencer and the Doppler window see changing data, as in a real capture.
+func allocGuardFrames() (fmcw.Params, fmcw.Array, []*fmcw.Frame) {
 	p := fmcw.DefaultParams()
 	p.SampleRate = 128e3 // 64 samples per chirp keeps the guard fast
 	p.NumAntennas = 4
 	array := fmcw.Array{Facing: 1}
 	rng := rand.New(rand.NewSource(3))
-	// A small ring of distinct source frames so the differencer and the
-	// Doppler window see changing data, as in a real capture.
 	var templates []*fmcw.Frame
 	for i := 0; i < 4; i++ {
 		rets := []fmcw.Return{
@@ -143,28 +283,35 @@ func TestStagesZeroAllocsSteadyState(t *testing.T) {
 		}
 		templates = append(templates, fmcw.Synthesize(p, rets, float64(i)/p.FrameRate, rng))
 	}
+	return p, array, templates
+}
 
+// TestStagesZeroAllocsSteadyState drives the three pooled hot-path stages
+// on their own (no pipeline loop, no detection or tracking, Workers: 1) and
+// asserts the steady state allocates nothing per frame: the subtract stage,
+// the range-FFT/beamform stage, and the sliding-window Doppler stage.
+func TestStagesZeroAllocsSteadyState(t *testing.T) {
+	p, _, templates := allocGuardFrames()
 	cfg := radar.DefaultConfig()
 	cfg.Workers = 1
-	pr := radar.NewProcessor(cfg)
+	plan := radar.CompileFrontEndPlan(cfg, p)
 	pl := NewPools(p)
-	bg := NewBackgroundSubtractPooled(pl.Frames)
-	ra := NewRangeAnglePooled(pr, pl.Profiles)
-	dop := NewDopplerPooled(pr, len(templates), 0, pl.Doppler)
+	stages := []Stage{
+		newBackgroundSubtract(pl.Frames),
+		newRangeAngle(plan, pl.Profiles),
+		NewDopplerPlanned(plan, len(templates), 0, pl.Doppler),
+	}
 
+	ctx := context.Background()
 	var it Item
 	step := func(i int) {
 		f := pl.Frames.Get(float64(i) / p.FrameRate)
 		f.CopyFrom(templates[i%len(templates)])
 		it = Item{Index: i, Frame: f}
-		if err := bg.Process(nil, &it); err != nil {
-			t.Fatal(err)
-		}
-		if err := ra.Process(nil, &it); err != nil {
-			t.Fatal(err)
-		}
-		if err := dop.Process(nil, &it); err != nil {
-			t.Fatal(err)
+		for _, st := range stages {
+			if err := st.Process(ctx, &it); err != nil {
+				t.Fatal(err)
+			}
 		}
 		pl.Frames.Put(it.Frame)
 		pl.Frames.Put(it.Diff)
@@ -172,7 +319,7 @@ func TestStagesZeroAllocsSteadyState(t *testing.T) {
 		pl.Doppler.Put(it.RangeDoppler)
 	}
 	// Warm-up: fill the differencer history and the Doppler window, build
-	// processor scratch, and charge the pools.
+	// plan scratch, and charge the pools.
 	for i := 0; i < 2*len(templates); i++ {
 		step(i)
 	}
@@ -185,88 +332,12 @@ func TestStagesZeroAllocsSteadyState(t *testing.T) {
 	}
 }
 
-// copyingCollector accumulates per-frame detection sets by value, safe in a
-// chain whose peak stage reuses the detection backing (FrontEndStagesPlanned).
-type copyingCollector struct{ dets [][]radar.Detection }
-
-func (c *copyingCollector) Name() string { return "copy-detections" }
-
-func (c *copyingCollector) Process(ctx context.Context, it *Item) error {
-	if it.HasDets {
-		cp := make([]radar.Detection, len(it.Detections))
-		copy(cp, it.Detections)
-		c.dets = append(c.dets, cp)
-	}
-	return nil
-}
-
-// TestPlannedEquivalentToUnpooled is the golden contract of the fully
-// compiled chain: FrontEndStagesPlanned + NewDopplerPlanned over one shared
-// plan must produce the same detections and tracks as the allocating
-// FrontEndStages run, for the sequential and the concurrent runner.
-func TestPlannedEquivalentToUnpooled(t *testing.T) {
-	const nFrames = 18
-	const seed = 11
-	s := testSession(t)
-	params, array := s.Scene.Params, s.Scene.Radar
-	want := runPooledChain(t, s.Scene, params, array, nFrames, seed, 0, 0, false)
-
-	for _, depth := range []int{0, 4} { // 0 = sequential Run
-		cfg := radar.DefaultConfig()
-		cfg.Workers = 1
-		plan := radar.CompileFrontEndPlan(cfg, params)
-		pools := NewPools(params)
-		detsC := &copyingCollector{}
-		trk := NewTrackWithVelocity(radar.TrackerConfig{}, array)
-		stages := FrontEndStagesPlanned(plan, array, pools)
-		stages = append(stages, NewDopplerPlanned(plan, 6, 0, pools.Doppler), trk, detsC)
-		src := s.Scene.Stream(0, nFrames, rand.New(rand.NewSource(seed))).UsePool(pools.Frames).UseWorkers(1)
-		p := New(src, stages...).UsePools(pools)
-		var n int
-		var err error
-		if depth > 0 {
-			n, err = p.RunConcurrent(context.Background(), depth)
-		} else {
-			n, err = p.Run(context.Background())
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != want.frames {
-			t.Fatalf("depth=%d: %d frames, want %d", depth, n, want.frames)
-		}
-		if !reflect.DeepEqual(detsC.dets, want.dets) {
-			t.Fatalf("depth=%d: planned detections differ from unpooled", depth)
-		}
-		tracks := trk.Tracks()
-		if len(tracks) != len(want.tracks) {
-			t.Fatalf("depth=%d: %d tracks, want %d", depth, len(tracks), len(want.tracks))
-		}
-		for i := range want.tracks {
-			if !reflect.DeepEqual(tracks[i].Points, want.tracks[i].Points) {
-				t.Fatalf("depth=%d: track %d differs", depth, i)
-			}
-		}
-	}
-}
-
-// TestPlannedChainZeroAllocsSteadyState drives the complete compiled chain —
-// subtract, beamform, peak-extract with detection-buffer reuse, Doppler,
-// tracking — and asserts a warmed-up frame allocates nothing anywhere.
+// TestPlannedChainZeroAllocsSteadyState drives the complete chain stage by
+// stage — subtract, beamform, peak-extract with detection-buffer reuse,
+// Doppler, tracking — at Workers: 1 and asserts a warmed-up frame allocates
+// nothing in any of them.
 func TestPlannedChainZeroAllocsSteadyState(t *testing.T) {
-	p := fmcw.DefaultParams()
-	p.SampleRate = 128e3 // 64 samples per chirp keeps the guard fast
-	p.NumAntennas = 4
-	array := fmcw.Array{Facing: 1}
-	rng := rand.New(rand.NewSource(3))
-	var templates []*fmcw.Frame
-	for i := 0; i < 4; i++ {
-		rets := []fmcw.Return{
-			array.ReturnFrom(geom.Point{X: 1.5, Y: 3.5}, 1, 0, rng.Float64()),
-		}
-		templates = append(templates, fmcw.Synthesize(p, rets, float64(i)/p.FrameRate, rng))
-	}
-
+	p, array, templates := allocGuardFrames()
 	cfg := radar.DefaultConfig()
 	cfg.Workers = 1
 	plan := radar.CompileFrontEndPlan(cfg, p)
@@ -277,6 +348,7 @@ func TestPlannedChainZeroAllocsSteadyState(t *testing.T) {
 	trk := NewTrack(tcfg)
 	stages = append(stages, trk)
 
+	ctx := context.Background()
 	var it Item
 	var detBuf []radar.Detection
 	step := func(i int) {
@@ -285,7 +357,7 @@ func TestPlannedChainZeroAllocsSteadyState(t *testing.T) {
 		it = Item{Index: i, Frame: f}
 		it.Detections = detBuf[:0] // what getItem's recycling preserves
 		for _, st := range stages {
-			if err := st.Process(nil, &it); err != nil {
+			if err := st.Process(ctx, &it); err != nil {
 				t.Fatal(err)
 			}
 		}

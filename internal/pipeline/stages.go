@@ -9,19 +9,14 @@ import (
 
 // BackgroundSubtractStage streams successive-frame background subtraction
 // (§3): it.Diff = frame − previous frame, holding exactly one frame of
-// history. Frame 0 only seeds the history and leaves it.Diff nil.
+// history. Frame 0 only seeds the history and leaves it.Diff nil. Difference
+// frames and history come from a FramePool; the pipeline recycles the diffs
+// when wired with UsePools.
 type BackgroundSubtractStage struct {
 	diff fmcw.Differencer
 }
 
-// NewBackgroundSubtract returns a fresh background-subtraction stage.
-func NewBackgroundSubtract() *BackgroundSubtractStage { return &BackgroundSubtractStage{} }
-
-// NewBackgroundSubtractPooled returns a background-subtraction stage whose
-// difference frames and history come from the given pool, so its steady
-// state allocates nothing. Emitted diffs are bit-identical to the unpooled
-// stage's; the pipeline recycles them when wired with UsePools.
-func NewBackgroundSubtractPooled(pool *fmcw.FramePool) *BackgroundSubtractStage {
+func newBackgroundSubtract(pool *fmcw.FramePool) *BackgroundSubtractStage {
 	s := &BackgroundSubtractStage{}
 	s.diff.UsePool(pool)
 	return s
@@ -38,22 +33,15 @@ func (s *BackgroundSubtractStage) Process(ctx context.Context, it *Item) error {
 }
 
 // RangeAngleStage computes the range–angle power profile (range FFT +
-// Eq. 2 beamforming) of the background-subtracted frame. Items without a
-// Diff pass through untouched.
+// Eq. 2 beamforming) of the background-subtracted frame into a profile drawn
+// from the pool. Items without a Diff pass through untouched.
 type RangeAngleStage struct {
-	pr   *radar.Processor
+	plan *radar.FrontEndPlan
 	pool *radar.ProfilePool
 }
 
-// NewRangeAngle returns a profile stage over the given processor.
-func NewRangeAngle(pr *radar.Processor) *RangeAngleStage { return &RangeAngleStage{pr: pr} }
-
-// NewRangeAnglePooled returns a profile stage that fills recycled profiles
-// from the given pool via RangeAngleInto instead of allocating one per
-// frame. Profiles are bit-identical to the unpooled stage's; the pipeline
-// recycles them when wired with UsePools.
-func NewRangeAnglePooled(pr *radar.Processor, pool *radar.ProfilePool) *RangeAngleStage {
-	return &RangeAngleStage{pr: pr, pool: pool}
+func newRangeAngle(plan *radar.FrontEndPlan, pool *radar.ProfilePool) *RangeAngleStage {
+	return &RangeAngleStage{plan: plan, pool: pool}
 }
 
 func (s *RangeAngleStage) Name() string { return "range-angle" }
@@ -63,17 +51,9 @@ func (s *RangeAngleStage) Process(ctx context.Context, it *Item) error {
 	if it.Diff == nil {
 		return nil
 	}
-	if s.pool != nil {
-		prof := s.pool.Get()
-		if err := s.pr.RangeAngleInto(ctx, it.Diff, prof); err != nil {
-			s.pool.Put(prof) // partially written: contents are unspecified anyway
-			return err
-		}
-		it.Profile = prof
-		return nil
-	}
-	prof, err := s.pr.RangeAngleCtx(ctx, it.Diff)
-	if err != nil {
+	prof := s.pool.Get()
+	if err := s.plan.RangeAngleInto(ctx, it.Diff, prof); err != nil {
+		s.pool.Put(prof) // partially written: contents are unspecified anyway
 		return err
 	}
 	it.Profile = prof
@@ -84,28 +64,16 @@ func (s *RangeAngleStage) Process(ctx context.Context, it *Item) error {
 // without a Profile pass through untouched; items with one always get a
 // detection set (possibly empty) and HasDets = true, mirroring the batch
 // front end where every post-background frame yields one detection slice.
+// The detections are appended into the item's recycled Detections backing,
+// so they are valid only while the item is in flight; stages that keep them
+// copy (DetectionsCollector does).
 type PeakExtractStage struct {
-	pr    *radar.Processor
+	plan  *radar.FrontEndPlan
 	array fmcw.Array
-	// reuse makes Process append into the item's recycled Detections backing
-	// via DetectInto instead of allocating a fresh slice per frame. Values
-	// are bit-identical either way; with reuse the detections are only valid
-	// while the item is in flight, so — like pooled profiles — a reusing
-	// chain is incompatible with collectors that retain the slices.
-	reuse bool
 }
 
-// NewPeakExtract returns a detection stage mapping peaks to world
-// coordinates through the given array geometry.
-func NewPeakExtract(pr *radar.Processor, array fmcw.Array) *PeakExtractStage {
-	return &PeakExtractStage{pr: pr, array: array}
-}
-
-// NewPeakExtractPooled returns a detection stage that fills each item's
-// recycled Detections buffer through the plan's DetectInto, so its steady
-// state allocates nothing. See the reuse field for the retention caveat.
-func NewPeakExtractPooled(pl *radar.FrontEndPlan, array fmcw.Array) *PeakExtractStage {
-	return &PeakExtractStage{pr: radar.NewProcessorWithPlan(pl), array: array, reuse: true}
+func newPeakExtract(plan *radar.FrontEndPlan, array fmcw.Array) *PeakExtractStage {
+	return &PeakExtractStage{plan: plan, array: array}
 }
 
 func (s *PeakExtractStage) Name() string { return "peak-extract" }
@@ -115,97 +83,52 @@ func (s *PeakExtractStage) Process(ctx context.Context, it *Item) error {
 	if it.Profile == nil {
 		return nil
 	}
-	if s.reuse {
-		it.Detections = s.pr.Plan(it.Profile.Params).DetectInto(it.Detections, it.Profile, s.array)
-	} else {
-		it.Detections = s.pr.Detect(it.Profile, s.array)
-	}
+	it.Detections = s.plan.DetectInto(it.Detections, it.Profile, s.array)
 	it.HasDets = true
 	return nil
 }
 
-// FrontEndStages returns the standard eavesdropper front end as a stage
-// chain — background-subtract → range FFT/beamform → peak-extract — ready
-// to prepend to a tracker or collector. The chain's detection sequence is
-// bit-identical to Processor.ProcessFrames over the same frames.
-func FrontEndStages(pr *radar.Processor, array fmcw.Array) []Stage {
-	return []Stage{NewBackgroundSubtract(), NewRangeAngle(pr), NewPeakExtract(pr, array)}
-}
-
-// FrontEndStagesPooled is FrontEndStages with the difference frames and
-// profiles drawn from pl's pools: same stages, same bits, zero steady-state
-// allocations in the subtract and profile stages. Pair it with a source
-// feeding from pl.Frames and Pipeline.UsePools(pl) so the buffers flow back.
-func FrontEndStagesPooled(pr *radar.Processor, array fmcw.Array, pl *Pools) []Stage {
+// FrontEndStagesPlanned returns the eavesdropper front end as a stage chain
+// — background-subtract → range FFT/beamform → peak-extract — ready to
+// prepend to a tracker or collector. Every kernel runs through the shared
+// plan and every steady-state buffer (difference frames, profiles,
+// detection slices) comes from pools, so with a source feeding from
+// pools.Frames and Pipeline.UsePools(pools) the whole chain allocates
+// nothing per frame once warm. The detection sequence is bit-identical to
+// Processor.ProcessFrames over the same frames. The N-room daemon assembles
+// each room from one plan per params-shape with exactly this chain.
+func FrontEndStagesPlanned(plan *radar.FrontEndPlan, array fmcw.Array, pools *Pools) []Stage {
 	return []Stage{
-		NewBackgroundSubtractPooled(pl.Frames),
-		NewRangeAnglePooled(pr, pl.Profiles),
-		NewPeakExtract(pr, array),
-	}
-}
-
-// NewRangeAnglePlanned is NewRangeAnglePooled over a shared compiled plan:
-// the stage serves frames of the plan's shape through it (a shape change
-// transparently compiles a private plan, like any Processor).
-func NewRangeAnglePlanned(pl *radar.FrontEndPlan, pool *radar.ProfilePool) *RangeAngleStage {
-	return &RangeAngleStage{pr: radar.NewProcessorWithPlan(pl), pool: pool}
-}
-
-// NewDopplerPlanned is NewDopplerPooled over a shared compiled plan.
-func NewDopplerPlanned(pl *radar.FrontEndPlan, window, antenna int, pool *radar.DopplerPool) *DopplerStage {
-	s := NewDoppler(radar.NewProcessorWithPlan(pl), window, antenna)
-	s.pool = pool
-	return s
-}
-
-// FrontEndStagesPlanned is the fully compiled front end: every kernel runs
-// through the shared plan and every steady-state buffer — difference frames,
-// profiles, detection slices — is recycled, so the whole chain allocates
-// nothing per frame once warm. Detection values are bit-identical to
-// FrontEndStages; the detections-retention caveat of NewPeakExtractPooled
-// applies. The N-room daemon assembles each room from one plan per
-// params-shape with exactly this chain.
-func FrontEndStagesPlanned(pl *radar.FrontEndPlan, array fmcw.Array, pools *Pools) []Stage {
-	pr := radar.NewProcessorWithPlan(pl)
-	return []Stage{
-		NewBackgroundSubtractPooled(pools.Frames),
-		NewRangeAnglePooled(pr, pools.Profiles),
-		&PeakExtractStage{pr: pr, array: array, reuse: true},
+		newBackgroundSubtract(pools.Frames),
+		newRangeAngle(plan, pools.Profiles),
+		newPeakExtract(plan, array),
 	}
 }
 
 // DopplerStage computes a sliding-window range–Doppler map over the last K
 // raw frames: a K-frame ring buffer (fmcw.Window) feeds per-range-bin
-// slow-time FFTs through the cached dsp plans, and once the window is full
-// every frame carries the map ending at it (it.RangeDoppler). The slow-time
-// sampling interval is the frame interval 1/FrameRate, so the unambiguous
-// velocity band is ±λ·FrameRate/4 — faster radial motion aliases, exactly
-// as it would for a real chirp-coherent processor at that frame rate.
+// slow-time FFTs through the plan, and once the window is full every frame
+// carries the map ending at it (it.RangeDoppler), drawn from the pool. The
+// slow-time sampling interval is the frame interval 1/FrameRate, so the
+// unambiguous velocity band is ±λ·FrameRate/4 — faster radial motion
+// aliases, exactly as it would for a real chirp-coherent processor at that
+// frame rate.
 type DopplerStage struct {
-	pr      *radar.Processor
+	plan    *radar.FrontEndPlan
 	win     *fmcw.Window
 	antenna int
 	burst   []*fmcw.Frame // scratch reused every frame
 	pool    *radar.DopplerPool
 }
 
-// NewDoppler returns a Doppler stage with a K-frame window observing the
-// given antenna (window < 2 is treated as 2 — one frame has no slow time).
-func NewDoppler(pr *radar.Processor, window, antenna int) *DopplerStage {
+// NewDopplerPlanned returns a Doppler stage with a K-frame window observing
+// the given antenna (window < 2 is treated as 2 — one frame has no slow
+// time), computing its maps through plan into maps drawn from pool.
+func NewDopplerPlanned(plan *radar.FrontEndPlan, window, antenna int, pool *radar.DopplerPool) *DopplerStage {
 	if window < 2 {
 		window = 2
 	}
-	return &DopplerStage{pr: pr, win: fmcw.NewWindow(window), antenna: antenna}
-}
-
-// NewDopplerPooled is NewDoppler with the output maps drawn from the given
-// pool via RangeDopplerInto instead of allocated per frame. Maps are
-// bit-identical to the unpooled stage's; the pipeline recycles them when
-// wired with UsePools.
-func NewDopplerPooled(pr *radar.Processor, window, antenna int, pool *radar.DopplerPool) *DopplerStage {
-	s := NewDoppler(pr, window, antenna)
-	s.pool = pool
-	return s
+	return &DopplerStage{plan: plan, win: fmcw.NewWindow(window), antenna: antenna, pool: pool}
 }
 
 func (s *DopplerStage) Name() string { return "range-doppler" }
@@ -220,17 +143,9 @@ func (s *DopplerStage) Process(ctx context.Context, it *Item) error {
 		return nil
 	}
 	s.burst = s.win.Frames(s.burst[:0])
-	if s.pool != nil {
-		m := s.pool.Get()
-		if err := s.pr.RangeDopplerInto(ctx, m, s.burst, s.antenna, 1/it.Frame.Params.FrameRate); err != nil {
-			s.pool.Put(m) // partially written: contents are unspecified anyway
-			return err
-		}
-		it.RangeDoppler = m
-		return nil
-	}
-	m, err := s.pr.RangeDopplerCtx(ctx, s.burst, s.antenna, 1/it.Frame.Params.FrameRate)
-	if err != nil {
+	m := s.pool.Get()
+	if err := s.plan.RangeDopplerInto(ctx, m, s.burst, s.antenna, 1/it.Frame.Params.FrameRate); err != nil {
+		s.pool.Put(m) // partially written: contents are unspecified anyway
 		return err
 	}
 	it.RangeDoppler = m
@@ -316,10 +231,14 @@ func (s *BreathingPhaseStage) Series() (times, phase []float64) {
 	return s.ps.Series()
 }
 
+// The collectors below accumulate per-frame outputs for consumers that need
+// the whole sequence (measurement matching, tests, offline analysis). Memory
+// grows with capture length, so they are not for bounded-memory streaming.
+// Each stores a copy of what it keeps, never the item's buffers, so any
+// chain may run with Pipeline.UsePools.
+
 // DetectionsCollector accumulates the per-frame detection sets, matching
-// Processor.ProcessFrames output shape. Memory grows with capture length —
-// collectors are for consumers that need the whole sequence (measurement
-// matching, tests), not for bounded-memory streaming.
+// Processor.ProcessFrames output shape.
 type DetectionsCollector struct {
 	dets [][]radar.Detection
 }
@@ -331,7 +250,9 @@ func (s *DetectionsCollector) Name() string { return "collect-detections" }
 
 func (s *DetectionsCollector) Process(ctx context.Context, it *Item) error {
 	if it.HasDets {
-		s.dets = append(s.dets, it.Detections)
+		cp := make([]radar.Detection, len(it.Detections))
+		copy(cp, it.Detections)
+		s.dets = append(s.dets, cp)
 	}
 	return nil
 }
@@ -339,10 +260,7 @@ func (s *DetectionsCollector) Process(ctx context.Context, it *Item) error {
 // Detections returns the accumulated sequence.
 func (s *DetectionsCollector) Detections() [][]radar.Detection { return s.dets }
 
-// ProfilesCollector accumulates every computed profile (unbounded; tests
-// and offline analysis only). It retains the profiles past item completion,
-// so it must not run in a pipeline wired with UsePools — the recycler would
-// overwrite the collected profiles in place.
+// ProfilesCollector accumulates every computed profile.
 type ProfilesCollector struct {
 	profs []*radar.Profile
 }
@@ -354,7 +272,9 @@ func (s *ProfilesCollector) Name() string { return "collect-profiles" }
 
 func (s *ProfilesCollector) Process(ctx context.Context, it *Item) error {
 	if it.Profile != nil {
-		s.profs = append(s.profs, it.Profile)
+		cp := *it.Profile
+		cp.Power = append([]float64(nil), it.Profile.Power...)
+		s.profs = append(s.profs, &cp)
 	}
 	return nil
 }
@@ -362,10 +282,8 @@ func (s *ProfilesCollector) Process(ctx context.Context, it *Item) error {
 // Profiles returns the accumulated profiles.
 func (s *ProfilesCollector) Profiles() []*radar.Profile { return s.profs }
 
-// FramesCollector accumulates every raw frame (unbounded; tests only — it
-// deliberately defeats the pipeline's bounded-memory property). Like
-// ProfilesCollector it retains buffers past item completion and must not
-// run in a pipeline wired with UsePools.
+// FramesCollector accumulates every raw frame (tests only — it deliberately
+// defeats the pipeline's bounded-memory property).
 type FramesCollector struct {
 	frames []*fmcw.Frame
 }
@@ -376,7 +294,9 @@ func NewCollectFrames() *FramesCollector { return &FramesCollector{} }
 func (s *FramesCollector) Name() string { return "collect-frames" }
 
 func (s *FramesCollector) Process(ctx context.Context, it *Item) error {
-	s.frames = append(s.frames, it.Frame)
+	cp := fmcw.NewFrame(it.Frame.Params, it.Frame.Time)
+	cp.CopyFrom(it.Frame)
+	s.frames = append(s.frames, cp)
 	return nil
 }
 

@@ -52,11 +52,12 @@ func TestPlannedSynthesisSameDetectionsAndTracks(t *testing.T) {
 		frames, array := captureWith(t, synth, nFrames)
 		cfg := radar.DefaultConfig()
 		cfg.Workers = 1
-		pr := radar.NewProcessor(cfg)
+		plan := radar.CompileFrontEndPlan(cfg, frames[0].Params)
+		pools := NewPools(frames[0].Params)
 		detsC := NewCollectDetections()
 		trk := NewTrackWithVelocity(radar.TrackerConfig{}, array)
-		stages := FrontEndStages(pr, array)
-		stages = append(stages, NewDoppler(pr, 6, 0), trk, detsC)
+		stages := FrontEndStagesPlanned(plan, array, pools)
+		stages = append(stages, NewDopplerPlanned(plan, 6, 0, pools.Doppler), trk, detsC)
 		if _, err := New(FromFrames(frames), stages...).Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}

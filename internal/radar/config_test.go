@@ -36,7 +36,7 @@ func TestMaxTargetsCapsDetections(t *testing.T) {
 	cfg.MaxTargets = 2
 	cfg.MinPeakRatio = 0.01
 	pr := NewProcessor(cfg)
-	dets := pr.Detect(pr.RangeAngle(fr), array)
+	dets := pr.Detect(rangeAngle(t, pr, fr), array)
 	if len(dets) > 2 {
 		t.Fatalf("got %d detections, cap 2", len(dets))
 	}
@@ -51,7 +51,7 @@ func TestMaxRangeExcludesFarTargets(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxRange = 8
 	pr := NewProcessor(cfg)
-	for _, d := range pr.Detect(pr.RangeAngle(fr), array) {
+	for _, d := range pr.Detect(rangeAngle(t, pr, fr), array) {
 		if d.Range > 8.5 {
 			t.Fatalf("detection beyond MaxRange: %v", d)
 		}
@@ -67,7 +67,7 @@ func TestMinRangeExcludesCloseTargets(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MinRange = 1.5
 	pr := NewProcessor(cfg)
-	dets := pr.Detect(pr.RangeAngle(fr), array)
+	dets := pr.Detect(rangeAngle(t, pr, fr), array)
 	for _, d := range dets {
 		if d.Range < 1.2 {
 			t.Fatalf("detection below MinRange: %v", d)
@@ -82,12 +82,12 @@ func TestPlanCacheReuse(t *testing.T) {
 	p := quietParams()
 	pr := NewProcessor(DefaultConfig())
 	fr := fmcw.Synthesize(p, nil, 0, nil)
-	pr.RangeAngle(fr)
+	rangeAngle(t, pr, fr)
 	first := pr.plan
 	if first == nil {
 		t.Fatal("no plan compiled")
 	}
-	pr.RangeAngle(fr)
+	rangeAngle(t, pr, fr)
 	if pr.plan != first {
 		t.Fatal("plan recompiled for identical params")
 	}
@@ -98,18 +98,9 @@ func TestPlanCacheReuse(t *testing.T) {
 	p2 := p
 	p2.CenterFreq = 7e9
 	fr2 := fmcw.Synthesize(p2, nil, 0, nil)
-	pr.RangeAngle(fr2)
+	rangeAngle(t, pr, fr2)
 	if pr.plan == first {
 		t.Fatal("plan not recompiled for new params")
-	}
-	// A processor built around a shared plan starts on that plan.
-	shared := CompileFrontEndPlan(DefaultConfig(), p)
-	pr2 := NewProcessorWithPlan(shared)
-	if pr2.Plan(p) != shared {
-		t.Fatal("NewProcessorWithPlan did not adopt the shared plan")
-	}
-	if got := pr2.Config().AngleBins; got != shared.Config().AngleBins {
-		t.Fatalf("processor config not adopted from plan: %d", got)
 	}
 }
 
@@ -121,7 +112,7 @@ func TestBeamformingPeakAtTrueAngle(t *testing.T) {
 		ret := fmcw.Return{Delay: 2 * 4.0 / fmcw.C, Amplitude: 1, AoA: aoa}
 		fr := fmcw.Synthesize(p, []fmcw.Return{ret}, 0, nil)
 		pr := NewProcessor(DefaultConfig())
-		prof := pr.RangeAngle(fr)
+		prof := rangeAngle(t, pr, fr)
 		dets := pr.Detect(prof, array)
 		if len(dets) == 0 {
 			t.Fatalf("aoa %v: no detection", aoa)
@@ -157,7 +148,7 @@ func TestEmpiricalAngleResolutionClaim(t *testing.T) {
 	r2 := fmcw.Return{Delay: 2 * 4.0 / fmcw.C, Amplitude: 1, AoA: math.Pi/2 + sep/2}
 	fr := fmcw.Synthesize(p, []fmcw.Return{r1, r2}, 0, nil)
 	pr := NewProcessor(DefaultConfig())
-	dets := pr.Detect(pr.RangeAngle(fr), array)
+	dets := pr.Detect(rangeAngle(t, pr, fr), array)
 	count := 0
 	for _, d := range dets {
 		if math.Abs(d.Range-4) < 0.5 {

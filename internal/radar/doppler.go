@@ -68,22 +68,20 @@ func (m *RangeDopplerMap) MaxUnambiguousVelocity() float64 {
 }
 
 // RangeDoppler computes the range–Doppler map of a chirp burst on one
-// antenna. chirps must share parameters and be uniformly spaced by pri.
-func (pr *Processor) RangeDoppler(chirps []*fmcw.Frame, antenna int, pri float64) *RangeDopplerMap {
-	m, _ := pr.RangeDopplerCtx(nil, chirps, antenna, pri)
-	return m
-}
-
-// RangeDopplerCtx is RangeDoppler with cooperative cancellation threaded
-// into the range-FFT batch and the per-range-bin slow-time fan-out; it
-// returns (nil, ctx.Err()) once ctx is done. A nil ctx is exactly
-// RangeDoppler. The map is bit-identical for any worker count: each chirp's
+// antenna into a fresh map; chirps must share parameters and be uniformly
+// spaced by pri, and an empty burst yields an empty map. Cancellation is
+// threaded into the range-FFT batch and the per-range-bin slow-time
+// fan-out; once ctx is done it returns (nil, ctx.Err()). A nil ctx never
+// cancels. The map is bit-identical for any worker count: each chirp's
 // range FFT and each range bin's Doppler column are independent work items
-// writing disjoint destinations through the cached dsp plans. It is the
-// allocating wrapper over RangeDopplerInto.
-func (pr *Processor) RangeDopplerCtx(ctx context.Context, chirps []*fmcw.Frame, antenna int, pri float64) (*RangeDopplerMap, error) {
+// writing disjoint destinations. It is the allocating wrapper over
+// FrontEndPlan.RangeDopplerInto.
+func (pr *Processor) RangeDoppler(ctx context.Context, chirps []*fmcw.Frame, antenna int, pri float64) (*RangeDopplerMap, error) {
 	m := &RangeDopplerMap{}
-	if err := pr.RangeDopplerInto(ctx, m, chirps, antenna, pri); err != nil {
+	if len(chirps) == 0 {
+		return m, nil
+	}
+	if err := pr.Plan(chirps[0].Params).RangeDopplerInto(ctx, m, chirps, antenna, pri); err != nil {
 		return nil, err
 	}
 	return m, nil

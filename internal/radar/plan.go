@@ -124,12 +124,6 @@ func CompileFrontEndPlan(cfg Config, p fmcw.Params) *FrontEndPlan {
 	return pl
 }
 
-// Params returns the radar shape the plan was compiled for.
-func (pl *FrontEndPlan) Params() fmcw.Params { return pl.params }
-
-// Config returns the plan's effective (normalized) configuration.
-func (pl *FrontEndPlan) Config() Config { return pl.cfg }
-
 // steeringTable builds the Eq. 2 matched-filter steering matrix:
 // steering[a][k] = exp(+j2πkd cosθ_a/λ), the conjugate of the synthesis
 // steering phase.

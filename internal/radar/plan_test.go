@@ -1,12 +1,33 @@
 package radar
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"rfprotect/internal/fmcw"
 	"rfprotect/internal/geom"
 )
+
+// rangeAngle and rangeDoppler are the tests' shorthand for uncancelable
+// allocating kernel calls.
+func rangeAngle(t testing.TB, pr *Processor, f *fmcw.Frame) *Profile {
+	t.Helper()
+	prof, err := pr.RangeAngle(context.Background(), f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prof
+}
+
+func rangeDoppler(t testing.TB, pr *Processor, chirps []*fmcw.Frame, antenna int, pri float64) *RangeDopplerMap {
+	t.Helper()
+	m, err := pr.RangeDoppler(context.Background(), chirps, antenna, pri)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
 
 // smallParams keeps scratch tests fast: 4 antennas, 64 samples.
 func smallParams() fmcw.Params {
@@ -55,7 +76,7 @@ func dopplerMapsEqual(a, b *RangeDopplerMap) bool {
 	return true
 }
 
-// RangeAngleInto must reproduce RangeAngleCtx bit-for-bit: for any worker
+// RangeAngleInto must reproduce RangeAngle bit-for-bit: for any worker
 // count, into a fresh destination, and into a dirty reused one (including a
 // destination previously filled from a different frame, exercising the
 // near-range re-zeroing).
@@ -68,20 +89,17 @@ func TestRangeAngleIntoBitIdentical(t *testing.T) {
 		cfg.Workers = workers
 		reuse := pool.Get()
 		for _, f := range frames {
-			want := NewProcessor(DefaultConfig()).RangeAngle(f)
+			want := rangeAngle(t, NewProcessor(DefaultConfig()), f)
 			pr := NewProcessor(cfg)
-			got, err := pr.RangeAngleCtx(nil, f)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := rangeAngle(t, pr, f)
 			if !profilesEqual(got, want) {
-				t.Fatalf("workers=%d: RangeAngleCtx differs across worker counts", workers)
+				t.Fatalf("workers=%d: RangeAngle differs across worker counts", workers)
 			}
 			// Dirty the reused destination, then overwrite it in place.
 			for i := range reuse.Power {
 				reuse.Power[i] = 1e9
 			}
-			if err := pr.RangeAngleInto(nil, f, reuse); err != nil {
+			if err := pr.Plan(p).RangeAngleInto(context.Background(), f, reuse); err != nil {
 				t.Fatal(err)
 			}
 			if !profilesEqual(reuse, want) {
@@ -92,7 +110,7 @@ func TestRangeAngleIntoBitIdentical(t *testing.T) {
 	}
 }
 
-// RangeDopplerInto must reproduce RangeDopplerCtx bit-for-bit, including
+// RangeDopplerInto must reproduce RangeDoppler bit-for-bit, including
 // into a reused map previously filled from a different burst length.
 func TestRangeDopplerIntoBitIdentical(t *testing.T) {
 	p := smallParams()
@@ -107,16 +125,13 @@ func TestRangeDopplerIntoBitIdentical(t *testing.T) {
 		cfg.Workers = workers
 		m := pool.Get()
 		for _, nd := range []int{5, 8, 3} { // shrinking nd exercises capacity reuse
-			want := NewProcessor(DefaultConfig()).RangeDoppler(burst[:nd], 1, pri)
+			want := rangeDoppler(t, NewProcessor(DefaultConfig()), burst[:nd], 1, pri)
 			pr := NewProcessor(cfg)
-			got, err := pr.RangeDopplerCtx(nil, burst[:nd], 1, pri)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := rangeDoppler(t, pr, burst[:nd], 1, pri)
 			if !dopplerMapsEqual(got, want) {
-				t.Fatalf("workers=%d nd=%d: RangeDopplerCtx differs across worker counts", workers, nd)
+				t.Fatalf("workers=%d nd=%d: RangeDoppler differs across worker counts", workers, nd)
 			}
-			if err := pr.RangeDopplerInto(nil, m, burst[:nd], 1, pri); err != nil {
+			if err := pr.Plan(p).RangeDopplerInto(context.Background(), m, burst[:nd], 1, pri); err != nil {
 				t.Fatal(err)
 			}
 			if !dopplerMapsEqual(m, want) {
@@ -128,9 +143,9 @@ func TestRangeDopplerIntoBitIdentical(t *testing.T) {
 }
 
 func TestRangeDopplerIntoEmptyBurst(t *testing.T) {
-	pr := NewProcessor(DefaultConfig())
+	pl := CompileFrontEndPlan(DefaultConfig(), smallParams())
 	m := &RangeDopplerMap{Power: make([]float64, 7), RangeBins: 1, DopplerBins: 7}
-	if err := pr.RangeDopplerInto(nil, m, nil, 0, 0.01); err != nil {
+	if err := pl.RangeDopplerInto(context.Background(), m, nil, 0, 0.01); err != nil {
 		t.Fatal(err)
 	}
 	if m.RangeBins != 0 || m.DopplerBins != 0 || len(m.Power) != 0 {
@@ -145,14 +160,14 @@ func TestIntoVariantsZeroAllocsSteadyState(t *testing.T) {
 	p := smallParams()
 	cfg := DefaultConfig()
 	cfg.Workers = 1
-	pr := NewProcessor(cfg)
+	pl := CompileFrontEndPlan(cfg, p)
 	f := scratchFrame(p, 3, 0)
 	prof := &Profile{}
-	if err := pr.RangeAngleInto(nil, f, prof); err != nil { // warm scratch + plans
+	if err := pl.RangeAngleInto(nil, f, prof); err != nil { // warm scratch + plans
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
-		if err := pr.RangeAngleInto(nil, f, prof); err != nil {
+		if err := pl.RangeAngleInto(nil, f, prof); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -165,11 +180,11 @@ func TestIntoVariantsZeroAllocsSteadyState(t *testing.T) {
 		burst = append(burst, scratchFrame(p, int64(20+i), float64(i)*pri))
 	}
 	m := &RangeDopplerMap{}
-	if err := pr.RangeDopplerInto(nil, m, burst, 0, pri); err != nil {
+	if err := pl.RangeDopplerInto(nil, m, burst, 0, pri); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
-		if err := pr.RangeDopplerInto(nil, m, burst, 0, pri); err != nil {
+		if err := pl.RangeDopplerInto(nil, m, burst, 0, pri); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -218,7 +233,7 @@ func TestDetectIntoGoldenEquivalence(t *testing.T) {
 	pl := pr.Plan(p)
 	var buf []Detection
 	for seed := int64(1); seed <= 4; seed++ {
-		prof := pr.RangeAngle(scratchFrame(p, seed, float64(seed)*0.05))
+		prof := rangeAngle(t, pr, scratchFrame(p, seed, float64(seed)*0.05))
 		want := pr.Detect(prof, array)
 		buf = pl.DetectInto(buf, prof, array)
 		if len(buf) != len(want) {
@@ -245,7 +260,7 @@ func TestDetectAndObserveZeroAllocsSteadyState(t *testing.T) {
 	pl := pr.Plan(p)
 	f := scratchFrame(p, 3, 0)
 	prof := &Profile{}
-	if err := pr.RangeAngleInto(nil, f, prof); err != nil {
+	if err := pl.RangeAngleInto(nil, f, prof); err != nil {
 		t.Fatal(err)
 	}
 	dets := pl.DetectInto(nil, prof, array)

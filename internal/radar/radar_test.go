@@ -23,7 +23,7 @@ func TestRangeAngleSingleTarget(t *testing.T) {
 	ret := array.ReturnFrom(target, 1, 0, 0)
 	fr := fmcw.Synthesize(p, []fmcw.Return{ret}, 0, nil)
 	pr := NewProcessor(DefaultConfig())
-	prof := pr.RangeAngle(fr)
+	prof := rangeAngle(t, pr, fr)
 	dets := pr.Detect(prof, array)
 	if len(dets) == 0 {
 		t.Fatal("no detections")
@@ -50,7 +50,7 @@ func TestDetectSeparatesTwoTargets(t *testing.T) {
 		array.ReturnFrom(t2, 0.8, 0, 0),
 	}, 0, nil)
 	pr := NewProcessor(DefaultConfig())
-	dets := pr.Detect(pr.RangeAngle(fr), array)
+	dets := pr.Detect(rangeAngle(t, pr, fr), array)
 	if len(dets) < 2 {
 		t.Fatalf("got %d detections, want 2", len(dets))
 	}
@@ -77,7 +77,7 @@ func TestBackgroundSubtractionKillsStatic(t *testing.T) {
 	f1 := fmcw.Synthesize(p, []fmcw.Return{static, mover1}, 0, nil)
 	f2 := fmcw.Synthesize(p, []fmcw.Return{static, mover2}, 0.05, nil)
 	pr := NewProcessor(DefaultConfig())
-	dets := pr.Detect(pr.RangeAngle(BackgroundSubtract(f2, f1)), array)
+	dets := pr.Detect(rangeAngle(t, pr, BackgroundSubtract(f2, f1)), array)
 	for _, d := range dets {
 		if d.Pos.Dist(geom.Point{X: 0, Y: 2}) < 0.5 {
 			t.Fatalf("static reflector leaked through subtraction: %v", d)
@@ -323,7 +323,7 @@ func TestProfileBinConversions(t *testing.T) {
 	p := quietParams()
 	pr := NewProcessor(DefaultConfig())
 	fr := fmcw.Synthesize(p, nil, 0, nil)
-	prof := pr.RangeAngle(fr)
+	prof := rangeAngle(t, pr, fr)
 	if got := prof.AngleOfBin(0); got != 0 {
 		t.Fatalf("AngleOfBin(0) = %v", got)
 	}

@@ -1,6 +1,7 @@
 package reflector
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -112,11 +113,18 @@ func TestStationaryGhostAliasing(t *testing.T) {
 	f1 := sc.FrameAt(1/params.FrameRate, nil)
 	diff := radar.BackgroundSubtract(f1, f0)
 	pr := radar.NewProcessor(radar.DefaultConfig())
-	if dets := pr.Detect(pr.RangeAngle(diff), sc.Radar); len(dets) != 0 {
+	subtracted, err := pr.RangeAngle(context.Background(), diff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dets := pr.Detect(subtracted, sc.Radar); len(dets) != 0 {
 		t.Fatalf("aliased stationary ghost should cancel under subtraction, got %v", dets)
 	}
 	// Raw processing still sees the phantom.
-	prof := pr.RangeAngle(f0)
+	prof, err := pr.RangeAngle(context.Background(), f0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := sc.Radar.DistanceOf(tagCfg.AntennaPosition(0)) + extra
 	found := false
 	for _, d := range pr.Detect(prof, sc.Radar) {

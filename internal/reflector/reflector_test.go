@@ -1,6 +1,7 @@
 package reflector
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -315,7 +316,11 @@ func TestGhostSurvivesBackgroundSubtraction(t *testing.T) {
 	found := 0
 	for i := 1; i < len(frames); i++ {
 		diff := radar.BackgroundSubtract(frames[i], frames[i-1])
-		dets := pr.Detect(pr.RangeAngle(diff), sc.Radar)
+		prof, err := pr.RangeAngle(context.Background(), diff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dets := pr.Detect(prof, sc.Radar)
 		for _, d := range dets {
 			// Any detection beyond the tag itself counts as the ghost.
 			if d.Range > 2.0 {

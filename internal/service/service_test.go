@@ -67,12 +67,12 @@ func referenceTracks(t *testing.T, cfg RoomConfig) []TrackDump {
 			t.Fatal(err)
 		}
 	}
-	pr := radar.NewProcessor(radar.DefaultConfig())
+	plan := radar.CompileFrontEndPlan(radar.DefaultConfig(), sc.Params)
 	pools := pipeline.NewPools(sc.Params)
-	stages := pipeline.FrontEndStagesPooled(pr, sc.Radar, pools)
+	stages := pipeline.FrontEndStagesPlanned(plan, sc.Radar, pools)
 	var trk *pipeline.TrackStage
 	if cfg.DopplerWindow > 0 {
-		stages = append(stages, pipeline.NewDopplerPooled(pr, cfg.DopplerWindow, 0, pools.Doppler))
+		stages = append(stages, pipeline.NewDopplerPlanned(plan, cfg.DopplerWindow, 0, pools.Doppler))
 		trk = pipeline.NewTrackWithVelocity(radar.TrackerConfig{}, sc.Radar)
 	} else {
 		trk = pipeline.NewTrack(radar.TrackerConfig{})
@@ -80,7 +80,7 @@ func referenceTracks(t *testing.T, cfg RoomConfig) []TrackDump {
 	stages = append(stages, trk)
 	src := sc.Stream(0, cfg.Frames, rand.New(rand.NewSource(cfg.Seed))).UsePool(pools.Frames)
 	p := pipeline.New(src, stages...).UsePools(pools)
-	if _, err := p.Run(nil); err != nil {
+	if _, err := p.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	trs := trk.Tracks()
