@@ -53,7 +53,7 @@ func BenchmarkFig7MutualInformation(b *testing.B) {
 func BenchmarkFig9RadarLocalization(b *testing.B) {
 	var med float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig9(1)
+		r, err := experiments.Fig9Ctx(context.Background(), 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func BenchmarkFig10RangeAngleProfiles(b *testing.B) {
 	sz := benchSizes()
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig10(sz, 2)
+		r, err := experiments.Fig10Ctx(context.Background(), sz, 2)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func BenchmarkFig11Spoofing(b *testing.B) {
 	sz := benchSizes()
 	var home, office float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig11(sz, 3)
+		r, err := experiments.Fig11Ctx(context.Background(), sz, 3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func BenchmarkTable1UserStudy(b *testing.B) {
 func BenchmarkFig13LegitimateSensing(b *testing.B) {
 	var kept float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig13(5)
+		r, err := experiments.Fig13Ctx(context.Background(), 5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func BenchmarkFig13LegitimateSensing(b *testing.B) {
 func BenchmarkFig14BreathingSpoof(b *testing.B) {
 	var ghostRate float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig14(6)
+		r, err := experiments.Fig14Ctx(context.Background(), 6)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func BenchmarkRunAll(b *testing.B) {
 	sz := benchSizes()
 	sz.TrajPerRoom = 2
 	for i := 0; i < b.N; i++ {
-		if err := experiments.Run("all", sz, 1, io.Discard); err != nil {
+		if err := experiments.RunCtx(context.Background(), "all", sz, 1, io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -194,10 +194,13 @@ func BenchmarkPipelineFrameSynthesis(b *testing.B) {
 	params := fmcw.DefaultParams()
 	returns := pipelineReturns()
 	rng := rand.New(rand.NewSource(1))
+	plan := fmcw.PlanSynth(params)
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				fmcw.SynthesizeWorkers(params, returns, 0, rng, workers)
+				if err := plan.SynthesizeInto(context.Background(), fmcw.NewFrame(params, 0), returns, rng, workers); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -227,7 +230,9 @@ func BenchmarkPipelineRangeFFT(b *testing.B) {
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("batch-64x512-workers-%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				dsp.FFTEach(batch, workers)
+				if err := dsp.FFTEachCtx(context.Background(), batch, workers); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -319,8 +324,15 @@ func BenchmarkStreamingCaptureTrack(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			pr := radar.NewProcessor(radar.DefaultConfig())
 			rng := rand.New(rand.NewSource(1))
-			frames := sc.Capture(0, nFrames, rng)
-			radar.TrackDetections(radar.TrackerConfig{}, pr.ProcessFrames(frames, sc.Radar))
+			frames, err := sc.CaptureCtx(context.Background(), 0, nFrames, rng)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dets, err := pr.ProcessFrames(context.Background(), frames, sc.Radar)
+			if err != nil {
+				b.Fatal(err)
+			}
+			radar.TrackDetections(radar.TrackerConfig{}, dets)
 		}
 	})
 	// Stage-overlapped scheduler over the same chain: each stage in its own
@@ -350,9 +362,12 @@ func BenchmarkDopplerStage(b *testing.B) {
 	sess := streamingSession(b)
 	sc := sess.Scene
 	rng := rand.New(rand.NewSource(1))
-	frame := sc.FrameAt(0, rng)
-	dop := pipeline.NewDopplerPlanned(radar.CompileFrontEndPlan(radar.DefaultConfig(), sc.Params), 8, 0, radar.NewDopplerPool())
 	ctx := context.Background()
+	frame, err := sc.FrameAtCtx(ctx, 0, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dop := pipeline.NewDopplerPlanned(radar.CompileFrontEndPlan(radar.DefaultConfig(), sc.Params), 8, 0, radar.NewDopplerPool())
 	for i := 0; i < 8; i++ {
 		if err := dop.Process(ctx, &pipeline.Item{Index: i, Frame: frame}); err != nil {
 			b.Fatal(err)
@@ -389,7 +404,7 @@ func BenchmarkStreamingCancellation(b *testing.B) {
 func BenchmarkAblations(b *testing.B) {
 	var withSpeckle float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Ablation(11)
+		r, err := experiments.AblationCtx(context.Background(), 11)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -6,12 +6,13 @@ import (
 	"sort"
 )
 
-// This file is the -baseline regression gate. Rows are matched by position
-// with the names cross-checked: the worker column is machine-dependent
-// (rows measured at GOMAXPROCS workers carry whatever width the baseline
-// machine had), so (name, workers) keys would spuriously mismatch across
-// machines, while row order is fixed by runSnapshot. A name mismatch or a
-// row-count change therefore means the harness and the committed baseline
+// This file is the -baseline regression gate. Rows are matched by key —
+// the name for result rows, the (name, frames) pair for streaming rows —
+// so row order is free. The worker column is machine-dependent (rows
+// measured at GOMAXPROCS workers carry whatever width the baseline machine
+// had), so it is not part of the key; runSnapshot gives the one-worker and
+// all-worker variants of a measurement distinct names instead. A row
+// present on only one side means the harness and the committed baseline
 // disagree, and the fix is to regenerate the baseline, not to loosen the
 // gate.
 //
@@ -66,16 +67,10 @@ func compareSnapshots(base, run *Snapshot, maxNsRatio float64) []string {
 	if base.Schema != run.Schema {
 		return []string{fmt.Sprintf("schema mismatch: baseline %d, run %d", base.Schema, run.Schema)}
 	}
-	var fails []string
-	if len(run.Results) != len(base.Results) {
-		fails = append(fails, fmt.Sprintf("result rows: baseline has %d, run has %d — regenerate the baseline with `make bench`",
-			len(base.Results), len(run.Results)))
-	}
-	for i := 0; i < min(len(run.Results), len(base.Results)); i++ {
-		b, r := base.Results[i], run.Results[i]
-		if b.Name != r.Name {
-			fails = append(fails, fmt.Sprintf("result row %d: run has %q where baseline has %q — regenerate the baseline",
-				i, r.Name, b.Name))
+	baseResults, fails := matchRows("result rows", base.Results, run.Results, func(r Result) string { return r.Name })
+	for _, r := range run.Results {
+		b, ok := baseResults[r.Name]
+		if !ok {
 			continue
 		}
 		if b.NsPerOp > 0 && r.NsPerOp > b.NsPerOp*maxNsRatio {
@@ -87,15 +82,12 @@ func compareSnapshots(base, run *Snapshot, maxNsRatio float64) []string {
 				r.Name, r.Workers, math.Round(r.AllocsPerOp), math.Round(b.AllocsPerOp)))
 		}
 	}
-	if len(run.Streaming) != len(base.Streaming) {
-		fails = append(fails, fmt.Sprintf("streaming rows: baseline has %d, run has %d — regenerate the baseline with `make bench`",
-			len(base.Streaming), len(run.Streaming)))
-	}
-	for i := 0; i < min(len(run.Streaming), len(base.Streaming)); i++ {
-		b, r := base.Streaming[i], run.Streaming[i]
-		if b.Name != r.Name || b.Frames != r.Frames {
-			fails = append(fails, fmt.Sprintf("streaming row %d: run has %s/%d frames where baseline has %s/%d — regenerate the baseline",
-				i, r.Name, r.Frames, b.Name, b.Frames))
+	streamKey := func(s StreamResult) string { return fmt.Sprintf("%s/%d", s.Name, s.Frames) }
+	baseStreams, streamFails := matchRows("streaming rows", base.Streaming, run.Streaming, streamKey)
+	fails = append(fails, streamFails...)
+	for _, r := range run.Streaming {
+		b, ok := baseStreams[streamKey(r)]
+		if !ok {
 			continue
 		}
 		if b.NsPerFrame > 0 && r.NsPerFrame > b.NsPerFrame*maxNsRatio {
@@ -120,4 +112,40 @@ func compareSnapshots(base, run *Snapshot, maxNsRatio float64) []string {
 		}
 	}
 	return fails
+}
+
+// matchRows indexes the baseline's rows by key and reports as failures what
+// the key matching cannot gate: a key that appears twice on one side, and
+// the keys present on only one side (gathered into one message).
+func matchRows[T any](what string, base, run []T, key func(T) string) (baseRows map[string]T, fails []string) {
+	index := func(side string, rows []T) map[string]T {
+		m := make(map[string]T, len(rows))
+		for _, r := range rows {
+			k := key(r)
+			if _, dup := m[k]; dup {
+				fails = append(fails, fmt.Sprintf("%s: %s appears twice in the %s — row keys must be unique", what, k, side))
+			}
+			m[k] = r
+		}
+		return m
+	}
+	baseRows, runRows := index("baseline", base), index("run", run)
+	var missing, extra []string
+	for k := range baseRows {
+		if _, ok := runRows[k]; !ok {
+			missing = append(missing, k)
+		}
+	}
+	for k := range runRows {
+		if _, ok := baseRows[k]; !ok {
+			extra = append(extra, k)
+		}
+	}
+	if len(missing)+len(extra) > 0 {
+		sort.Strings(missing)
+		sort.Strings(extra)
+		fails = append(fails, fmt.Sprintf("%s differ: missing from the run %v, not in the baseline %v — regenerate the baseline with `make bench`",
+			what, missing, extra))
+	}
+	return baseRows, fails
 }

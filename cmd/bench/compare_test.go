@@ -106,6 +106,53 @@ func TestCompareSnapshotsRowMismatch(t *testing.T) {
 	}
 }
 
+// TestCompareSnapshotsReorderedBaseline: rows are matched by key, not by
+// position, so a baseline listing the same rows in another order passes —
+// and the gates still apply to the matching row.
+func TestCompareSnapshotsReorderedBaseline(t *testing.T) {
+	base := snap(
+		[]Result{{Name: "a", Workers: 1, NsPerOp: 1000}, {Name: "b", Workers: 1, NsPerOp: 10}},
+		[]StreamResult{{Name: "s", Frames: 64, NsPerFrame: 1e6}, {Name: "s", Frames: 256, NsPerFrame: 2e6}},
+	)
+	run := snap(
+		[]Result{{Name: "b", Workers: 1, NsPerOp: 11}, {Name: "a", Workers: 1, NsPerOp: 1100}},
+		[]StreamResult{{Name: "s", Frames: 256, NsPerFrame: 2e6}, {Name: "s", Frames: 64, NsPerFrame: 1e6}},
+	)
+	if fails := compareSnapshots(base, run, 4); len(fails) != 0 {
+		t.Fatalf("reordered rows should pass, got %v", fails)
+	}
+	// "b" 10 -> 50 ns/op is gated against "b", wherever it sits.
+	run.Results[0].NsPerOp = 50
+	fails := compareSnapshots(base, run, 4)
+	if len(fails) != 1 || !strings.Contains(fails[0], "b (workers=1)") {
+		t.Fatalf("want one ns/op failure on row b, got %v", fails)
+	}
+}
+
+// TestCompareSnapshotsMissingOrExtraRow: a row on only one side fails,
+// for result rows and for streaming rows (keyed by name and frames), and so
+// does a key that appears twice.
+func TestCompareSnapshotsMissingOrExtraRow(t *testing.T) {
+	base := snap([]Result{{Name: "a"}, {Name: "b"}}, []StreamResult{{Name: "s", Frames: 64}})
+	for _, tc := range []struct {
+		name    string
+		results []Result
+		streams []StreamResult
+		want    string
+	}{
+		{"missing result", []Result{{Name: "b"}}, []StreamResult{{Name: "s", Frames: 64}}, "missing from the run [a]"},
+		{"extra result", []Result{{Name: "b"}, {Name: "a"}, {Name: "c"}}, []StreamResult{{Name: "s", Frames: 64}}, "not in the baseline [c]"},
+		{"missing stream", []Result{{Name: "a"}, {Name: "b"}}, nil, "missing from the run [s/64]"},
+		{"stream frames differ", []Result{{Name: "a"}, {Name: "b"}}, []StreamResult{{Name: "s", Frames: 12}}, "not in the baseline [s/12]"},
+		{"duplicate result", []Result{{Name: "a"}, {Name: "b"}, {Name: "b"}}, []StreamResult{{Name: "s", Frames: 64}}, "appears twice in the run"},
+	} {
+		fails := compareSnapshots(base, snap(tc.results, tc.streams), 4)
+		if len(fails) != 1 || !strings.Contains(fails[0], tc.want) {
+			t.Fatalf("%s: want one failure containing %q, got %v", tc.name, tc.want, fails)
+		}
+	}
+}
+
 func TestCompareSnapshotsSpeedupFloor(t *testing.T) {
 	base := snap(nil, nil)
 	run := snap(nil, nil)

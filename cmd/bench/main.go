@@ -112,10 +112,10 @@ type sample struct {
 // measureSamples is the min-of-K sub-sampling width: measure splits its
 // window into this many independently timed sub-windows and reports the
 // fastest one's mean ns/op. A single mean absorbs whatever the OS did
-// during the window (5–10 % run-to-run jitter on the duplicate
-// frame_synthesis/batch_fft rows), which eats gate headroom; the minimum of
-// K means is a far more stable estimate of the code's actual cost, since
-// interference only ever makes a sub-window slower.
+// during the window (5–10 % run-to-run jitter on the frame_synthesis and
+// batch_fft rows), which eats gate headroom; the minimum of K means is a
+// far more stable estimate of the code's actual cost, since interference
+// only ever makes a sub-window slower.
 const measureSamples = 3
 
 // measure runs fn repeatedly for at least minDur (after one warm-up call),
@@ -227,11 +227,13 @@ func main() {
 	writeSnapshot(*out, &snap)
 }
 
-// runSnapshot performs every measurement and assembles the snapshot. Row
-// order is part of the de-facto schema: -baseline matches rows by position
-// (checking names), so new rows belong at stable points and a reorder means
-// regenerating the committed baseline.
+// runSnapshot performs every measurement and assembles the snapshot. Every
+// result row has a unique name and every streaming row a unique
+// (name, frames) pair: -baseline matches rows by those keys, so row order
+// is free, and adding, removing or renaming a row means regenerating the
+// committed baseline.
 func runSnapshot(minDur time.Duration, seed int64, streamLens []int, quick bool) Snapshot {
+	ctx := context.Background()
 	snap := Snapshot{
 		Schema:     snapshotSchema,
 		Generated:  time.Now().UTC().Format(time.RFC3339),
@@ -252,23 +254,25 @@ func runSnapshot(minDur time.Duration, seed int64, streamLens []int, quick bool)
 	}
 
 	// Frame synthesis: the per-frame beat-signal accumulation that
-	// dominates every experiment. 64 returns ≈ a cluttered multipath room.
+	// dominates every experiment, into a fresh frame per op at one worker
+	// and at one worker per CPU. 64 returns ≈ a cluttered multipath room.
 	params := fmcw.DefaultParams()
 	returns := synthReturns(64, seed)
 	rng := rand.New(rand.NewSource(seed))
-	seq := measure(minDur, func() { fmcw.SynthesizeWorkers(params, returns, 0, rng, 1) })
-	add("frame_synthesis", 1, seq, false)
-	par := measure(minDur, func() { fmcw.SynthesizeWorkers(params, returns, 0, rng, 0) })
-	add("frame_synthesis", runtime.GOMAXPROCS(0), par, false)
+	seq := measure(minDur, func() { synthFrame(ctx, params, returns, 0, rng, 1) })
+	add("frame_synthesis_w1", 1, seq, false)
+	par := measure(minDur, func() { synthFrame(ctx, params, returns, 0, rng, 0) })
+	add("frame_synthesis_wN", runtime.GOMAXPROCS(0), par, false)
 	snap.Speedups["frame_synthesis"] = seq.ns / par.ns
 
 	// The same synthesis through the pooled destination-passing path: frame
-	// from a FramePool, SynthesizeInto, frame back to the pool. Bit-identical
-	// output (see internal/fmcw tests); steady state allocates nothing.
+	// from a FramePool, the shared plan's SynthesizeInto, frame back to the
+	// pool. Bit-identical output (see internal/fmcw tests); steady state
+	// allocates nothing.
 	pool := fmcw.NewFramePool(params)
 	into := measure(minDur, func() {
 		f := pool.Get(0)
-		if err := fmcw.SynthesizeInto(nil, f, returns, rng, 1); err != nil {
+		if err := fmcw.PlanSynth(params).SynthesizeInto(ctx, f, returns, rng, 1); err != nil {
 			fatal("synthesize-into", err)
 		}
 		pool.Put(f)
@@ -282,7 +286,7 @@ func runSnapshot(minDur time.Duration, seed int64, streamLens []int, quick bool)
 	// speedup is machine-independent; compare.go enforces its floor.
 	legacy := measure(minDur, func() {
 		f := pool.Get(0)
-		if err := fmcw.SynthesizeLegacyInto(nil, f, returns, rng, 1); err != nil {
+		if err := fmcw.SynthesizeLegacyInto(ctx, f, returns, rng, 1); err != nil {
 			fatal("synthesize-legacy", err)
 		}
 		pool.Put(f)
@@ -291,7 +295,7 @@ func runSnapshot(minDur time.Duration, seed int64, streamLens []int, quick bool)
 	splan := fmcw.PlanSynth(params)
 	planned := measure(minDur, func() {
 		f := pool.Get(0)
-		if err := splan.SynthesizeInto(nil, f, returns, rng, 1); err != nil {
+		if err := splan.SynthesizeInto(ctx, f, returns, rng, 1); err != nil {
 			fatal("synthesize-planned", err)
 		}
 		pool.Put(f)
@@ -357,10 +361,10 @@ func runSnapshot(minDur time.Duration, seed int64, streamLens []int, quick bool)
 	for i := range batch {
 		batch[i] = synthSignal(512, seed+int64(i))
 	}
-	bseq := measure(minDur, func() { dsp.FFTEach(batch, 1) })
-	add("batch_fft_64x512", 1, bseq, false)
-	bpar := measure(minDur, func() { dsp.FFTEach(batch, 0) })
-	add("batch_fft_64x512", runtime.GOMAXPROCS(0), bpar, false)
+	bseq := measure(minDur, func() { batchFFT(ctx, batch, 1) })
+	add("batch_fft_64x512_w1", 1, bseq, false)
+	bpar := measure(minDur, func() { batchFFT(ctx, batch, 0) })
+	add("batch_fft_64x512_wN", runtime.GOMAXPROCS(0), bpar, false)
 	snap.Speedups["batch_fft"] = bseq.ns / bpar.ns
 
 	// Pooled hot-path kernels, one row per stage of the steady-state frame
@@ -368,8 +372,8 @@ func runSnapshot(minDur time.Duration, seed int64, streamLens []int, quick bool)
 	// range-FFT + beamform kernel into a reused Profile, and the Doppler
 	// burst kernel into a reused map. All three are single-worker pooled
 	// steady states — the allocation count must be exactly zero.
-	frameA := fmcw.SynthesizeWorkers(params, returns, 0, rand.New(rand.NewSource(seed)), 1)
-	frameB := fmcw.SynthesizeWorkers(params, returns[:len(returns)/2], 1/params.FrameRate, rand.New(rand.NewSource(parallel.SplitSeed(seed, 1))), 1)
+	frameA := synthFrame(ctx, params, returns, 0, rand.New(rand.NewSource(seed)), 1)
+	frameB := synthFrame(ctx, params, returns[:len(returns)/2], 1/params.FrameRate, rand.New(rand.NewSource(parallel.SplitSeed(seed, 1))), 1)
 	var dif fmcw.Differencer
 	dif.UsePool(pool)
 	flip := false
@@ -391,7 +395,7 @@ func runSnapshot(minDur time.Duration, seed int64, streamLens []int, quick bool)
 	diffFrame := frameA.Sub(frameB)
 	prof := &radar.Profile{}
 	raS := measure(minDur, func() {
-		if err := plan.RangeAngleInto(nil, diffFrame, prof); err != nil {
+		if err := plan.RangeAngleInto(ctx, diffFrame, prof); err != nil {
 			fatal("range-angle-into", err)
 		}
 	})
@@ -399,11 +403,11 @@ func runSnapshot(minDur time.Duration, seed int64, streamLens []int, quick bool)
 
 	chirps := make([]*fmcw.Frame, 8)
 	for i := range chirps {
-		chirps[i] = fmcw.SynthesizeWorkers(params, returns, float64(i)/params.FrameRate, rng, 1)
+		chirps[i] = synthFrame(ctx, params, returns, float64(i)/params.FrameRate, rng, 1)
 	}
 	var rdMap radar.RangeDopplerMap
 	rdS := measure(minDur, func() {
-		if err := plan.RangeDopplerInto(nil, &rdMap, chirps, 0, 1/params.FrameRate); err != nil {
+		if err := plan.RangeDopplerInto(ctx, &rdMap, chirps, 0, 1/params.FrameRate); err != nil {
 			fatal("range-doppler-into", err)
 		}
 	})
@@ -416,12 +420,12 @@ func runSnapshot(minDur time.Duration, seed int64, streamLens []int, quick bool)
 	// Item; after that a 16-frame Run must allocate exactly nothing.
 	bsrc := &replaySource{f: frameA, n: 16}
 	bp := pipeline.New(bsrc, &countStage{})
-	if _, err := bp.Run(context.Background()); err != nil {
+	if _, err := bp.Run(ctx); err != nil {
 		fatal("pipeline-run", err)
 	}
 	itemS := measure(minDur, func() {
 		bsrc.i = 0
-		if _, err := bp.Run(context.Background()); err != nil {
+		if _, err := bp.Run(ctx); err != nil {
 			fatal("pipeline-run", err)
 		}
 	})
@@ -448,11 +452,11 @@ func runSnapshot(minDur time.Duration, seed int64, streamLens []int, quick bool)
 	}
 	span := streamLens[len(streamLens)-1]
 	for _, n := range streamLens {
-		s := captureRun(seed, n, span, modeStreaming)
+		s := captureRun(ctx, seed, n, span, modeStreaming)
 		addStream("streaming_capture_track", n, s)
-		c := captureRun(seed, n, span, modeConcurrent)
+		c := captureRun(ctx, seed, n, span, modeConcurrent)
 		addStream("streaming_capture_track_concurrent", n, c)
-		p := captureRun(seed, n, span, modePooled)
+		p := captureRun(ctx, seed, n, span, modePooled)
 		addStream("streaming_capture_track_pooled", n, p)
 		if n == span {
 			// Stage-overlap speedup of the ≥2-stage chain at the longest
@@ -465,7 +469,7 @@ func runSnapshot(minDur time.Duration, seed int64, streamLens []int, quick bool)
 				snap.Speedups["pooled_allocs_reduction"] = s.allocs / p.allocs
 			}
 		}
-		b := captureRun(seed, n, span, modeBatch)
+		b := captureRun(ctx, seed, n, span, modeBatch)
 		addStream("batch_capture_track", n, b)
 	}
 
@@ -475,13 +479,13 @@ func runSnapshot(minDur time.Duration, seed int64, streamLens []int, quick bool)
 	// from a DopplerPool, recycled per frame — so the row is a
 	// single-worker pooled steady state and its allocation count gates
 	// exactly like the other Into rows.
-	dop := measure(minDur, dopplerStageRun(seed))
+	dop := measure(minDur, dopplerStageRun(ctx, seed))
 	add("doppler_stage_win8_per_frame", 1, dop, true)
 
 	// End-to-end experiment: Fig. 9 radar localization (no GAN training),
 	// covering synthesis, range-angle profiles, peaks, and tracking.
 	e2e := measure(minDur, func() {
-		if _, err := experiments.Fig9(seed); err != nil {
+		if _, err := experiments.Fig9Ctx(ctx, seed); err != nil {
 			fatal("fig9", err)
 		}
 	})
@@ -492,7 +496,7 @@ func runSnapshot(minDur time.Duration, seed int64, streamLens []int, quick bool)
 	// replay-spoofer probes — pinning the end-to-end cost of the
 	// spoof-detection stack (capture, Doppler, tracking, scoring).
 	arms := measure(minDur, func() {
-		if _, err := experiments.ArmsRace(experiments.Sizes{TrajPerRoom: 1}, seed); err != nil {
+		if _, err := experiments.ArmsRaceCtx(ctx, experiments.Sizes{TrajPerRoom: 1}, seed); err != nil {
 			fatal("armsrace", err)
 		}
 	})
@@ -561,7 +565,7 @@ type streamSample struct {
 // run, so it is present in every frame of every capture length; a shorter
 // ghost would leave the later frames to noise peaks. All paths produce
 // bit-identical tracks; only cost and footprint differ.
-func captureRun(seed int64, nFrames, span int, mode int) streamSample {
+func captureRun(ctx context.Context, seed int64, nFrames, span int, mode int) streamSample {
 	sess, err := core.NewSession(core.SessionConfig{Room: scene.HomeRoom()})
 	if err != nil {
 		fatal("session", err)
@@ -587,8 +591,15 @@ func captureRun(seed int64, nFrames, span int, mode int) streamSample {
 	var frames []*fmcw.Frame
 	switch mode {
 	case modeBatch:
-		frames = sc.Capture(0, nFrames, rng)
-		tracks = radar.TrackDetections(radar.TrackerConfig{}, pr.ProcessFrames(frames, sc.Radar))
+		frames, err = sc.CaptureCtx(ctx, 0, nFrames, rng)
+		if err != nil {
+			fatal("capture", err)
+		}
+		dets, err := pr.ProcessFrames(ctx, frames, sc.Radar)
+		if err != nil {
+			fatal("process-frames", err)
+		}
+		tracks = radar.TrackDetections(radar.TrackerConfig{}, dets)
 	default:
 		// One chain for every streaming row: the pooled row only adds the
 		// recycling half (source pool + UsePools).
@@ -601,11 +612,10 @@ func captureRun(seed int64, nFrames, span int, mode int) streamSample {
 			src.UsePool(pools.Frames)
 			p.UsePools(pools)
 		}
-		var err error
 		if mode == modeConcurrent {
-			_, err = p.RunConcurrent(context.Background(), 2)
+			_, err = p.RunConcurrent(ctx, 2)
 		} else {
-			_, err = p.Run(context.Background())
+			_, err = p.Run(ctx)
 		}
 		if err != nil {
 			fatal("pipeline", err)
@@ -640,16 +650,15 @@ func captureRun(seed int64, nFrames, span int, mode int) streamSample {
 // drives it (the pipeline recycles the map when the item completes; here
 // the closure recycles it directly), so a warmed iteration allocates
 // exactly nothing.
-func dopplerStageRun(seed int64) func() {
+func dopplerStageRun(ctx context.Context, seed int64) func() {
 	params := fmcw.DefaultParams()
 	rng := rand.New(rand.NewSource(seed))
 	returns := synthReturns(4, seed)
-	frame := fmcw.SynthesizeWorkers(params, returns, 0, rng, 1)
+	frame := synthFrame(ctx, params, returns, 0, rng, 1)
 	cfg := radar.DefaultConfig()
 	cfg.Workers = 1
 	dpool := radar.NewDopplerPool()
 	dop := pipeline.NewDopplerPlanned(radar.CompileFrontEndPlan(cfg, params), 8, 0, dpool)
-	ctx := context.Background()
 	it := &pipeline.Item{Frame: frame}
 	i := 0
 	step := func() {
@@ -667,7 +676,6 @@ func dopplerStageRun(seed int64) func() {
 	return step
 }
 
-// synthReturns mirrors the mixed workload the fmcw benchmarks use.
 // replaySource replays one caller-owned frame n times without allocating;
 // rewinding i rearms it. It isolates the pipeline machinery's cost from
 // synthesis and DSP.
@@ -694,6 +702,24 @@ func (s *countStage) Process(ctx context.Context, it *pipeline.Item) error {
 	return nil
 }
 
+// synthFrame synthesizes returns into a fresh frame captured at at through
+// the shared plan for p.
+func synthFrame(ctx context.Context, p fmcw.Params, returns []fmcw.Return, at float64, rng *rand.Rand, workers int) *fmcw.Frame {
+	f := fmcw.NewFrame(p, at)
+	if err := fmcw.PlanSynth(p).SynthesizeInto(ctx, f, returns, rng, workers); err != nil {
+		fatal("synthesize", err)
+	}
+	return f
+}
+
+// batchFFT transforms every row of batch in place.
+func batchFFT(ctx context.Context, batch [][]complex128, workers int) {
+	if err := dsp.FFTEachCtx(ctx, batch, workers); err != nil {
+		fatal("batch-fft", err)
+	}
+}
+
+// synthReturns mirrors the mixed workload the fmcw benchmarks use.
 func synthReturns(n int, seed int64) []fmcw.Return {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]fmcw.Return, n)

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -47,7 +48,10 @@ func main() {
 
 	// The eavesdropper monitors 30 seconds and reads everyone's "vitals".
 	rng := rand.New(rand.NewSource(1))
-	frames := sc.Capture(0, int(30*params.FrameRate), rng)
+	frames, err := sc.CaptureCtx(context.Background(), 0, int(30*params.FrameRate), rng)
+	if err != nil {
+		panic(err)
+	}
 	ex := radar.BreathingExtractor{}
 
 	report := func(name string, dist float64) {

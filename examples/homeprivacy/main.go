@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -20,6 +21,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	params := fmcw.DefaultParams()
 	rng := rand.New(rand.NewSource(7))
 
@@ -67,10 +69,15 @@ func main() {
 			}
 		}
 
-		frames := sc.Capture(0, int(5*params.FrameRate), rng)
-		pr := radar.NewProcessor(radar.DefaultConfig())
-		tracks := radar.TrackDetections(radar.TrackerConfig{},
-			pr.ProcessFrames(frames, sc.Radar))
+		frames, err := sc.CaptureCtx(ctx, 0, int(5*params.FrameRate), rng)
+		if err != nil {
+			panic(err)
+		}
+		dets, err := radar.NewProcessor(radar.DefaultConfig()).ProcessFrames(ctx, frames, sc.Radar)
+		if err != nil {
+			panic(err)
+		}
+		tracks := radar.TrackDetections(radar.TrackerConfig{}, dets)
 		tracks = radar.FilterHumanTracks(tracks, params.FrameRate)
 		fmt.Printf("%8d  %4d  %6d  %18d\n", s, nReal, nGhost, len(tracks))
 		totalReal += nReal

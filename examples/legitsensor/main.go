@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -42,9 +43,16 @@ func main() {
 	}
 
 	rng := rand.New(rand.NewSource(3))
-	frames := sc.Capture(0, n, rng)
-	pr := radar.NewProcessor(radar.DefaultConfig())
-	tracks := radar.TrackDetections(radar.TrackerConfig{}, pr.ProcessFrames(frames, sc.Radar))
+	ctx := context.Background()
+	frames, err := sc.CaptureCtx(ctx, 0, n, rng)
+	if err != nil {
+		panic(err)
+	}
+	dets, err := radar.NewProcessor(radar.DefaultConfig()).ProcessFrames(ctx, frames, sc.Radar)
+	if err != nil {
+		panic(err)
+	}
+	tracks := radar.TrackDetections(radar.TrackerConfig{}, dets)
 
 	fmt.Printf("eavesdropper: %d tracks, no way to tell real from fake\n", len(tracks))
 	for _, t := range tracks {

@@ -55,7 +55,7 @@ func main() {
 	// 4. The eavesdropper watches 3 seconds through the streaming pipeline:
 	//    each frame is synthesized, processed, and dropped before the next —
 	//    memory stays flat no matter how long it listens, and the tracks are
-	//    bit-identical to a batch Capture + ProcessFrames + TrackDetections.
+	//    bit-identical to a batch CaptureCtx + ProcessFrames + TrackDetections.
 	//    With -concurrent, each stage runs in its own goroutine connected by
 	//    bounded channels — the output is bit-identical either way.
 	nFrames := int(3 * sc.Params.FrameRate)

@@ -11,9 +11,9 @@
 //   - seedsplit: randomness must be reproducible for any worker count —
 //     no global math/rand source, no ad-hoc seed arithmetic in place of
 //     parallel.SplitSeed.
-//   - ctxflow: a function that receives a context must thread it, and
-//     must not synthesize context.Background()/TODO() outside main
-//     packages, tests, and annotated legacy wrappers.
+//   - ctxflow: a function that receives a context must thread it, no
+//     library code may synthesize context.Background()/TODO() (roots live
+//     in main packages and tests), and a nil context is never passed.
 //   - goroleak: every `go` statement in a library package must have a
 //     visible join (WaitGroup/Group Wait, channel receive or range) in
 //     the function that spawned it.

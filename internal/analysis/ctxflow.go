@@ -5,32 +5,30 @@ import (
 	"go/types"
 )
 
-// CtxFlow enforces the cancellation contract threaded through the stack in
-// PR 3 (CHANGES.md): once a context enters a call chain it must flow to
-// the leaves, and library code must never invent a fresh root context.
+// CtxFlow enforces the cancellation contract threaded through the stack:
+// every first-party operation takes a context.Context, once a context
+// enters a call chain it must flow to the leaves, and library code must
+// never invent a fresh root context.
 //
 // Three rules:
 //
 //  1. A function that receives a context must not synthesize
 //     context.Background() or context.TODO(): the received ctx (or a
 //     context derived from it) is the only root in scope.
-//  2. A function that receives a context must not call the context-free
-//     variant of a first-party API whose *Ctx sibling exists (Capture vs
-//     CaptureCtx, ForEach vs ForEachCtx, ...): calling the bare variant
-//     silently detaches the subtree from cancellation.
-//  3. Outside package main and tests, context.Background()/TODO() is
-//     forbidden everywhere: roots are created at the edges (main, signal
-//     handlers) and passed down. Legacy compatibility wrappers carry an
-//     explicit //rfvet:allow ctxflow annotation (experiments.Run is the
-//     canonical one).
+//  2. Outside package main, context.Background()/TODO() is forbidden
+//     everywhere: roots are created at the edges (main, signal handlers,
+//     tests) and passed down.
+//  3. A literal nil is never a context. Passing nil to a context.Context
+//     parameter is flagged everywhere: no API in this module reads a nil
+//     ctx as "never cancel", so a nil either drops a received ctx on the
+//     floor or panics in the callee.
 //
-// Passing a nil ctx while holding a real one is flagged for the same
-// reason as rule 2: this module's nil-context idiom means "never cancel",
-// which is exactly what a function that was handed a ctx must not assume.
+// Test files are not analyzed (see load.go), so tests create their roots
+// with context.Background() freely.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
-	Doc: "requires received contexts to be threaded to every *Ctx-capable callee " +
-		"and forbids synthesizing context.Background()/TODO() in library code",
+	Doc: "requires received contexts to be threaded to every callee, forbids " +
+		"synthesizing context.Background()/TODO() in library code, and forbids nil contexts",
 	Run: runCtxFlow,
 }
 
@@ -45,44 +43,28 @@ func runCtxFlow(p *Pass) error {
 			if fn == nil {
 				return true
 			}
-			holdsCtx := ctxInScope(p.TypesInfo, stack)
 
-			// Rules 1 and 3: synthesized roots.
+			// Rules 1 and 2: synthesized roots.
 			if isPkgFunc(fn, "context", "Background") || isPkgFunc(fn, "context", "TODO") {
 				switch {
-				case holdsCtx:
+				case ctxInScope(p.TypesInfo, stack):
 					p.Reportf(call.Pos(),
 						"context.%s synthesized in a function that already receives a ctx; thread the received context instead",
 						fn.Name())
 				case !p.IsMain():
 					p.Reportf(call.Pos(),
-						"context.%s in library code; accept a ctx parameter from the caller (or annotate a legacy wrapper with //rfvet:allow ctxflow)",
+						"context.%s in library code; accept a ctx parameter from the caller",
 						fn.Name())
 				}
 				return true
 			}
 
-			if !holdsCtx {
-				return true
-			}
-
-			// Rule 2: bare call while a *Ctx sibling exists.
-			sig := funcSig(fn)
-			if sigContextParam(sig) < 0 && firstParty(fn, p.ModulePath) {
-				if sib := ctxSibling(fn); sib != nil {
-					p.Reportf(call.Pos(),
-						"calls %s while holding a ctx; call %s to keep cancellation flowing",
-						fn.Name(), sib.Name())
-					return true
-				}
-			}
-
-			// Nil-ctx handoff: dropping the received ctx on the floor.
-			if i := sigContextParam(sig); i >= 0 && i < len(call.Args) {
+			// Rule 3: nil handed to a context parameter.
+			if i := sigContextParam(funcSig(fn)); i >= 0 && i < len(call.Args) {
 				if id, ok := ast.Unparen(call.Args[i]).(*ast.Ident); ok && id.Name == "nil" {
 					if _, isNil := p.TypesInfo.Uses[id].(*types.Nil); isNil {
 						p.Reportf(call.Args[i].Pos(),
-							"passes a nil ctx to %s while holding a real one; thread the received context",
+							"passes a nil ctx to %s; a nil context is never valid — pass the received ctx, or create a root at main",
 							fn.Name())
 					}
 				}
@@ -111,21 +93,4 @@ func ctxInScope(info *types.Info, stack []ast.Node) bool {
 		}
 	}
 	return false
-}
-
-// ctxSibling returns the context-accepting sibling of fn — the function or
-// method named fn.Name()+"Ctx" in the same scope — or nil.
-func ctxSibling(fn *types.Func) *types.Func {
-	name := fn.Name() + "Ctx"
-	var obj types.Object
-	if recv := funcSig(fn).Recv(); recv != nil {
-		obj, _, _ = types.LookupFieldOrMethod(recv.Type(), true, fn.Pkg(), name)
-	} else {
-		obj = fn.Pkg().Scope().Lookup(name)
-	}
-	sib, ok := obj.(*types.Func)
-	if !ok || sigContextParam(funcSig(sib)) < 0 {
-		return nil
-	}
-	return sib
 }

@@ -1,71 +1,58 @@
 // Package ctxflow is the golden fixture for the ctxflow analyzer:
-// synthesized roots with and without a received ctx, bare calls shadowing
-// a *Ctx sibling (function and method form), nil-ctx handoffs, and the
-// annotated legacy-wrapper pattern.
+// synthesized roots with and without a received ctx, nil contexts passed
+// with and without a ctx in scope, and the escape hatch.
 package ctxflow
 
 import "context"
 
-// Work is the bare variant of a function pair.
-func Work() {}
+// Work is a context-accepting leaf.
+func Work(ctx context.Context) error { return ctx.Err() }
 
-// WorkCtx is Work's context-threading sibling.
-func WorkCtx(ctx context.Context) error { return ctx.Err() }
-
-// runner carries the method form of the same pair.
+// runner carries the method form of a context-accepting leaf.
 type runner struct{}
 
-func (runner) Tick() {}
-
-func (runner) TickCtx(ctx context.Context) error { return ctx.Err() }
+func (runner) Tick(ctx context.Context) error { return ctx.Err() }
 
 // synth holds a ctx and synthesizes a fresh root anyway.
 func synth(ctx context.Context) error {
 	c := context.TODO() // want `already receives a ctx`
 	_ = c
-	return WorkCtx(ctx)
-}
-
-// bare holds a ctx but calls the context-free variant.
-func bare(ctx context.Context) error {
-	Work() // want `call WorkCtx`
-	return WorkCtx(ctx)
-}
-
-// bareMethod is the method-form of bare.
-func bareMethod(ctx context.Context, r runner) error {
-	r.Tick() // want `call TickCtx`
-	return r.TickCtx(ctx)
+	return Work(ctx)
 }
 
 // nilHandoff throws the received ctx away.
 func nilHandoff(ctx context.Context) error {
 	_ = ctx
-	return WorkCtx(nil) // want `nil ctx`
+	return Work(nil) // want `nil ctx`
+}
+
+// nilRoot holds no ctx and passes nil anyway: nil is never a context,
+// whether or not one is in scope.
+func nilRoot(r runner) error {
+	return r.Tick(nil) // want `nil ctx`
 }
 
 // closure: a literal inside a ctx-bearing function is in ctx scope.
 func closure(ctx context.Context) func() error {
 	return func() error {
-		return WorkCtx(context.Background()) // want `already receives a ctx`
+		return Work(context.Background()) // want `already receives a ctx`
 	}
 }
 
 // root synthesizes a root in library code without receiving one.
 func root() error {
-	return WorkCtx(context.Background()) // want `library code`
+	return Work(context.Background()) // want `library code`
 }
 
-// legacyRun mirrors experiments.Run: a compatibility wrapper that may
-// synthesize a root because it is the documented context-free entry point.
-func legacyRun() error {
-	return WorkCtx(context.Background()) //rfvet:allow ctxflow -- fixture: legacy wrapper
+// allowed shows the escape hatch: an annotated root is suppressed.
+func allowed() error {
+	return Work(context.Background()) //rfvet:allow ctxflow -- fixture: suppressed root
 }
 
-// threaded is fully clean: the ctx flows to every capable callee.
+// threaded is fully clean: the ctx flows to every callee.
 func threaded(ctx context.Context, r runner) error {
-	if err := WorkCtx(ctx); err != nil {
+	if err := Work(ctx); err != nil {
 		return err
 	}
-	return r.TickCtx(ctx)
+	return r.Tick(ctx)
 }

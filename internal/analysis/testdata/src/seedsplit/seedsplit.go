@@ -5,6 +5,7 @@
 package seedsplit
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 
@@ -38,8 +39,8 @@ func workers(seed int64) int64 {
 }
 
 // split is the blessed form: each unit keys its stream on (base, i).
-func split(seed int64, n int) {
-	parallel.ForEach(n, 0, func(i int) {
+func split(ctx context.Context, seed int64, n int) error {
+	return parallel.ForEachCtx(ctx, n, 0, func(i int) {
 		_ = rand.New(rand.NewSource(parallel.SplitSeed(seed, i)))
 	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -151,9 +152,15 @@ func TestLegitSensorFiltersGhost(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(7))
-	frames := sc.Capture(0, n, rng)
-	pr := radar.NewProcessor(radar.DefaultConfig())
-	detSeq := pr.ProcessFrames(frames, sc.Radar)
+	ctx := context.Background()
+	frames, err := sc.CaptureCtx(ctx, 0, n, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	detSeq, err := radar.NewProcessor(radar.DefaultConfig()).ProcessFrames(ctx, frames, sc.Radar)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tracks := radar.TrackDetections(radar.TrackerConfig{}, detSeq)
 	if len(tracks) < 2 {
 		t.Fatalf("eavesdropper sees %d tracks, want >= 2 (human + ghost)", len(tracks))

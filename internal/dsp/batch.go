@@ -6,59 +6,40 @@ import (
 	"rfprotect/internal/parallel"
 )
 
-// ParallelMap applies transform to every row of batch across a worker pool
-// (workers <= 0 means one per available CPU). Rows are independent: each
-// worker touches only its own row, so the result is identical for any
+// ParallelMapCtx applies transform to every row of batch across a worker
+// pool (workers <= 0 means one per available CPU). Rows are independent:
+// each worker touches only its own row, so the result is identical for any
 // worker count, and with one worker the batch runs inline. It is the
-// batch-processing primitive behind FFTEach/IFFTEach and is exported for
-// callers with their own per-row kernels (windowing, beamforming rows,
-// per-antenna pipelines).
-func ParallelMap(batch [][]complex128, workers int, transform func([]complex128)) {
-	parallel.ForEach(len(batch), workers, func(i int) { transform(batch[i]) })
-}
-
-// ParallelMapCtx is ParallelMap with cooperative cancellation: rows stop
-// being claimed once ctx is done and the call returns ctx.Err(). Rows
-// already transformed stay transformed — on cancellation the caller must
-// discard the batch. A nil ctx is exactly ParallelMap.
+// batch-processing primitive behind FFTEachCtx and is exported for callers
+// with their own per-row kernels (windowing, beamforming rows, per-antenna
+// pipelines). Rows stop being claimed once ctx is done and the call returns
+// ctx.Err(); rows already transformed stay transformed, so on cancellation
+// the caller must discard the batch.
 func ParallelMapCtx(ctx context.Context, batch [][]complex128, workers int, transform func([]complex128)) error {
 	return parallel.ForEachCtx(ctx, len(batch), workers, func(i int) { transform(batch[i]) })
 }
 
-// FFTEach transforms every row of batch in place, concurrently. Rows may
+// FFTEachCtx transforms every row of batch in place, concurrently. Rows may
 // have different lengths; each length's plan is built once and shared.
-func FFTEach(batch [][]complex128, workers int) {
-	warmPlans(batch)
-	ParallelMap(batch, workers, FFTInPlace)
-}
-
-// FFTEachCtx is FFTEach with cooperative cancellation (see ParallelMapCtx
-// for the partial-transform caveat). A nil ctx is exactly FFTEach.
+// Cancellation follows ParallelMapCtx, including its partial-transform
+// caveat.
 func FFTEachCtx(ctx context.Context, batch [][]complex128, workers int) error {
 	warmPlans(batch)
 	return ParallelMapCtx(ctx, batch, workers, FFTInPlace)
 }
 
-// IFFTEach inverse-transforms every row of batch in place, concurrently,
-// with 1/N normalization per row.
-func IFFTEach(batch [][]complex128, workers int) {
-	warmPlans(batch)
-	ParallelMap(batch, workers, IFFTInPlace)
-}
-
 // SlowTimeFFT computes the slow-time (cross-row) FFT of a burst of spectra:
 // rows[k] is the fast-time spectrum of chirp k, and the result's cols[r] is
 // the windowed FFT across chirps of range bin r, for r in [0, bins). This is
-// the second half of range–Doppler processing — rows come out of FFTEach,
-// columns go in here — factored out so every Doppler consumer shares the
-// cached plans and the per-bin fan-out.
+// the second half of range–Doppler processing — rows come out of
+// FFTEachCtx, columns go in here — factored out so every Doppler consumer
+// shares the cached plans and the per-bin fan-out.
 //
 // Each output column is an independent work item writing only its own slice,
 // so the result is bit-identical for any worker count (workers <= 0 means
 // one per available CPU). win is applied along slow time before the
-// transform; a nil win means rectangular. A nil ctx never cancels; once ctx
-// is done the fan-out stops and the partially filled result is discarded
-// with ctx.Err().
+// transform; a nil win means rectangular. Once ctx is done the fan-out
+// stops and the partially filled result is discarded with ctx.Err().
 func SlowTimeFFT(ctx context.Context, rows [][]complex128, bins int, win []float64, workers int) ([][]complex128, error) {
 	nd := len(rows)
 	if nd == 0 || bins <= 0 {

@@ -77,7 +77,7 @@ func TestSlowTimeFFTWorkerIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	rows := randRows(rng, 16, 32)
 	win := Hann.Coefficients(16)
-	want, err := SlowTimeFFT(nil, rows, 32, win, 1)
+	want, err := SlowTimeFFT(context.Background(), rows, 32, win, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +110,11 @@ func TestSlowTimeFFTCancel(t *testing.T) {
 
 // TestSlowTimeFFTDegenerate covers the empty-input contracts.
 func TestSlowTimeFFTDegenerate(t *testing.T) {
-	if got, err := SlowTimeFFT(nil, nil, 8, nil, 1); got != nil || err != nil {
+	if got, err := SlowTimeFFT(context.Background(), nil, 8, nil, 1); got != nil || err != nil {
 		t.Fatalf("zero rows: got (%v, %v), want (nil, nil)", got, err)
 	}
 	rows := [][]complex128{{1, 2}, {3, 4}}
-	if got, err := SlowTimeFFT(nil, rows, 0, nil, 1); got != nil || err != nil {
+	if got, err := SlowTimeFFT(context.Background(), rows, 0, nil, 1); got != nil || err != nil {
 		t.Fatalf("zero bins: got (%v, %v), want (nil, nil)", got, err)
 	}
 }

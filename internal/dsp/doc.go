@@ -23,8 +23,9 @@
 // precomputed FFT), built once per size behind a mutex and shared by all
 // goroutines; planned transforms are bit-identical to unplanned ones
 // because the tables replicate the incremental twiddle recurrence exactly.
-// FFTEach/IFFTEach transform a batch of rows concurrently, and ParallelMap
-// generalizes that to any per-row kernel.
+// FFTEachCtx transforms a batch of rows concurrently, and ParallelMapCtx
+// generalizes that to any per-row kernel; both take the caller's ctx and
+// stop claiming rows once it is done.
 //
 // # Real-input FFT conventions
 //

@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"context"
 	"math/cmplx"
 	"math/rand"
 	"sync"
@@ -101,7 +102,9 @@ func TestFFTEachMatchesSequential(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 8} {
 		batch := mkBatch()
-		FFTEach(batch, workers)
+		if err := FFTEachCtx(context.Background(), batch, workers); err != nil {
+			t.Fatal(err)
+		}
 		for i := range batch {
 			for j := range batch[i] {
 				if batch[i][j] != ref[i][j] {
@@ -110,10 +113,14 @@ func TestFFTEachMatchesSequential(t *testing.T) {
 			}
 		}
 	}
-	// Round trip through the inverse batch helper.
+	// Round trip through row-wise inverse transforms.
 	batch := mkBatch()
-	FFTEach(batch, 4)
-	IFFTEach(batch, 4)
+	if err := FFTEachCtx(context.Background(), batch, 4); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range batch {
+		IFFTInPlace(row)
+	}
 	orig := mkBatch()
 	for i := range batch {
 		for j := range batch[i] {
@@ -131,7 +138,9 @@ func TestParallelMapAppliesKernelToEveryRow(t *testing.T) {
 	for i := range batch {
 		batch[i] = []complex128{complex(float64(i), 0)}
 	}
-	ParallelMap(batch, 4, func(row []complex128) { row[0] *= 2 })
+	if err := ParallelMapCtx(context.Background(), batch, 4, func(row []complex128) { row[0] *= 2 }); err != nil {
+		t.Fatal(err)
+	}
 	for i := range batch {
 		if batch[i][0] != complex(2*float64(i), 0) {
 			t.Fatalf("row %d not transformed exactly once", i)
@@ -174,7 +183,7 @@ func BenchmarkFFTEachSequential(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FFTEach(batch, 1)
+		_ = FFTEachCtx(context.Background(), batch, 1)
 	}
 }
 
@@ -183,6 +192,6 @@ func BenchmarkFFTEachParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FFTEach(batch, 0)
+		_ = FFTEachCtx(context.Background(), batch, 0)
 	}
 }

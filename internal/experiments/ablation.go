@@ -38,13 +38,8 @@ type AblationResult struct {
 	RawPowerRatio     float64
 }
 
-// Ablation runs all three ablations at reduced scale.
-func Ablation(seed int64) (AblationResult, error) {
-	return AblationCtx(nil, seed)
-}
-
-// AblationCtx is Ablation with cooperative cancellation through every
-// capture; a nil ctx never cancels.
+// AblationCtx runs all three ablations at reduced scale, with cooperative
+// cancellation through every capture and front-end pass.
 func AblationCtx(ctx context.Context, seed int64) (AblationResult, error) {
 	var res AblationResult
 	params := fmcw.DefaultParams()
@@ -103,7 +98,10 @@ func AblationCtx(ctx context.Context, seed int64) (AblationResult, error) {
 			return res, err
 		}
 		pr := radar.NewProcessor(radar.DefaultConfig())
-		dets := pr.ProcessFrames(frames, sc.Radar)
+		dets, err := pr.ProcessFrames(ctx, frames, sc.Radar)
+		if err != nil {
+			return res, err
+		}
 		maxDets := 0
 		for _, d := range dets {
 			if len(d) > maxDets {
@@ -118,12 +116,12 @@ func AblationCtx(ctx context.Context, seed int64) (AblationResult, error) {
 	}
 
 	// --- Amplitude control.
-	humanPeak, err := peakPowerOfHuman(params, seed+3)
+	humanPeak, err := peakPowerOfHuman(ctx, params, seed+3)
 	if err != nil {
 		return res, err
 	}
 	for _, mode := range []reflector.AmplitudeMode{reflector.AmplitudeMatchHuman, reflector.AmplitudeRaw} {
-		p, err := peakPowerOfGhost(params, mode, seed+3)
+		p, err := peakPowerOfGhost(ctx, params, mode, seed+3)
 		if err != nil {
 			return res, err
 		}
@@ -136,23 +134,16 @@ func AblationCtx(ctx context.Context, seed int64) (AblationResult, error) {
 	return res, nil
 }
 
-func peakPowerOfHuman(params fmcw.Params, seed int64) (float64, error) {
+func peakPowerOfHuman(ctx context.Context, params fmcw.Params, seed int64) (float64, error) {
 	sc := scene.NewScene(scene.HomeRoom(), params)
 	sc.Multipath = false
 	sc.Room.Speckle = 0
 	sc.Humans = []*scene.Human{scene.NewHuman(geom.Trajectory{{X: 7, Y: 3.5}, {X: 7.4, Y: 3.9}}, 1)}
 	rng := rand.New(rand.NewSource(seed))
-	f0 := sc.FrameAt(0, rng)
-	f1 := sc.FrameAt(0.3, rng)
-	pr := radar.NewProcessor(radar.DefaultConfig())
-	prof, err := pr.RangeAngle(nil, radar.BackgroundSubtract(f1, f0))
-	if err != nil {
-		return 0, err
-	}
-	return maxOf(prof.Power), nil
+	return twoFramePeakPower(ctx, sc, rng)
 }
 
-func peakPowerOfGhost(params fmcw.Params, mode reflector.AmplitudeMode, seed int64) (float64, error) {
+func peakPowerOfGhost(ctx context.Context, params fmcw.Params, mode reflector.AmplitudeMode, seed int64) (float64, error) {
 	room := scene.HomeRoom()
 	room.Speckle = 0
 	sess, err := core.NewSession(core.SessionConfig{Room: room, Params: params, NoMultipath: true})
@@ -166,10 +157,21 @@ func peakPowerOfGhost(params fmcw.Params, mode reflector.AmplitudeMode, seed int
 		return 0, err
 	}
 	rng := rand.New(rand.NewSource(seed))
-	f0 := sc.FrameAt(0, rng)
-	f1 := sc.FrameAt(0.3, rng)
-	pr := radar.NewProcessor(radar.DefaultConfig())
-	prof, err := pr.RangeAngle(nil, radar.BackgroundSubtract(f1, f0))
+	return twoFramePeakPower(ctx, sc, rng)
+}
+
+// twoFramePeakPower captures frames at t = 0 and 0.3 s, background-subtracts
+// them, and returns the peak of the range–angle profile.
+func twoFramePeakPower(ctx context.Context, sc *scene.Scene, rng *rand.Rand) (float64, error) {
+	f0, err := sc.FrameAtCtx(ctx, 0, rng)
+	if err != nil {
+		return 0, err
+	}
+	f1, err := sc.FrameAtCtx(ctx, 0.3, rng)
+	if err != nil {
+		return 0, err
+	}
+	prof, err := radar.NewProcessor(radar.DefaultConfig()).RangeAngle(ctx, radar.BackgroundSubtract(f1, f0))
 	if err != nil {
 		return 0, err
 	}

@@ -219,11 +219,6 @@ func humanScene(traj geom.Trajectory) (*scene.Scene, error) {
 	return sess.Scene, nil
 }
 
-// ArmsRace runs the full experiment, uncancelable. See ArmsRaceCtx.
-func ArmsRace(sz Sizes, seed int64) (ArmsRaceResult, error) {
-	return ArmsRaceCtx(context.Background(), sz, seed) //rfvet:allow ctxflow -- legacy context-free entry point: the streaming captures need a real root
-}
-
 // ArmsRaceCtx runs the detector arms race at the given scale: sz.TrajPerRoom
 // trajectory pairs per class. ctx must be non-nil (the captures run through
 // the streaming pipeline); a done ctx aborts between captures with
@@ -239,7 +234,7 @@ func ArmsRaceCtx(ctx context.Context, sz Sizes, seed int64) (ArmsRaceResult, err
 	hardening := reflector.Hardening{DutyDither: 0.08, HarmonicSuppression: 0.9, Seed: seed}
 	var humans, naive, hardened armPopulation
 	for i := 0; i < n; i++ {
-		if err := ctxErr(ctx); err != nil {
+		if err := ctx.Err(); err != nil {
 			return res, err
 		}
 		traj := armsraceTraj(seed, i, radarPos)
@@ -303,7 +298,7 @@ func replayArm(ctx context.Context, sz Sizes, seed int64, res *ArmsRaceResult) e
 
 	var pos, neg []float64
 	for i := 0; i < n; i++ {
-		if err := ctxErr(ctx); err != nil {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
 		rng := rand.New(rand.NewSource(parallel.SplitSeed(seed, 9000+i)))
@@ -371,7 +366,11 @@ func captureJitter(ctx context.Context, sc *scene.Scene, nFrames int, rng *rand.
 	pr := radar.NewProcessor(radar.DefaultConfig())
 	var ranges []float64
 	last := math.NaN()
-	for f, dets := range pr.ProcessFrames(frames, sc.Radar) {
+	detSeq, err := pr.ProcessFrames(ctx, frames, sc.Radar)
+	if err != nil {
+		return 0, false, err
+	}
+	for f, dets := range detSeq {
 		// The first frame only seeds the background subtraction; its
 		// "detections" are unsubtracted clutter and would mis-seed the
 		// continuity gate.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -16,7 +17,7 @@ func TestArmsRaceSeparatesArms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full radar captures for three arms")
 	}
-	r, err := ArmsRace(Quick(), 1)
+	r, err := ArmsRaceCtx(context.Background(), Quick(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +82,11 @@ func TestArmsRaceDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full arms-race runs")
 	}
-	a, err := ArmsRace(Quick(), 3)
+	a, err := ArmsRaceCtx(context.Background(), Quick(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ArmsRace(Quick(), 3)
+	b, err := ArmsRaceCtx(context.Background(), Quick(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -43,7 +44,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig9LocalizationAccuracy(t *testing.T) {
-	r, err := Fig9(1)
+	r, err := Fig9Ctx(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestFig10ProfilesAndSpoof(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the shared cGAN")
 	}
-	r, err := Fig10(Quick(), 2)
+	r, err := Fig10Ctx(context.Background(), Quick(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestFig11AccuracyBands(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the shared cGAN")
 	}
-	r, err := Fig11(Quick(), 3)
+	r, err := Fig11Ctx(context.Background(), Quick(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestTable1JudgesAtChance(t *testing.T) {
 }
 
 func TestFig13LegitimateSensing(t *testing.T) {
-	r, err := Fig13(5)
+	r, err := Fig13Ctx(context.Background(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestFig13LegitimateSensing(t *testing.T) {
 }
 
 func TestFig14BreathingRates(t *testing.T) {
-	r, err := Fig14(6)
+	r, err := Fig14Ctx(context.Background(), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,13 +213,13 @@ func TestFig14BreathingRates(t *testing.T) {
 
 func TestRunDispatcher(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Run("fig7", Quick(), 1, &buf); err != nil {
+	if err := RunCtx(context.Background(), "fig7", Quick(), 1, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() == 0 {
 		t.Fatal("no output")
 	}
-	if err := Run("nope", Quick(), 1, &buf); err == nil {
+	if err := RunCtx(context.Background(), "nope", Quick(), 1, &buf); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 	names := Names()

@@ -31,14 +31,9 @@ type Fig10Result struct {
 	MeanError float64
 }
 
-// Fig10 runs the reflector microbenchmarks of §10.2 and §10.3 in the office
-// environment.
-func Fig10(sz Sizes, seed int64) (Fig10Result, error) {
-	return Fig10Ctx(nil, sz, seed)
-}
-
-// Fig10Ctx is Fig10 with cooperative cancellation through the trajectory
-// measurement; a nil ctx never cancels.
+// Fig10Ctx runs the reflector microbenchmarks of §10.2 and §10.3 in the
+// office environment, with cooperative cancellation through the trajectory
+// measurement.
 func Fig10Ctx(ctx context.Context, sz Sizes, seed int64) (Fig10Result, error) {
 	params := fmcw.DefaultParams()
 	var res Fig10Result

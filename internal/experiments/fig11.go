@@ -37,15 +37,10 @@ type Fig11Result struct {
 	RangeResolution float64
 }
 
-// Fig11 runs the spoofing-accuracy evaluation with sz.TrajPerRoom
-// trajectories per environment.
-func Fig11(sz Sizes, seed int64) (Fig11Result, error) {
-	return Fig11Ctx(nil, sz, seed)
-}
-
-// Fig11Ctx is Fig11 with cooperative cancellation: once ctx is done, no new
-// trials start, in-flight captures stop, and the first ctx error is returned
-// with every worker joined. A nil ctx never cancels.
+// Fig11Ctx runs the spoofing-accuracy evaluation with sz.TrajPerRoom
+// trajectories per environment. Once ctx is done, no new trials start,
+// in-flight captures stop, and the first ctx error is returned with every
+// worker joined.
 func Fig11Ctx(ctx context.Context, sz Sizes, seed int64) (Fig11Result, error) {
 	params := fmcw.DefaultParams()
 	res := Fig11Result{RangeResolution: params.RangeResolution()}

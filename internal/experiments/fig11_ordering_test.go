@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -30,7 +31,7 @@ func TestFig11HomeBeatsOffice(t *testing.T) {
 				t.Fatal(err)
 			}
 			world := FitGhostTrajectory(ds.Traces[i*7], env, room, rng)
-			m, err := env.MeasureGhost(world, motion.SampleRate, rng)
+			m, err := env.MeasureGhostCtx(context.Background(), world, motion.SampleRate, rng)
 			if err != nil {
 				t.Fatal(err)
 			}

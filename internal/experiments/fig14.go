@@ -25,14 +25,9 @@ type Fig14Result struct {
 	Times      []float64
 }
 
-// Fig14 places a static breathing human and a breathing ghost in the home
-// environment and extracts both phase signatures.
-func Fig14(seed int64) (Fig14Result, error) {
-	return Fig14Ctx(nil, seed)
-}
-
-// Fig14Ctx is Fig14 with cooperative cancellation of the 25 s capture; a nil
-// ctx never cancels.
+// Fig14Ctx places a static breathing human and a breathing ghost in the
+// home environment and extracts both phase signatures, with cooperative
+// cancellation of the 25 s capture.
 func Fig14Ctx(ctx context.Context, seed int64) (Fig14Result, error) {
 	const rate = 0.25
 	const amplitude = 0.005

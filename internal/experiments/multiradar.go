@@ -29,14 +29,9 @@ type MultiRadarResult struct {
 	Gate              float64
 }
 
-// MultiRadar runs the two-radar consistency check in the home environment.
-func MultiRadar(seed int64) (MultiRadarResult, error) {
-	return MultiRadarCtx(nil, seed)
-}
-
-// MultiRadarCtx is MultiRadar with cooperative cancellation: both radars'
-// captures stop once ctx is done and the first ctx error is returned with
-// both workers joined. A nil ctx never cancels.
+// MultiRadarCtx runs the two-radar consistency check in the home
+// environment. Both radars' captures stop once ctx is done and the first
+// ctx error is returned with both workers joined.
 func MultiRadarCtx(ctx context.Context, seed int64) (MultiRadarResult, error) {
 	var res MultiRadarResult
 	res.Gate = 1.0
@@ -96,16 +91,16 @@ func MultiRadarCtx(ctx context.Context, seed int64) (MultiRadarResult, error) {
 		if err != nil {
 			return err
 		}
-		detsA = radar.NewProcessor(radar.DefaultConfig()).ProcessFrames(framesA, scA.Radar)
-		return nil
+		detsA, err = radar.NewProcessor(radar.DefaultConfig()).ProcessFrames(ctx, framesA, scA.Radar)
+		return err
 	})
 	g.GoCtx(ctx, func() error {
 		framesB, err := scB.CaptureCtx(ctx, 0, n, rand.New(rand.NewSource(parallel.SplitSeed(seed, 1))))
 		if err != nil {
 			return err
 		}
-		detsB = radar.NewProcessor(radar.DefaultConfig()).ProcessFrames(framesB, scB.Radar)
-		return nil
+		detsB, err = radar.NewProcessor(radar.DefaultConfig()).ProcessFrames(ctx, framesB, scB.Radar)
+		return err
 	})
 	if err := g.Wait(); err != nil {
 		return res, err

@@ -32,13 +32,8 @@ type ProbeResult struct {
 	NoiseFloor       float64
 }
 
-// Probe runs the radar-off detection experiment.
-func Probe(seed int64) (ProbeResult, error) {
-	return ProbeCtx(nil, seed)
-}
-
-// ProbeCtx is Probe with cooperative cancellation of the visibility
-// captures; a nil ctx never cancels.
+// ProbeCtx runs the radar-off detection experiment, with cooperative
+// cancellation of the visibility captures.
 func ProbeCtx(ctx context.Context, seed int64) (ProbeResult, error) {
 	var res ProbeResult
 	params := fmcw.DefaultParams()
@@ -99,7 +94,11 @@ func ghostVisible(ctx context.Context, sc *scene.Scene, wantDist, tol float64, r
 		return false, err
 	}
 	pr := radar.NewProcessor(radar.DefaultConfig())
-	for _, dets := range pr.ProcessFrames(frames, sc.Radar) {
+	detSeq, err := pr.ProcessFrames(ctx, frames, sc.Radar)
+	if err != nil {
+		return false, err
+	}
+	for _, dets := range detSeq {
 		for _, d := range dets {
 			if math.Abs(d.Range-wantDist) < tol {
 				return true, nil

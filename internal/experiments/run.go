@@ -12,13 +12,13 @@ import (
 
 // Runner executes one named experiment and prints its report to w. The ctx
 // cancels long captures cooperatively: runners return ctx.Err() once it is
-// done (a nil ctx never cancels).
+// done.
 type Runner func(ctx context.Context, sz Sizes, seed int64, w io.Writer) error
 
 // Registry maps experiment names (fig7, fig9, ..., table1) to runners.
 var Registry = map[string]Runner{
 	"fig7": func(ctx context.Context, sz Sizes, seed int64, w io.Writer) error {
-		if err := ctxErr(ctx); err != nil {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
 		Fig7().Print(w)
@@ -49,14 +49,14 @@ var Registry = map[string]Runner{
 		return nil
 	},
 	"fig12": func(ctx context.Context, sz Sizes, seed int64, w io.Writer) error {
-		if err := ctxErr(ctx); err != nil {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
 		Fig12(sz, seed).Print(w)
 		return nil
 	},
 	"table1": func(ctx context.Context, sz Sizes, seed int64, w io.Writer) error {
-		if err := ctxErr(ctx); err != nil {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
 		Table1(sz, seed).Print(w)
@@ -95,7 +95,7 @@ var Registry = map[string]Runner{
 		return nil
 	},
 	"floorplan": func(ctx context.Context, sz Sizes, seed int64, w io.Writer) error {
-		if err := ctxErr(ctx); err != nil {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
 		r, err := FloorPlan(sz, seed)
@@ -123,14 +123,6 @@ var Registry = map[string]Runner{
 	},
 }
 
-// ctxErr is ctx.Err() tolerating the nil ctx the Ctx-less wrappers pass.
-func ctxErr(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Err()
-}
-
 // Names returns the registered experiment names in order.
 func Names() []string {
 	var out []string
@@ -152,12 +144,6 @@ var ganBacked = map[string]bool{
 	"fig12":     true,
 	"floorplan": true,
 	"table1":    true,
-}
-
-// Run executes one experiment by name, or all of them for name == "all",
-// with no cancellation. It is RunCtx with a background context.
-func Run(name string, sz Sizes, seed int64, w io.Writer) error {
-	return RunCtx(context.Background(), name, sz, seed, w) //rfvet:allow ctxflow -- legacy context-free entry point: the wrapper's whole job is to synthesize the root
 }
 
 // RunCtx executes one experiment by name, or all of them for name == "all",

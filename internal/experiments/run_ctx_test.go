@@ -52,27 +52,3 @@ func TestRunCtxCancelMidSweep(t *testing.T) {
 		t.Fatalf("experiment workers leaked: %d goroutines before, %d after", before, after)
 	}
 }
-
-// TestRunCtxBackgroundMatchesRun: with a live ctx, RunCtx is Run — same
-// report bytes for a cheap experiment.
-func TestRunCtxBackgroundMatchesRun(t *testing.T) {
-	var a, b captureWriter
-	if err := Run("fig7", Quick(), 1, &a); err != nil {
-		t.Fatal(err)
-	}
-	if err := RunCtx(context.Background(), "fig7", Quick(), 1, &b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatal("RunCtx with a background ctx diverges from Run")
-	}
-}
-
-type captureWriter struct{ buf []byte }
-
-func (w *captureWriter) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
-
-func (w *captureWriter) String() string { return string(w.buf) }

@@ -116,16 +116,10 @@ type GhostMeasurement struct {
 	Expected  geom.Trajectory
 }
 
-// MeasureGhost programs a ghost trajectory (world coordinates) against the
-// environment's radar, captures frames over the session, and matches each
-// frame's detections against the expected ghost position.
-func (e *Env) MeasureGhost(traj geom.Trajectory, fs float64, rng *rand.Rand) (GhostMeasurement, error) {
-	return e.MeasureGhostCtx(nil, traj, fs, rng)
-}
-
-// MeasureGhostCtx is MeasureGhost with cooperative cancellation: the frame
-// capture stops and ctx.Err() is returned once ctx is done. A nil ctx never
-// cancels.
+// MeasureGhostCtx programs a ghost trajectory (world coordinates) against
+// the environment's radar, captures frames over the session, and matches
+// each frame's detections against the expected ghost position. The capture
+// and front end stop and ctx.Err() is returned once ctx is done.
 func (e *Env) MeasureGhostCtx(ctx context.Context, traj geom.Trajectory, fs float64, rng *rand.Rand) (GhostMeasurement, error) {
 	var out GhostMeasurement
 	rec, err := e.Ctl.ProgramForRadar(traj, e.Scene.Radar, fs, 0)
@@ -138,7 +132,10 @@ func (e *Env) MeasureGhostCtx(ctx context.Context, traj geom.Trajectory, fs floa
 		return out, err
 	}
 	pr := radar.NewProcessor(radar.DefaultConfig())
-	detSeq := pr.ProcessFrames(frames, e.Scene.Radar)
+	detSeq, err := pr.ProcessFrames(ctx, frames, e.Scene.Radar)
+	if err != nil {
+		return out, err
+	}
 	expect := rec.ExpectedObservation(e.Tag.Config(), e.Scene.Radar)
 	for i, dets := range detSeq {
 		ti := frames[i+1].Time

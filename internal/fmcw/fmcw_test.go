@@ -1,6 +1,7 @@
 package fmcw
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -10,6 +11,16 @@ import (
 	"rfprotect/internal/dsp"
 	"rfprotect/internal/geom"
 )
+
+// synthFrame is the allocating test form of the one synthesis entry point:
+// a fresh frame captured at at, synthesized through the shared plan for p.
+func synthFrame(p Params, returns []Return, at float64, rng *rand.Rand, workers int) *Frame {
+	f := NewFrame(p, at)
+	if err := PlanSynth(p).SynthesizeInto(context.Background(), f, returns, rng, workers); err != nil {
+		panic(err)
+	}
+	return f
+}
 
 func TestDefaultParamsPhysics(t *testing.T) {
 	p := DefaultParams()
@@ -82,7 +93,7 @@ func TestSynthesizeSingleTargetAtCorrectBin(t *testing.T) {
 	p.NoiseStd = 0
 	for _, dist := range []float64{1.5, 3.0, 7.5, 12.0} {
 		ret := Return{Delay: 2 * dist / C, Amplitude: 1, AoA: math.Pi / 2}
-		fr := Synthesize(p, []Return{ret}, 0, nil)
+		fr := synthFrame(p, []Return{ret}, 0, nil, 0)
 		mag := rangeFFT(fr)
 		best := 0
 		for i := 1; i < len(mag)/2; i++ {
@@ -103,7 +114,7 @@ func TestFreqShiftMovesApparentDistance(t *testing.T) {
 	const trueDist = 2.0
 	const shift = 40e3 // Hz -> extra distance C*shift/(2*sl) = 3 m
 	ret := Return{Delay: 2 * trueDist / C, Amplitude: 1, AoA: math.Pi / 2, FreqShift: shift}
-	fr := Synthesize(p, []Return{ret}, 0, nil)
+	fr := synthFrame(p, []Return{ret}, 0, nil, 0)
 	mag := rangeFFT(fr)
 	best := 0
 	for i := 1; i < len(mag)/2; i++ {
@@ -123,7 +134,7 @@ func TestSteeringPhaseAcrossAntennas(t *testing.T) {
 	p.NoiseStd = 0
 	aoa := 1.1
 	ret := Return{Delay: 2 * 3.0 / C, Amplitude: 1, AoA: aoa}
-	fr := Synthesize(p, []Return{ret}, 0, nil)
+	fr := synthFrame(p, []Return{ret}, 0, nil, 0)
 	// The phase difference between adjacent antennas at the same sample must
 	// be -2π·d·cos(aoa)/λ.
 	want := -2 * math.Pi * p.Spacing() * math.Cos(aoa) / p.Wavelength()
@@ -140,9 +151,9 @@ func TestSynthesizeSuperposition(t *testing.T) {
 	p.NoiseStd = 0
 	r1 := Return{Delay: 2 * 2.0 / C, Amplitude: 0.7, AoA: 1.0}
 	r2 := Return{Delay: 2 * 5.0 / C, Amplitude: 0.3, AoA: 2.0, Phase: 0.5}
-	both := Synthesize(p, []Return{r1, r2}, 0, nil)
-	a := Synthesize(p, []Return{r1}, 0, nil)
-	b := Synthesize(p, []Return{r2}, 0, nil)
+	both := synthFrame(p, []Return{r1, r2}, 0, nil, 0)
+	a := synthFrame(p, []Return{r1}, 0, nil, 0)
+	b := synthFrame(p, []Return{r2}, 0, nil, 0)
 	for k := range both.Data {
 		for i := range both.Data[k] {
 			if cmplx.Abs(both.Data[k][i]-(a.Data[k][i]+b.Data[k][i])) > 1e-9 {
@@ -158,8 +169,8 @@ func TestSubRemovesStaticReturns(t *testing.T) {
 	static := Return{Delay: 2 * 4.0 / C, Amplitude: 1, AoA: 1.3}
 	moving1 := Return{Delay: 2 * 6.0 / C, Amplitude: 0.5, AoA: 0.8}
 	moving2 := Return{Delay: 2 * 6.2 / C, Amplitude: 0.5, AoA: 0.8}
-	f1 := Synthesize(p, []Return{static, moving1}, 0, nil)
-	f2 := Synthesize(p, []Return{static, moving2}, 0.05, nil)
+	f1 := synthFrame(p, []Return{static, moving1}, 0, nil, 0)
+	f2 := synthFrame(p, []Return{static, moving2}, 0.05, nil, 0)
 	diff := f2.Sub(f1)
 	mag := rangeFFT(diff)
 	n := len(mag)
@@ -170,11 +181,12 @@ func TestSubRemovesStaticReturns(t *testing.T) {
 	}
 }
 
-func TestAddNoiseStatistics(t *testing.T) {
+// TestSynthNoiseStatistics checks the AWGN of a return-free synthesis:
+// zero mean and Params.NoiseStd per I/Q component.
+func TestSynthNoiseStatistics(t *testing.T) {
 	p := DefaultParams()
 	p.NoiseStd = 0.5
-	fr := NewFrame(p, 0)
-	fr.AddNoise(rand.New(rand.NewSource(7)))
+	fr := synthFrame(p, nil, 0, rand.New(rand.NewSource(7)), 0)
 	var sum, sumSq float64
 	n := 0
 	for k := range fr.Data {
@@ -255,6 +267,6 @@ func BenchmarkSynthesizeFrame(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Synthesize(p, returns, 0, rng)
+		synthFrame(p, returns, 0, rng, 0)
 	}
 }

@@ -79,76 +79,13 @@ func (f *Frame) CopyFrom(g *Frame) {
 	}
 }
 
-// Synthesize produces the beat-domain frame for a set of returns at capture
-// time at, adding AWGN from rng (rng may be nil for a noiseless frame). It
-// runs with one worker per available CPU; see SynthesizeWorkers for the
-// pool-size contract and the reproducibility guarantee.
-//
-// For a return with delay τ, extra beat offset f_x and extra phase φ, the
-// contribution to antenna k at IF sample time t is
-//
-//	A · exp(j2π((sl·τ + f_x)·t + f_c·τ)) · exp(jφ) · exp(-j2π·k·d·cos(AoA)/λ)
-//
-// matching Eq. 1–2 of the paper.
-func Synthesize(p Params, returns []Return, at float64, rng *rand.Rand) *Frame {
-	return SynthesizeWorkers(p, returns, at, rng, 0)
-}
-
-// SynthesizeWorkers is Synthesize with an explicit worker-pool size
-// (workers <= 0 means one per available CPU). Antennas are synthesized
-// concurrently, each worker writing only its own antenna's row.
-//
-// Output is bit-identical for every worker count: per-antenna accumulation
-// visits returns in slice order regardless of scheduling, and noise is not
-// drawn from the shared rng inside the pool — a single base seed is drawn
-// from rng up front and split into one deterministic stream per antenna
-// (parallel.SplitSeed), so antenna k's noise depends only on (base, k).
-func SynthesizeWorkers(p Params, returns []Return, at float64, rng *rand.Rand, workers int) *Frame {
-	f, _ := SynthesizeCtx(nil, p, returns, at, rng, workers)
-	return f
-}
-
-// SynthesizeCtx is SynthesizeWorkers with cooperative cancellation: the
-// antenna fan-out stops once ctx is done and the call returns (nil,
-// ctx.Err()). The noise base seed is drawn from rng before the fan-out
-// either way, so a canceled synthesis still consumes exactly one draw —
-// callers that retain the rng after cancellation abort the whole capture,
-// never resume it. A nil ctx is exactly SynthesizeWorkers.
-func SynthesizeCtx(ctx context.Context, p Params, returns []Return, at float64, rng *rand.Rand, workers int) (*Frame, error) {
-	f := NewFrame(p, at)
-	if err := SynthesizeInto(ctx, f, returns, rng, workers); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// SynthesizeInto is the destination-passing form of SynthesizeCtx: it
-// accumulates the returns (and noise) into dst, whose Params and Time
-// select the configuration and capture time. dst must be zeroed — a frame
-// fresh from NewFrame or FramePool.Get — because synthesis adds
-// contributions on top of the existing samples. It performs no frame
-// allocation; per-antenna noise streams come from a pooled source reseeded
-// with parallel.SplitSeed, so the bits are identical to SynthesizeCtx for
-// the same (rng state, Params, Time, returns) regardless of pooling or
-// worker count. On cancellation dst holds partial data and must be
-// discarded (or Reset) by the caller.
-//
-// Synthesis runs through the shared compiled SynthPlan for dst's shape
-// (PlanSynth) — the planned kernel is the defining semantics; see
-// SynthesizeLegacyInto for the retained pre-plan reference.
-//
-//rfvet:allocfree
-func SynthesizeInto(ctx context.Context, dst *Frame, returns []Return, rng *rand.Rand, workers int) error {
-	return PlanSynth(dst.Params).SynthesizeInto(ctx, dst, returns, rng, workers)
-}
-
 // SynthesizeLegacyInto is the pre-plan synthesis kernel: the serial
 // per-(return × antenna) phasor recurrence, retained as the ULP reference
 // for the planned path (tests pin the planned samples to it within a
 // relative tolerance) and as the baseline for the synth_plan speedup gate
-// in cmd/bench. Same contract as SynthesizeInto — same noise draws, same
-// worker-count bit-identity — but the sample bits differ from the planned
-// kernel's at the ULP level. New callers want SynthesizeInto.
+// in cmd/bench. Same contract as SynthPlan.SynthesizeInto — same noise
+// draws, same worker-count bit-identity — but the sample bits differ from
+// the planned kernel's at the ULP level. New callers want the plan.
 func SynthesizeLegacyInto(ctx context.Context, dst *Frame, returns []Return, rng *rand.Rand, workers int) error {
 	p := dst.Params
 	noisy := rng != nil && p.NoiseStd > 0
@@ -255,16 +192,8 @@ func putNoiseRng(r *rand.Rand) {
 	noiseRngs.mu.Unlock()
 }
 
-// AddReturns accumulates the beat contributions of the given returns into
-// the frame, one antenna at a time.
-func (f *Frame) AddReturns(returns []Return) {
-	for k := 0; k < f.Params.NumAntennas; k++ {
-		f.addReturnsAntenna(k, returns)
-	}
-}
-
 // addReturnsAntenna accumulates every return into antenna k's row. It is
-// the per-worker unit of SynthesizeWorkers and touches no state outside
+// the per-worker unit of SynthesizeLegacyInto and touches no state outside
 // Data[k]; returns are added in slice order so the floating-point
 // accumulation order per sample is fixed.
 func (f *Frame) addReturnsAntenna(k int, returns []Return) {
@@ -295,19 +224,6 @@ func (f *Frame) addReturnsAntenna(k int, returns []Return) {
 			row[i] += cur
 			cur *= stepC
 		}
-	}
-}
-
-// AddNoise adds circular complex Gaussian noise of standard deviation
-// Params.NoiseStd per I/Q component, consuming rng sequentially across the
-// whole frame. SynthesizeWorkers uses per-antenna split streams instead so
-// its output does not depend on the worker schedule.
-func (f *Frame) AddNoise(rng *rand.Rand) {
-	if f.Params.NoiseStd <= 0 {
-		return
-	}
-	for k := range f.Data {
-		f.addNoiseRow(k, rng)
 	}
 }
 

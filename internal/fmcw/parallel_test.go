@@ -23,9 +23,9 @@ func benchReturns(n int) []Return {
 }
 
 // TestSynthesizeWorkersBitIdentical is the reproducibility contract of the
-// parallel pipeline: for a fixed seed, SynthesizeWorkers must produce
-// bit-identical frames for every worker count, including the sequential
-// workers=1 path — noise comes from per-antenna split streams, never from
+// parallel pipeline: for a fixed seed, synthesis must produce bit-identical
+// frames for every worker count, including the sequential workers=1 path —
+// noise comes from per-antenna split streams, never from
 // worker-schedule-dependent draws.
 func TestSynthesizeWorkersBitIdentical(t *testing.T) {
 	cases := []struct {
@@ -45,9 +45,9 @@ func TestSynthesizeWorkersBitIdentical(t *testing.T) {
 			p := DefaultParams()
 			p.NoiseStd = tc.noise
 			returns := benchReturns(tc.returns)
-			ref := SynthesizeWorkers(p, returns, 0.25, rand.New(rand.NewSource(tc.seed)), 1)
+			ref := synthFrame(p, returns, 0.25, rand.New(rand.NewSource(tc.seed)), 1)
 			for _, w := range workerCounts {
-				got := SynthesizeWorkers(p, returns, 0.25, rand.New(rand.NewSource(tc.seed)), w)
+				got := synthFrame(p, returns, 0.25, rand.New(rand.NewSource(tc.seed)), w)
 				for k := range ref.Data {
 					for i := range ref.Data[k] {
 						if got.Data[k][i] != ref.Data[k][i] {
@@ -61,45 +61,24 @@ func TestSynthesizeWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSynthesizeMatchesDefaultEntryPoint pins Synthesize to the
-// auto-sized worker pool path.
+// TestSynthesizeMatchesDefaultEntryPoint pins the default width
+// (workers <= 0: one per available CPU) to the sequential path.
 func TestSynthesizeMatchesDefaultEntryPoint(t *testing.T) {
 	p := DefaultParams()
 	returns := benchReturns(10)
-	a := Synthesize(p, returns, 0.1, rand.New(rand.NewSource(3)))
-	b := SynthesizeWorkers(p, returns, 0.1, rand.New(rand.NewSource(3)), 0)
+	a := synthFrame(p, returns, 0.1, rand.New(rand.NewSource(3)), 0)
+	b := synthFrame(p, returns, 0.1, rand.New(rand.NewSource(3)), 1)
 	for k := range a.Data {
 		for i := range a.Data[k] {
 			if a.Data[k][i] != b.Data[k][i] {
-				t.Fatalf("Synthesize diverges from SynthesizeWorkers(…, 0) at [%d][%d]", k, i)
-			}
-		}
-	}
-}
-
-// TestAddReturnsMatchesPerAntennaDecomposition guards the refactor that
-// moved the accumulation loop to a per-antenna unit: the public AddReturns
-// must equal the antenna-sliced path exactly.
-func TestAddReturnsMatchesPerAntennaDecomposition(t *testing.T) {
-	p := DefaultParams()
-	returns := benchReturns(17)
-	whole := NewFrame(p, 0.5)
-	whole.AddReturns(returns)
-	sliced := NewFrame(p, 0.5)
-	for k := p.NumAntennas - 1; k >= 0; k-- { // any antenna order is fine
-		sliced.addReturnsAntenna(k, returns)
-	}
-	for k := range whole.Data {
-		for i := range whole.Data[k] {
-			if whole.Data[k][i] != sliced.Data[k][i] {
-				t.Fatalf("antenna %d sample %d differs", k, i)
+				t.Fatalf("workers=0 diverges from workers=1 at [%d][%d]", k, i)
 			}
 		}
 	}
 }
 
 // TestSynthesizeConsumesOneDrawForNoise documents the seed-splitting
-// contract: a noisy Synthesize consumes exactly one value from the caller's
+// contract: a noisy synthesis consumes exactly one value from the caller's
 // rng (the base seed), so surrounding code that shares the rng sees the
 // same stream position regardless of frame geometry.
 func TestSynthesizeConsumesOneDrawForNoise(t *testing.T) {
@@ -108,14 +87,14 @@ func TestSynthesizeConsumesOneDrawForNoise(t *testing.T) {
 	ref := rand.New(rand.NewSource(5))
 	ref.Int63()
 	want := ref.Int63()
-	Synthesize(p, benchReturns(4), 0, rng)
+	synthFrame(p, benchReturns(4), 0, rng, 0)
 	if got := rng.Int63(); got != want {
 		t.Fatalf("rng advanced unexpectedly: got %d, want %d", got, want)
 	}
 	// A noiseless synthesis must not touch the rng at all.
 	p.NoiseStd = 0
 	rng2 := rand.New(rand.NewSource(5))
-	Synthesize(p, benchReturns(4), 0, rng2)
+	synthFrame(p, benchReturns(4), 0, rng2, 0)
 	if got := rng2.Int63(); got != func() int64 { r := rand.New(rand.NewSource(5)); return r.Int63() }() {
 		t.Fatalf("noiseless synthesis consumed rng draws: %d", got)
 	}
@@ -127,7 +106,7 @@ func BenchmarkSynthesizeSequential(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		SynthesizeWorkers(p, returns, 0, rng, 1)
+		synthFrame(p, returns, 0, rng, 1)
 	}
 }
 
@@ -137,6 +116,6 @@ func BenchmarkSynthesizeParallel(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		SynthesizeWorkers(p, returns, 0, rng, 0)
+		synthFrame(p, returns, 0, rng, 0)
 	}
 }

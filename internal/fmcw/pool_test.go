@@ -1,6 +1,7 @@
 package fmcw
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -96,8 +97,8 @@ func TestFramePoolGetPut(t *testing.T) {
 	fp.Put(NewFrame(other, 0))
 }
 
-// SynthesizeInto on a pooled frame must produce exactly the bits
-// SynthesizeCtx produces, for every worker count, including the pooled
+// SynthesizeInto on a pooled frame must produce exactly the bits it
+// produces on a fresh frame, for every worker count, including the pooled
 // per-antenna noise streams.
 func TestSynthesizeIntoBitIdentical(t *testing.T) {
 	p := testParams()
@@ -105,16 +106,13 @@ func TestSynthesizeIntoBitIdentical(t *testing.T) {
 	returns := testReturns(8, 3)
 	fp := NewFramePool(p)
 	for _, workers := range []int{1, 2, 3, 0} {
-		want, err := SynthesizeCtx(nil, p, returns, 0.25, rand.New(rand.NewSource(9)), workers)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := synthFrame(p, returns, 0.25, rand.New(rand.NewSource(9)), workers)
 		dst := fp.Get(0.25)
-		if err := SynthesizeInto(nil, dst, returns, rand.New(rand.NewSource(9)), workers); err != nil {
+		if err := PlanSynth(p).SynthesizeInto(context.Background(), dst, returns, rand.New(rand.NewSource(9)), workers); err != nil {
 			t.Fatal(err)
 		}
 		if !framesEqual(dst, want) {
-			t.Fatalf("workers=%d: SynthesizeInto differs from SynthesizeCtx", workers)
+			t.Fatalf("workers=%d: pooled frame differs from fresh frame", workers)
 		}
 		fp.Put(dst)
 	}
@@ -123,8 +121,8 @@ func TestSynthesizeIntoBitIdentical(t *testing.T) {
 func TestSubIntoMatchesSub(t *testing.T) {
 	p := testParams()
 	rng := rand.New(rand.NewSource(1))
-	f := Synthesize(p, testReturns(4, 1), 0.1, rng)
-	g := Synthesize(p, testReturns(4, 2), 0.1, rng)
+	f := synthFrame(p, testReturns(4, 1), 0.1, rng, 0)
+	g := synthFrame(p, testReturns(4, 2), 0.1, rng, 0)
 	want := f.Sub(g)
 	dst := NewFrame(p, 99)
 	f.SubInto(dst, g)
@@ -147,7 +145,7 @@ func TestDifferencerPooledBitIdentical(t *testing.T) {
 	const n = 6
 	frames := make([]*Frame, n)
 	for i := range frames {
-		frames[i] = Synthesize(p, testReturns(5, int64(i)), float64(i)/p.FrameRate, rng)
+		frames[i] = synthFrame(p, testReturns(5, int64(i)), float64(i)/p.FrameRate, rng, 0)
 	}
 	var plain Differencer
 	var pooled Differencer
@@ -192,7 +190,7 @@ func TestWindowPushCopy(t *testing.T) {
 	var scratch []*Frame
 	src := NewFrame(p, 0)
 	for i := 0; i < 7; i++ {
-		want := Synthesize(p, testReturns(3, int64(i)), float64(i), rng)
+		want := synthFrame(p, testReturns(3, int64(i)), float64(i), rng, 0)
 		src.CopyFrom(want)
 		w.PushCopy(src)
 		src.Reset() // the window must hold its own copy

@@ -70,9 +70,9 @@ func CompileSynthPlan(p Params) *SynthPlan {
 // Params returns the shape the plan was compiled for.
 func (pl *SynthPlan) Params() Params { return pl.params }
 
-// synthPlans is the global shape-keyed plan cache behind the package-level
-// synthesis entry points, mirroring the dsp package's FFT plan cache: the
-// first synthesis of a shape compiles its plan, every later one reuses it.
+// synthPlans is the global shape-keyed plan cache behind PlanSynth,
+// mirroring the dsp package's FFT plan cache: the first synthesis of a
+// shape compiles its plan, every later one reuses it.
 var synthPlans struct {
 	mu sync.Mutex
 	m  map[Params]*SynthPlan
@@ -291,18 +291,32 @@ func macRow(row, tab []complex128, cr, ci float64) {
 	}
 }
 
-// SynthesizeInto accumulates the returns (and noise) into dst through the
-// compiled plan: phase 1 fans out over active returns to build rotation
-// tables, phase 2 fans out over antennas for the scaled MAC plus the
-// per-antenna noise stream. The ForEachCtx barrier between the phases is
-// what makes the output bit-identical for every worker count: phase 2 reads
-// tables that are complete regardless of the phase-1 schedule, and each
-// phase writes only disjoint destinations. dst must be zeroed (synthesis
-// adds on top) and must have the plan's shape. The noise base seed is drawn
-// before the fan-out, so a canceled synthesis still consumes exactly one
-// draw; on cancellation dst holds partial data and must be discarded (or
-// Reset) by the caller. After the executor free list is warm a call
-// allocates nothing.
+// SynthesizeInto is the one synthesis entry point: it accumulates the
+// beat-domain contributions of returns (and AWGN from rng; a nil rng gives
+// a noiseless frame) into dst, whose Time is the capture time. For a return
+// with delay τ, extra beat offset f_x and extra phase φ, the contribution
+// to antenna k at IF sample time t is
+//
+//	A · exp(j2π((sl·τ + f_x)·t + f_c·τ)) · exp(jφ) · exp(-j2π·k·d·cos(AoA)/λ)
+//
+// matching Eq. 1–2 of the paper.
+//
+// Phase 1 fans out over active returns to build rotation tables, phase 2
+// fans out over antennas (workers <= 0 means one per available CPU) for the
+// scaled MAC plus the per-antenna noise stream. The ForEachCtx barrier
+// between the phases is what makes the output bit-identical for every
+// worker count: phase 2 reads tables that are complete regardless of the
+// phase-1 schedule, and each phase writes only disjoint destinations.
+// Noise is never drawn from the shared rng inside the pool: one base seed
+// is drawn up front and split into one stream per antenna
+// (parallel.SplitSeed), so antenna k's noise depends only on (base, k).
+//
+// dst must be zeroed — fresh from NewFrame or FramePool.Get — because
+// synthesis adds on top, and must have the plan's shape. The base seed is
+// drawn before the fan-out, so a canceled synthesis still consumes exactly
+// one draw; on cancellation SynthesizeInto returns ctx.Err() and dst holds
+// partial data that must be discarded (or Reset) by the caller. After the
+// executor free list is warm a call allocates nothing.
 //
 //rfvet:allocfree
 func (pl *SynthPlan) SynthesizeInto(ctx context.Context, dst *Frame, returns []Return, rng *rand.Rand, workers int) error {

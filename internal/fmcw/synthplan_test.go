@@ -1,6 +1,7 @@
 package fmcw
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -64,11 +65,11 @@ func TestSynthPlanAVXBitIdenticalToScalar(t *testing.T) {
 
 		scalar, vector := NewFrame(p, 0.35), NewFrame(p, 0.35)
 		useSynthAVX = false
-		if err := pl.SynthesizeInto(nil, scalar, returns, rand.New(rand.NewSource(3)), 1); err != nil {
+		if err := pl.SynthesizeInto(context.Background(), scalar, returns, rand.New(rand.NewSource(3)), 1); err != nil {
 			t.Fatalf("n %d: scalar: %v", n, err)
 		}
 		useSynthAVX = true
-		if err := pl.SynthesizeInto(nil, vector, returns, rand.New(rand.NewSource(3)), 1); err != nil {
+		if err := pl.SynthesizeInto(context.Background(), vector, returns, rand.New(rand.NewSource(3)), 1); err != nil {
 			t.Fatalf("n %d: vector: %v", n, err)
 		}
 		framesEqualBits(t, "avx-vs-scalar", scalar, vector)
@@ -86,7 +87,7 @@ func TestSynthPlannedWorkerBitIdentity(t *testing.T) {
 	var ref *Frame
 	for _, workers := range []int{1, 2, 0} {
 		f := NewFrame(p, 0.6)
-		if err := pl.SynthesizeInto(nil, f, returns, rand.New(rand.NewSource(5)), workers); err != nil {
+		if err := pl.SynthesizeInto(context.Background(), f, returns, rand.New(rand.NewSource(5)), workers); err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}
 		if ref == nil {
@@ -107,10 +108,10 @@ func TestSynthPlannedMatchesLegacyULP(t *testing.T) {
 		p := planTestParams(n)
 		returns := planTestReturns(16, 9)
 		planned, legacy := NewFrame(p, 0.8), NewFrame(p, 0.8)
-		if err := SynthesizeInto(nil, planned, returns, rand.New(rand.NewSource(2)), 1); err != nil {
+		if err := PlanSynth(p).SynthesizeInto(context.Background(), planned, returns, rand.New(rand.NewSource(2)), 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := SynthesizeLegacyInto(nil, legacy, returns, rand.New(rand.NewSource(2)), 1); err != nil {
+		if err := SynthesizeLegacyInto(context.Background(), legacy, returns, rand.New(rand.NewSource(2)), 1); err != nil {
 			t.Fatal(err)
 		}
 		scale := 0.0
@@ -145,8 +146,12 @@ func TestSynthPlannedZeroSampleFrame(t *testing.T) {
 	}
 	returns := planTestReturns(4, 1)
 	for _, synth := range []func(dst *Frame, rng *rand.Rand) error{
-		func(dst *Frame, rng *rand.Rand) error { return SynthesizeInto(nil, dst, returns, rng, 1) },
-		func(dst *Frame, rng *rand.Rand) error { return SynthesizeLegacyInto(nil, dst, returns, rng, 1) },
+		func(dst *Frame, rng *rand.Rand) error {
+			return PlanSynth(dst.Params).SynthesizeInto(context.Background(), dst, returns, rng, 1)
+		},
+		func(dst *Frame, rng *rand.Rand) error {
+			return SynthesizeLegacyInto(context.Background(), dst, returns, rng, 1)
+		},
 	} {
 		rng := rand.New(rand.NewSource(4))
 		f := NewFrame(p, 0)
@@ -165,10 +170,10 @@ func TestSynthPlanSharedAcrossCallers(t *testing.T) {
 	}
 	returns := planTestReturns(8, 3)
 	a, b := NewFrame(p, 0.1), NewFrame(p, 0.1)
-	if err := PlanSynth(p).SynthesizeInto(nil, a, returns, nil, 1); err != nil {
+	if err := PlanSynth(p).SynthesizeInto(context.Background(), a, returns, nil, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := CompileSynthPlan(p).SynthesizeInto(nil, b, returns, nil, 1); err != nil {
+	if err := CompileSynthPlan(p).SynthesizeInto(context.Background(), b, returns, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	framesEqualBits(t, "shared-vs-private-plan", a, b)
@@ -184,7 +189,7 @@ func TestSynthPlannedAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	run := func() {
 		f := pool.Get(0)
-		if err := pl.SynthesizeInto(nil, f, returns, rng, 1); err != nil {
+		if err := pl.SynthesizeInto(context.Background(), f, returns, rng, 1); err != nil {
 			t.Fatal(err)
 		}
 		pool.Put(f)
@@ -218,13 +223,13 @@ func FuzzSynthReturnExtremes(f *testing.F) {
 			{Delay: 1e-8, Amplitude: 0.7, AoA: 1.1},
 		}
 		legacy := NewFrame(p, 0.2)
-		if err := SynthesizeLegacyInto(nil, legacy, returns, rand.New(rand.NewSource(1)), 1); err != nil {
+		if err := SynthesizeLegacyInto(context.Background(), legacy, returns, rand.New(rand.NewSource(1)), 1); err != nil {
 			t.Fatal(err)
 		}
 		var ref *Frame
 		for _, workers := range []int{1, 2} {
 			fr := NewFrame(p, 0.2)
-			if err := SynthesizeInto(nil, fr, returns, rand.New(rand.NewSource(1)), workers); err != nil {
+			if err := PlanSynth(p).SynthesizeInto(context.Background(), fr, returns, rand.New(rand.NewSource(1)), workers); err != nil {
 				t.Fatal(err)
 			}
 			if ref == nil {

@@ -16,7 +16,7 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ForEach calls fn(i) for every i in [0, n) across the shared persistent
+// ForEachCtx calls fn(i) for every i in [0, n) across the shared persistent
 // pool with up to the given width (<= 0 means Workers(0)). Iterations are
 // claimed dynamically, so uneven per-index cost still load-balances. With
 // one worker — or n <= 1 — it runs inline with no goroutines at all, so the
@@ -26,21 +26,14 @@ func Workers(n int) int {
 //
 // fn must only write to destinations owned by index i (its row, its slot):
 // under that contract the result is bit-identical for every worker count.
-// ForEach returns only after every call has completed.
-func ForEach(n, workers int, fn func(i int)) {
-	defaultPool.ForEach(n, workers, fn)
-}
-
-// ForEachCtx is ForEach with cooperative cancellation: participants stop
-// claiming new indices once ctx is done, in-flight calls finish, and the
-// call returns ctx.Err(). Indices already claimed still run to completion,
-// so fn's disjoint-write contract is unchanged; on cancellation the
-// partially written destinations must simply be discarded by the caller.
+// ForEachCtx returns only after every call has completed.
 //
-// A nil ctx selects the zero-context path, which is exactly ForEach: no
-// cancellation checks, nil error. The bit-identity guarantee holds either
-// way — cancellation changes which indices run, never what an index
-// computes.
+// Cancellation is cooperative: participants stop claiming new indices once
+// ctx is done, in-flight calls finish, and the call returns ctx.Err().
+// Indices already claimed still run to completion, so fn's disjoint-write
+// contract is unchanged; on cancellation the partially written
+// destinations must simply be discarded by the caller. Cancellation changes
+// which indices run, never what an index computes.
 func ForEachCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 	return defaultPool.ForEachCtx(ctx, n, workers, fn)
 }
@@ -62,34 +55,18 @@ func NewGroup(workers int) *Group {
 	return &Group{sem: make(chan struct{}, Workers(workers))}
 }
 
-// Go schedules fn on the group, blocking while the pool is full. The first
-// non-nil error wins; later tasks still run to completion (callers write
-// results to disjoint slots and decide what to keep after Wait).
+// GoCtx schedules fn on the group, blocking while the group is full. The
+// first non-nil error wins; later tasks still run to completion (callers
+// write results to disjoint slots and decide what to keep after Wait).
+//
+// GoCtx stops scheduling once ctx is done: a canceled context makes GoCtx
+// record ctx.Err() (first error wins) and return without running fn —
+// including while blocked waiting for a slot. Tasks already running are
+// not interrupted; fn receives no context and should watch ctx itself if
+// it is long-running.
 //
 //rfvet:allow goroleak -- the Group is the joining primitive: every spawn is wg-counted here and joined by Group.Wait
-func (g *Group) Go(fn func() error) {
-	g.wg.Add(1)
-	g.sem <- struct{}{}
-	go func() {
-		defer g.wg.Done()
-		defer func() { <-g.sem }()
-		if err := fn(); err != nil {
-			g.setErr(err)
-		}
-	}()
-}
-
-// GoCtx schedules fn like Go, but stops scheduling once ctx is done: a
-// canceled context makes GoCtx record ctx.Err() (first error wins) and
-// return without running fn — including while blocked waiting for a pool
-// slot. Tasks already running are not interrupted; fn receives no context
-// and should watch ctx itself if it is long-running. A nil ctx behaves
-// exactly like Go.
 func (g *Group) GoCtx(ctx context.Context, fn func() error) {
-	if ctx == nil {
-		g.Go(fn) //rfvet:allow ctxflow -- nil-ctx fast path: there is no context to thread
-		return
-	}
 	if err := ctx.Err(); err != nil {
 		g.setErr(err)
 		return

@@ -21,7 +21,7 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 64} {
 		const n = 1000
 		counts := make([]int32, n)
-		ForEach(n, workers, func(i int) {
+		ForEachCtx(context.Background(), n, workers, func(i int) {
 			atomic.AddInt32(&counts[i], 1)
 		})
 		for i, c := range counts {
@@ -33,9 +33,9 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 }
 
 func TestForEachEmptyAndTiny(t *testing.T) {
-	ForEach(0, 4, func(i int) { t.Fatal("fn called for n=0") })
+	ForEachCtx(context.Background(), 0, 4, func(i int) { t.Fatal("fn called for n=0") })
 	var ran int
-	ForEach(1, 8, func(i int) { ran++ })
+	ForEachCtx(context.Background(), 1, 8, func(i int) { ran++ })
 	if ran != 1 {
 		t.Fatalf("n=1 ran %d times", ran)
 	}
@@ -44,10 +44,10 @@ func TestForEachEmptyAndTiny(t *testing.T) {
 func TestForEachResultIndependentOfWorkers(t *testing.T) {
 	const n = 256
 	ref := make([]int64, n)
-	ForEach(n, 1, func(i int) { ref[i] = SplitSeed(42, i) })
+	ForEachCtx(context.Background(), n, 1, func(i int) { ref[i] = SplitSeed(42, i) })
 	for _, workers := range []int{2, 3, 8} {
 		got := make([]int64, n)
-		ForEach(n, workers, func(i int) { got[i] = SplitSeed(42, i) })
+		ForEachCtx(context.Background(), n, workers, func(i int) { got[i] = SplitSeed(42, i) })
 		for i := range got {
 			if got[i] != ref[i] {
 				t.Fatalf("workers=%d: slot %d differs", workers, i)
@@ -62,7 +62,7 @@ func TestGroupCollectsFirstError(t *testing.T) {
 	var ran atomic.Int32
 	for i := 0; i < 8; i++ {
 		i := i
-		g.Go(func() error {
+		g.GoCtx(context.Background(), func() error {
 			ran.Add(1)
 			if i == 3 {
 				return boom
@@ -83,7 +83,7 @@ func TestGroupNoError(t *testing.T) {
 	var sum atomic.Int64
 	for i := 1; i <= 10; i++ {
 		i := i
-		g.Go(func() error { sum.Add(int64(i)); return nil })
+		g.GoCtx(context.Background(), func() error { sum.Add(int64(i)); return nil })
 	}
 	if err := g.Wait(); err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestGroupBoundedConcurrency(t *testing.T) {
 	g := NewGroup(workers)
 	var inFlight, peak atomic.Int32
 	for i := 0; i < 30; i++ {
-		g.Go(func() error {
+		g.GoCtx(context.Background(), func() error {
 			cur := inFlight.Add(1)
 			for {
 				p := peak.Load()
@@ -115,23 +115,6 @@ func TestGroupBoundedConcurrency(t *testing.T) {
 	}
 	if peak.Load() > workers {
 		t.Fatalf("observed %d concurrent tasks, cap %d", peak.Load(), workers)
-	}
-}
-
-func TestForEachCtxNilContextMatchesForEach(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		const n = 500
-		counts := make([]int32, n)
-		if err := ForEachCtx(nil, n, workers, func(i int) {
-			atomic.AddInt32(&counts[i], 1)
-		}); err != nil {
-			t.Fatalf("workers=%d: nil-ctx err = %v", workers, err)
-		}
-		for i, c := range counts {
-			if c != 1 {
-				t.Fatalf("workers=%d: index %d visited %d times", workers, i, c)
-			}
-		}
 	}
 }
 
@@ -179,21 +162,6 @@ func TestForEachCtxAlreadyCanceled(t *testing.T) {
 	err := ForEachCtx(ctx, 100, 4, func(i int) { t.Error("fn ran under a canceled context") })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestGroupGoCtxNilContextMatchesGo(t *testing.T) {
-	g := NewGroup(2)
-	var sum atomic.Int64
-	for i := 1; i <= 10; i++ {
-		i := i
-		g.GoCtx(nil, func() error { sum.Add(int64(i)); return nil })
-	}
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 55 {
-		t.Fatalf("sum = %d", sum.Load())
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // Pool is a persistent worker pool: its goroutines are spawned once by
 // NewPool, park on a task channel while idle, and are joined by Close. It
 // carries the same index-addressed fan-out semantics as the package-level
-// ForEach/ForEachCtx — dynamic claiming, inline execution when the
+// ForEachCtx — dynamic claiming, inline execution when the
 // effective width is one, results bit-identical for any worker count — but
 // the steady state spawns zero goroutines and allocates nothing: batch
 // descriptors come from a free list and idle workers are woken by
@@ -18,12 +18,12 @@ import (
 // The caller always participates in its own batch, and helpers beyond the
 // caller are strictly opportunistic: a batch leaves up to workers-1 wake
 // tokens, and however many the pool can consume is how much parallelism the
-// batch gets. That is safe under the contract ForEach has always had — fn
+// batch gets. That is safe under the contract ForEachCtx has always had — fn
 // writes only to destinations owned by its index, so which goroutine runs
 // an index never changes the result. While joining its helpers, a caller
 // doubles as a worker and drains other callers' tokens ("help while
 // waiting"), so every queued token is always consumable by some live
-// goroutine and nested ForEach calls cannot deadlock the pool no matter how
+// goroutine and nested ForEachCtx calls cannot deadlock the pool no matter how
 // many rooms or stages share it.
 //
 // One process-wide pool (see Default) backs the package-level helpers; the
@@ -42,7 +42,7 @@ type Pool struct {
 // batch is one scheduled unit of fan-out: a shared claim counter over
 // [0, n) plus join state for however many wake tokens were queued. Batches
 // are recycled through the pool's free list, so the steady state of
-// Pool.ForEach allocates nothing.
+// Pool.ForEachCtx allocates nothing.
 type batch struct {
 	n    int
 	fn   func(i int)
@@ -64,11 +64,11 @@ type batch struct {
 }
 
 // run claims indices until the batch is exhausted (or its context is done)
-// — the same loop the spawning ForEach used, shared by the caller and every
+// — the same loop the spawning fan-out used, shared by the caller and every
 // helper.
 func (b *batch) run() {
 	for {
-		if b.ctx != nil && b.ctx.Err() != nil {
+		if b.ctx.Err() != nil {
 			return
 		}
 		i := int(b.next.Add(1)) - 1
@@ -132,7 +132,7 @@ func (p *Pool) consume(b *batch) {
 // Workers returns the pool's fixed worker count.
 func (p *Pool) Workers() int { return p.workers }
 
-// Close shuts the pool down: no further Submit/ForEach calls may be made,
+// Close shuts the pool down: no further Submit/ForEachCtx calls may be made,
 // and Close returns once every worker has exited. The process-wide Default
 // pool is never closed.
 func (p *Pool) Close() {
@@ -171,41 +171,14 @@ func (p *Pool) putBatch(b *batch) {
 	p.mu.Unlock()
 }
 
-// ForEach calls fn(i) for every i in [0, n) with up to the given width
+// ForEachCtx calls fn(i) for every i in [0, n) with up to the given width
 // (<= 0 means Workers(0)), capped by the pool size plus the calling
-// goroutine. Semantics match the package-level ForEach: dynamic claiming,
-// inline when the effective width is one, returns only after every call has
-// completed, bit-identical results for any width under the disjoint-write
-// contract.
-func (p *Pool) ForEach(n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	b := p.getBatch()
-	b.n, b.fn = n, fn
-	p.runBatch(b, w-1)
-	p.putBatch(b)
-}
-
-// ForEachCtx is ForEach with cooperative cancellation, matching the
-// package-level ForEachCtx: participants stop claiming new indices once ctx
-// is done, in-flight calls finish, and the call returns ctx.Err(). A nil
-// ctx selects the zero-context path, which is exactly ForEach.
+// goroutine. Semantics match the package-level ForEachCtx: dynamic
+// claiming, inline when the effective width is one, returns only after
+// every call has completed, bit-identical results for any width under the
+// disjoint-write contract; participants stop claiming new indices once ctx
+// is done, and the call returns ctx.Err().
 func (p *Pool) ForEachCtx(ctx context.Context, n, workers int, fn func(i int)) error {
-	if ctx == nil {
-		p.ForEach(n, workers, fn) //rfvet:allow ctxflow -- nil-ctx fast path: there is no context to thread
-		return nil
-	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -238,7 +211,7 @@ func (p *Pool) ForEachCtx(ctx context.Context, n, workers int, fn func(i int)) e
 // refund), claim indices on the calling goroutine, then join. The join
 // doubles as worker duty: while tokens are outstanding the caller consumes
 // whatever the queue holds — its own batch's tokens or other callers' — so
-// a token can always be consumed by some live goroutine and nested ForEach
+// a token can always be consumed by some live goroutine and nested ForEachCtx
 // calls never deadlock, no matter how deep the recursion or how busy the
 // pool. runBatch returns only when every index has completed: the caller's
 // own claim loop is exhausted and every queued token has been consumed,
@@ -282,7 +255,7 @@ func (p *Pool) Submit(fn func()) <-chan struct{} {
 }
 
 // Default returns the process-wide pool backing the package-level
-// ForEach/ForEachCtx. It is created at package init with Workers(0)
+// ForEachCtx. It is created at package init with Workers(0)
 // goroutines — before any test baseline or leak check can observe the
 // spawn — and is never closed.
 func Default() *Pool { return defaultPool }

@@ -64,21 +64,13 @@ func TestPoolGoldenBitIdentityVsSpawningPath(t *testing.T) {
 		spawnForEach(n, workers, work(ref))
 
 		got := make([]int64, n)
-		ForEach(n, workers, work(got))
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("workers=%d: ForEach diverges from spawning path at %d: %d != %d",
-					workers, i, got[i], ref[i])
-			}
-		}
-
-		gotCtx := make([]int64, n)
-		if err := ForEachCtx(context.Background(), n, workers, work(gotCtx)); err != nil {
+		if err := ForEachCtx(context.Background(), n, workers, work(got)); err != nil {
 			t.Fatalf("workers=%d: ForEachCtx: %v", workers, err)
 		}
 		for i := range ref {
-			if gotCtx[i] != ref[i] {
-				t.Fatalf("workers=%d: ForEachCtx diverges from spawning path at %d", workers, i)
+			if got[i] != ref[i] {
+				t.Fatalf("workers=%d: ForEachCtx diverges from spawning path at %d: %d != %d",
+					workers, i, got[i], ref[i])
 			}
 		}
 	}
@@ -90,10 +82,10 @@ func TestPoolGoldenBitIdentityVsSpawningPath(t *testing.T) {
 func TestPoolZeroSteadyStateSpawns(t *testing.T) {
 	// Warm the pool (workers already exist from init, but let any lazy
 	// batch descriptors materialize).
-	ForEach(64, 0, func(i int) {})
+	ForEachCtx(context.Background(), 64, 0, func(i int) {})
 	before := runtime.NumGoroutine()
 	for k := 0; k < 50; k++ {
-		ForEach(64, 0, func(i int) { _ = SplitSeed(int64(k), i) })
+		ForEachCtx(context.Background(), 64, 0, func(i int) { _ = SplitSeed(int64(k), i) })
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("steady-state ForEach grew goroutines: %d -> %d", before, after)
@@ -106,7 +98,7 @@ func TestPoolCloseJoinsWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
 	p := NewPool(4)
 	var hits atomic.Int64
-	p.ForEach(100, 4, func(i int) { hits.Add(1) })
+	p.ForEachCtx(context.Background(), 100, 4, func(i int) { hits.Add(1) })
 	if hits.Load() != 100 {
 		t.Fatalf("pool ForEach ran %d of 100 indices", hits.Load())
 	}
@@ -159,9 +151,9 @@ func TestPoolNestedForEachNoDeadlock(t *testing.T) {
 	var leaf atomic.Int64
 	go func() {
 		defer close(doneCh)
-		ForEach(8, 0, func(i int) {
-			ForEach(8, 0, func(j int) {
-				ForEach(8, 0, func(k int) {
+		ForEachCtx(context.Background(), 8, 0, func(i int) {
+			ForEachCtx(context.Background(), 8, 0, func(j int) {
+				ForEachCtx(context.Background(), 8, 0, func(k int) {
 					leaf.Add(1)
 				})
 			})
@@ -195,7 +187,7 @@ func TestPoolSubmitRunsDetachedTask(t *testing.T) {
 	}
 	// Submitted tasks and fan-outs share the pool without interference.
 	var hits atomic.Int64
-	done2 := p.Submit(func() { p.ForEach(32, 2, func(i int) { hits.Add(1) }) })
+	done2 := p.Submit(func() { p.ForEachCtx(context.Background(), 32, 2, func(i int) { hits.Add(1) }) })
 	<-done2
 	if hits.Load() != 32 {
 		t.Fatalf("Submit+ForEach composition ran %d of 32 indices", hits.Load())
@@ -215,7 +207,7 @@ func TestPoolForEachConcurrentCallers(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			counts := make([]int32, n)
-			ForEach(n, 3, func(i int) { atomic.AddInt32(&counts[i], 1) })
+			ForEachCtx(context.Background(), n, 3, func(i int) { atomic.AddInt32(&counts[i], 1) })
 			for i, v := range counts {
 				if v != 1 {
 					errs <- "caller " + string(rune('a'+c)) + ": bad visit count at index " +

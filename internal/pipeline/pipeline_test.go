@@ -41,6 +41,38 @@ func testSession(t *testing.T) *core.Session {
 	return s
 }
 
+// capture drains n frames of sc from t0, the tests' shorthand for an
+// uncancelable batch capture.
+func capture(t testing.TB, sc *scene.Scene, t0 float64, n int, rng *rand.Rand) []*fmcw.Frame {
+	t.Helper()
+	frames, err := sc.CaptureCtx(context.Background(), t0, n, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frames
+}
+
+// processFrames runs the batch reference front end over frames,
+// uncancelable.
+func processFrames(t testing.TB, pr *radar.Processor, frames []*fmcw.Frame, array fmcw.Array) [][]radar.Detection {
+	t.Helper()
+	dets, err := pr.ProcessFrames(context.Background(), frames, array)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dets
+}
+
+// synthesize is a fresh frame captured at at, synthesized through the
+// shared plan for p.
+func synthesize(p fmcw.Params, rets []fmcw.Return, at float64, rng *rand.Rand) *fmcw.Frame {
+	f := fmcw.NewFrame(p, at)
+	if err := fmcw.PlanSynth(p).SynthesizeInto(context.Background(), f, rets, rng, 0); err != nil {
+		panic(err)
+	}
+	return f
+}
+
 // frontEnd is the standard front-end chain over a fresh plan and pools for
 // the scene's frame shape.
 func frontEnd(sc *scene.Scene) []Stage {
@@ -59,9 +91,9 @@ func TestStreamingEquivalentToBatch(t *testing.T) {
 	breathDist := s.Scene.Radar.DistanceOf(s.Tag.Config().AntennaPosition(1))
 
 	// --- Batch path: capture everything, then process.
-	batchFrames := s.Scene.Capture(0, nFrames, rand.New(rand.NewSource(seed)))
+	batchFrames := capture(t, s.Scene, 0, nFrames, rand.New(rand.NewSource(seed)))
 	pr := radar.NewProcessor(radar.DefaultConfig())
-	batchDets := pr.ProcessFrames(batchFrames, s.Scene.Radar)
+	batchDets := processFrames(t, pr, batchFrames, s.Scene.Radar)
 	batchTracks := radar.TrackDetections(radar.TrackerConfig{}, batchDets)
 	var batchProfiles []*radar.Profile
 	prP := radar.NewProcessor(radar.DefaultConfig())
@@ -244,9 +276,9 @@ func TestDeadlineExpiresMidCapture(t *testing.T) {
 // matches the batch front end.
 func TestFromFramesReplay(t *testing.T) {
 	s := testSession(t)
-	frames := s.Scene.Capture(0, 6, rand.New(rand.NewSource(3)))
+	frames := capture(t, s.Scene, 0, 6, rand.New(rand.NewSource(3)))
 	pr := radar.NewProcessor(radar.DefaultConfig())
-	want := pr.ProcessFrames(frames, s.Scene.Radar)
+	want := processFrames(t, pr, frames, s.Scene.Radar)
 
 	detsC := NewCollectDetections()
 	stages := append(frontEnd(s.Scene), detsC)

@@ -35,7 +35,7 @@ func runGoldenChain(t *testing.T, sc *scene.Scene, nFrames int, seed int64, work
 	trk := NewTrackWithVelocity(radar.TrackerConfig{}, sc.Radar)
 	stages := FrontEndStagesPlanned(plan, sc.Radar, pools)
 	stages = append(stages, NewDopplerPlanned(plan, 6, 0, pools.Doppler), trk, detsC)
-	src := sc.Stream(0, nFrames, rand.New(rand.NewSource(seed))).UseWorkers(workers)
+	src := sc.Stream(0, nFrames, rand.New(rand.NewSource(seed)))
 	p := New(src, stages...)
 	if pooled {
 		src.UsePool(pools.Frames)
@@ -58,14 +58,14 @@ func runGoldenChain(t *testing.T, sc *scene.Scene, nFrames int, seed int64, work
 // chain: for every worker count, for the sequential and the concurrent
 // runner, and with and without UsePools, it produces the detections and
 // tracks of the batch reference — Processor.ProcessFrames +
-// radar.TrackDetections over Scene.Capture — frame for frame and point for
+// radar.TrackDetections over Scene.CaptureCtx — frame for frame and point for
 // point.
 func TestChainEquivalentToBatch(t *testing.T) {
 	const nFrames = 18
 	const seed = 11
 	sc := testSession(t).Scene
-	frames := sc.Capture(0, nFrames, rand.New(rand.NewSource(seed)))
-	wantDets := radar.NewProcessor(radar.DefaultConfig()).ProcessFrames(frames, sc.Radar)
+	frames := capture(t, sc, 0, nFrames, rand.New(rand.NewSource(seed)))
+	wantDets := processFrames(t, radar.NewProcessor(radar.DefaultConfig()), frames, sc.Radar)
 	wantTracks := radar.TrackDetections(radar.TrackerConfig{}, wantDets)
 	for _, workers := range []int{1, 2, 0} {
 		for _, depth := range []int{0, 1, 4} { // 0 = sequential Run
@@ -150,7 +150,7 @@ func TestPlannedEquivalentToUnpooled(t *testing.T) {
 	const window = 6
 	const seed = 7
 	sc := testSession(t).Scene
-	frames := sc.Capture(0, nFrames, rand.New(rand.NewSource(seed)))
+	frames := capture(t, sc, 0, nFrames, rand.New(rand.NewSource(seed)))
 	pr := radar.NewProcessor(radar.DefaultConfig())
 	pri := 1 / sc.Params.FrameRate
 	var want []*radar.RangeDopplerMap
@@ -201,7 +201,7 @@ func TestCollectorsCopyUnderUsePools(t *testing.T) {
 	const nFrames = 8
 	const seed = 5
 	sc := testSession(t).Scene
-	want := sc.Capture(0, nFrames, rand.New(rand.NewSource(seed)))
+	want := capture(t, sc, 0, nFrames, rand.New(rand.NewSource(seed)))
 
 	pools := NewPools(sc.Params)
 	framesC := NewCollectFrames()
@@ -281,7 +281,7 @@ func allocGuardFrames() (fmcw.Params, fmcw.Array, []*fmcw.Frame) {
 		rets := []fmcw.Return{
 			array.ReturnFrom(geom.Point{X: 1.5, Y: 3.5}, 1, 0, rng.Float64()),
 		}
-		templates = append(templates, fmcw.Synthesize(p, rets, float64(i)/p.FrameRate, rng))
+		templates = append(templates, synthesize(p, rets, float64(i)/p.FrameRate, rng))
 	}
 	return p, array, templates
 }

@@ -10,8 +10,9 @@ import (
 	"rfprotect/internal/radar"
 )
 
-// synthFn is the signature shared by fmcw.SynthesizeInto (planned) and
-// fmcw.SynthesizeLegacyInto (the retained serial-recurrence reference).
+// synthFn is the signature shared by fmcw.SynthPlan.SynthesizeInto
+// (planned) and fmcw.SynthesizeLegacyInto (the retained serial-recurrence
+// reference).
 type synthFn func(ctx context.Context, dst *fmcw.Frame, returns []fmcw.Return, rng *rand.Rand, workers int) error
 
 // captureWith synthesizes the golden scene's capture through the given
@@ -26,7 +27,7 @@ func captureWith(t *testing.T, synth synthFn, nFrames int) ([]*fmcw.Frame, fmcw.
 	for i := range frames {
 		at := float64(i) / sc.Params.FrameRate
 		f := fmcw.NewFrame(sc.Params, at)
-		if err := synth(nil, f, sc.ReturnsAt(at), rng, 1); err != nil {
+		if err := synth(context.Background(), f, sc.ReturnsAt(at), rng, 1); err != nil {
 			t.Fatal(err)
 		}
 		frames[i] = f
@@ -65,7 +66,9 @@ func TestPlannedSynthesisSameDetectionsAndTracks(t *testing.T) {
 	}
 
 	legacy := run(fmcw.SynthesizeLegacyInto)
-	planned := run(fmcw.SynthesizeInto)
+	planned := run(func(ctx context.Context, dst *fmcw.Frame, returns []fmcw.Return, rng *rand.Rand, workers int) error {
+		return fmcw.PlanSynth(dst.Params).SynthesizeInto(ctx, dst, returns, rng, workers)
+	})
 
 	if len(planned.dets) != len(legacy.dets) {
 		t.Fatalf("planned run produced %d detection frames, legacy %d", len(planned.dets), len(legacy.dets))

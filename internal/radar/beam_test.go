@@ -1,6 +1,7 @@
 package radar
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -26,18 +27,18 @@ func TestBeamSweepAVXBitIdenticalToScalar(t *testing.T) {
 			array.ReturnFrom(geom.Point{X: 1.5, Y: 4}, 1, 0, 0),
 			array.ReturnFrom(geom.Point{X: -2, Y: 6}, 0.7, 0, 0),
 		}
-		fr := fmcw.Synthesize(p, returns, 0, nil)
+		fr := synthesize(p, returns, 0, nil)
 		cfg := DefaultConfig()
 		cfg.Workers = 1
 		pl := CompileFrontEndPlan(cfg, p)
 
 		var scalar, vector Profile
 		useBeamAVX = false
-		if err := pl.RangeAngleInto(nil, fr, &scalar); err != nil {
+		if err := pl.RangeAngleInto(context.Background(), fr, &scalar); err != nil {
 			t.Fatalf("ants %d: scalar: %v", ants, err)
 		}
 		useBeamAVX = true
-		if err := pl.RangeAngleInto(nil, fr, &vector); err != nil {
+		if err := pl.RangeAngleInto(context.Background(), fr, &vector); err != nil {
 			t.Fatalf("ants %d: vector: %v", ants, err)
 		}
 		if len(vector.Power) != len(scalar.Power) {

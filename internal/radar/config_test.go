@@ -31,7 +31,7 @@ func TestMaxTargetsCapsDetections(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		returns = append(returns, array.ReturnFrom(geom.Point{X: float64(i) - 3, Y: 2 + float64(i)}, 1, 0, 0))
 	}
-	fr := fmcw.Synthesize(p, returns, 0, nil)
+	fr := synthesize(p, returns, 0, nil)
 	cfg := DefaultConfig()
 	cfg.MaxTargets = 2
 	cfg.MinPeakRatio = 0.01
@@ -47,7 +47,7 @@ func TestMaxRangeExcludesFarTargets(t *testing.T) {
 	array := fmcw.Array{Position: geom.Point{}, Facing: 1}
 	near := array.ReturnFrom(geom.Point{X: 0, Y: 3}, 1, 0, 0)
 	far := array.ReturnFrom(geom.Point{X: 0, Y: 12}, 1, 0, 0)
-	fr := fmcw.Synthesize(p, []fmcw.Return{near, far}, 0, nil)
+	fr := synthesize(p, []fmcw.Return{near, far}, 0, nil)
 	cfg := DefaultConfig()
 	cfg.MaxRange = 8
 	pr := NewProcessor(cfg)
@@ -63,7 +63,7 @@ func TestMinRangeExcludesCloseTargets(t *testing.T) {
 	array := fmcw.Array{Position: geom.Point{}, Facing: 1}
 	veryClose := array.ReturnFrom(geom.Point{X: 0, Y: 0.6}, 5, 0, 0)
 	normal := array.ReturnFrom(geom.Point{X: 0, Y: 4}, 1, 0, 0)
-	fr := fmcw.Synthesize(p, []fmcw.Return{veryClose, normal}, 0, nil)
+	fr := synthesize(p, []fmcw.Return{veryClose, normal}, 0, nil)
 	cfg := DefaultConfig()
 	cfg.MinRange = 1.5
 	pr := NewProcessor(cfg)
@@ -81,7 +81,7 @@ func TestMinRangeExcludesCloseTargets(t *testing.T) {
 func TestPlanCacheReuse(t *testing.T) {
 	p := quietParams()
 	pr := NewProcessor(DefaultConfig())
-	fr := fmcw.Synthesize(p, nil, 0, nil)
+	fr := synthesize(p, nil, 0, nil)
 	rangeAngle(t, pr, fr)
 	first := pr.plan
 	if first == nil {
@@ -97,7 +97,7 @@ func TestPlanCacheReuse(t *testing.T) {
 	// Changing params invalidates the cache.
 	p2 := p
 	p2.CenterFreq = 7e9
-	fr2 := fmcw.Synthesize(p2, nil, 0, nil)
+	fr2 := synthesize(p2, nil, 0, nil)
 	rangeAngle(t, pr, fr2)
 	if pr.plan == first {
 		t.Fatal("plan not recompiled for new params")
@@ -110,7 +110,7 @@ func TestBeamformingPeakAtTrueAngle(t *testing.T) {
 	array := fmcw.Array{Position: geom.Point{}, Facing: 1}
 	for _, aoa := range []float64{0.5, 1.0, math.Pi / 2, 2.2} {
 		ret := fmcw.Return{Delay: 2 * 4.0 / fmcw.C, Amplitude: 1, AoA: aoa}
-		fr := fmcw.Synthesize(p, []fmcw.Return{ret}, 0, nil)
+		fr := synthesize(p, []fmcw.Return{ret}, 0, nil)
 		pr := NewProcessor(DefaultConfig())
 		prof := rangeAngle(t, pr, fr)
 		dets := pr.Detect(prof, array)
@@ -146,7 +146,7 @@ func TestEmpiricalAngleResolutionClaim(t *testing.T) {
 	sep := p.AngularResolution() / 4
 	r1 := fmcw.Return{Delay: 2 * 4.0 / fmcw.C, Amplitude: 1, AoA: math.Pi/2 - sep/2}
 	r2 := fmcw.Return{Delay: 2 * 4.0 / fmcw.C, Amplitude: 1, AoA: math.Pi/2 + sep/2}
-	fr := fmcw.Synthesize(p, []fmcw.Return{r1, r2}, 0, nil)
+	fr := synthesize(p, []fmcw.Return{r1, r2}, 0, nil)
 	pr := NewProcessor(DefaultConfig())
 	dets := pr.Detect(rangeAngle(t, pr, fr), array)
 	count := 0

@@ -1,6 +1,8 @@
 package radar
 
 import (
+	"context"
+
 	"rfprotect/internal/dsp"
 	"rfprotect/internal/fmcw"
 	"rfprotect/internal/geom"
@@ -104,10 +106,12 @@ func (e *detExec) rangeCol(n int) []float64 {
 // background subtraction followed by profile computation and detection.
 // The first frame serves only as background; len(frames)-1 detection sets
 // are returned. Every step allocates its own buffers, which makes it the
-// batch reference the pooled streaming chain is tested against.
-func (pr *Processor) ProcessFrames(frames []*fmcw.Frame, array fmcw.Array) [][]Detection {
+// batch reference the pooled streaming chain is tested against. The ctx is
+// threaded into every range–angle pass; once it is done ProcessFrames
+// returns (nil, ctx.Err()), never partial detections.
+func (pr *Processor) ProcessFrames(ctx context.Context, frames []*fmcw.Frame, array fmcw.Array) ([][]Detection, error) {
 	if len(frames) < 2 {
-		return nil
+		return nil, nil
 	}
 	var diff fmcw.Differencer
 	out := make([][]Detection, 0, len(frames)-1)
@@ -116,8 +120,11 @@ func (pr *Processor) ProcessFrames(frames []*fmcw.Frame, array fmcw.Array) [][]D
 		if !ok {
 			continue
 		}
-		prof, _ := pr.RangeAngle(nil, d) // a nil ctx never cancels
+		prof, err := pr.RangeAngle(ctx, d)
+		if err != nil {
+			return nil, err
+		}
 		out = append(out, pr.Detect(prof, array))
 	}
-	return out
+	return out, nil
 }

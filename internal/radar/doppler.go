@@ -71,10 +71,10 @@ func (m *RangeDopplerMap) MaxUnambiguousVelocity() float64 {
 // antenna into a fresh map; chirps must share parameters and be uniformly
 // spaced by pri, and an empty burst yields an empty map. Cancellation is
 // threaded into the range-FFT batch and the per-range-bin slow-time
-// fan-out; once ctx is done it returns (nil, ctx.Err()). A nil ctx never
-// cancels. The map is bit-identical for any worker count: each chirp's
-// range FFT and each range bin's Doppler column are independent work items
-// writing disjoint destinations. It is the allocating wrapper over
+// fan-out; once ctx is done it returns (nil, ctx.Err()). The map is
+// bit-identical for any worker count: each chirp's range FFT and each range
+// bin's Doppler column are independent work items writing disjoint
+// destinations. It is the allocating wrapper over
 // FrontEndPlan.RangeDopplerInto.
 func (pr *Processor) RangeDoppler(ctx context.Context, chirps []*fmcw.Frame, antenna int, pri float64) (*RangeDopplerMap, error) {
 	m := &RangeDopplerMap{}

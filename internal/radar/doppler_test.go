@@ -34,7 +34,7 @@ func TestRangeDopplerMovingTarget(t *testing.T) {
 	const pri = 1e-3
 	const nChirps = 128
 	rng := rand.New(rand.NewSource(1))
-	burst := sc.CaptureBurst(1.0, nChirps, pri, rng)
+	burst := captureBurst(t, sc, 1.0, nChirps, pri, rng)
 	pr := NewProcessor(DefaultConfig())
 	rd := rangeDoppler(t, pr, burst, 0, pri)
 	rd.RejectStatic(1)
@@ -63,7 +63,7 @@ func TestRangeDopplerStaticRejection(t *testing.T) {
 
 	const pri = 1e-3
 	rng := rand.New(rand.NewSource(2))
-	burst := sc.CaptureBurst(0.5, 128, pri, rng)
+	burst := captureBurst(t, sc, 0.5, 128, pri, rng)
 	pr := NewProcessor(DefaultConfig())
 	rd := rangeDoppler(t, pr, burst, 0, pri)
 
@@ -108,7 +108,7 @@ func TestGhostSurvivesDopplerRejection(t *testing.T) {
 
 	const pri = 1e-3
 	rng := rand.New(rand.NewSource(3))
-	burst := sc.CaptureBurst(1.0, 128, pri, rng)
+	burst := captureBurst(t, sc, 1.0, 128, pri, rng)
 	pr := NewProcessor(DefaultConfig())
 	rd := rangeDoppler(t, pr, burst, 0, pri)
 	rd.RejectStatic(1)

@@ -7,6 +7,7 @@ import (
 
 	"rfprotect/internal/fmcw"
 	"rfprotect/internal/geom"
+	"rfprotect/internal/scene"
 )
 
 // rangeAngle and rangeDoppler are the tests' shorthand for uncancelable
@@ -29,6 +30,42 @@ func rangeDoppler(t testing.TB, pr *Processor, chirps []*fmcw.Frame, antenna int
 	return m
 }
 
+// synthesize is the tests' shorthand for a fresh frame synthesized at at
+// through the shared plan for p.
+func synthesize(p fmcw.Params, rets []fmcw.Return, at float64, rng *rand.Rand) *fmcw.Frame {
+	f := fmcw.NewFrame(p, at)
+	if err := fmcw.PlanSynth(p).SynthesizeInto(context.Background(), f, rets, rng, 0); err != nil {
+		panic(err)
+	}
+	return f
+}
+
+// capture drains n frames of sc from t0, the tests' shorthand for an
+// uncancelable batch capture.
+func capture(t testing.TB, sc *scene.Scene, t0 float64, n int, rng *rand.Rand) []*fmcw.Frame {
+	t.Helper()
+	frames, err := sc.CaptureCtx(context.Background(), t0, n, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frames
+}
+
+// captureBurst synthesizes a chirp burst for Doppler processing: nChirps
+// consecutive chirps spaced pri seconds apart starting at t0.
+func captureBurst(t testing.TB, sc *scene.Scene, t0 float64, nChirps int, pri float64, rng *rand.Rand) []*fmcw.Frame {
+	t.Helper()
+	out := make([]*fmcw.Frame, nChirps)
+	for k := range out {
+		f, err := sc.FrameAtCtx(context.Background(), t0+float64(k)*pri, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[k] = f
+	}
+	return out
+}
+
 // smallParams keeps scratch tests fast: 4 antennas, 64 samples.
 func smallParams() fmcw.Params {
 	p := fmcw.DefaultParams()
@@ -45,7 +82,7 @@ func scratchFrame(p fmcw.Params, seed int64, at float64) *fmcw.Frame {
 		array.ReturnFrom(geom.Point{X: 1 + rng.Float64(), Y: 3 + rng.Float64()}, 1, 0, 0),
 		array.ReturnFrom(geom.Point{X: -2 + rng.Float64(), Y: 5}, 0.7, 0, 0),
 	}
-	return fmcw.Synthesize(p, rets, at, rng)
+	return synthesize(p, rets, at, rng)
 }
 
 func profilesEqual(a, b *Profile) bool {
@@ -163,11 +200,11 @@ func TestIntoVariantsZeroAllocsSteadyState(t *testing.T) {
 	pl := CompileFrontEndPlan(cfg, p)
 	f := scratchFrame(p, 3, 0)
 	prof := &Profile{}
-	if err := pl.RangeAngleInto(nil, f, prof); err != nil { // warm scratch + plans
+	if err := pl.RangeAngleInto(context.Background(), f, prof); err != nil { // warm scratch + plans
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
-		if err := pl.RangeAngleInto(nil, f, prof); err != nil {
+		if err := pl.RangeAngleInto(context.Background(), f, prof); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -180,11 +217,11 @@ func TestIntoVariantsZeroAllocsSteadyState(t *testing.T) {
 		burst = append(burst, scratchFrame(p, int64(20+i), float64(i)*pri))
 	}
 	m := &RangeDopplerMap{}
-	if err := pl.RangeDopplerInto(nil, m, burst, 0, pri); err != nil {
+	if err := pl.RangeDopplerInto(context.Background(), m, burst, 0, pri); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
-		if err := pl.RangeDopplerInto(nil, m, burst, 0, pri); err != nil {
+		if err := pl.RangeDopplerInto(context.Background(), m, burst, 0, pri); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -260,7 +297,7 @@ func TestDetectAndObserveZeroAllocsSteadyState(t *testing.T) {
 	pl := pr.Plan(p)
 	f := scratchFrame(p, 3, 0)
 	prof := &Profile{}
-	if err := pl.RangeAngleInto(nil, f, prof); err != nil {
+	if err := pl.RangeAngleInto(context.Background(), f, prof); err != nil {
 		t.Fatal(err)
 	}
 	dets := pl.DetectInto(nil, prof, array)

@@ -133,8 +133,8 @@ func (pr *Processor) Plan(p fmcw.Params) *FrontEndPlan {
 // background-subtracted) frame into a fresh Profile: per-antenna windowed
 // range FFT, then Eq. 2 beamforming at every range bin. Cancellation is
 // threaded into the FFT batch and the beamforming fan-out; once ctx is done
-// it returns (nil, ctx.Err()). A nil ctx never cancels. It is the
-// allocating wrapper over FrontEndPlan.RangeAngleInto.
+// it returns (nil, ctx.Err()). It is the allocating wrapper over
+// FrontEndPlan.RangeAngleInto.
 func (pr *Processor) RangeAngle(ctx context.Context, f *fmcw.Frame) (*Profile, error) {
 	prof := &Profile{}
 	if err := pr.Plan(f.Params).RangeAngleInto(ctx, f, prof); err != nil {

@@ -1,6 +1,8 @@
 package radar
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -21,7 +23,7 @@ func TestRangeAngleSingleTarget(t *testing.T) {
 	array := fmcw.Array{Position: geom.Point{}, AxisAngle: 0, Facing: 1}
 	target := geom.Point{X: 1.5, Y: 4}
 	ret := array.ReturnFrom(target, 1, 0, 0)
-	fr := fmcw.Synthesize(p, []fmcw.Return{ret}, 0, nil)
+	fr := synthesize(p, []fmcw.Return{ret}, 0, nil)
 	pr := NewProcessor(DefaultConfig())
 	prof := rangeAngle(t, pr, fr)
 	dets := pr.Detect(prof, array)
@@ -45,7 +47,7 @@ func TestDetectSeparatesTwoTargets(t *testing.T) {
 	array := fmcw.Array{Position: geom.Point{}, AxisAngle: 0, Facing: 1}
 	t1 := geom.Point{X: -2, Y: 3}
 	t2 := geom.Point{X: 3, Y: 6}
-	fr := fmcw.Synthesize(p, []fmcw.Return{
+	fr := synthesize(p, []fmcw.Return{
 		array.ReturnFrom(t1, 1, 0, 0),
 		array.ReturnFrom(t2, 0.8, 0, 0),
 	}, 0, nil)
@@ -74,8 +76,8 @@ func TestBackgroundSubtractionKillsStatic(t *testing.T) {
 	static := array.ReturnFrom(geom.Point{X: 0, Y: 2}, 2, 0, 0)
 	mover1 := array.ReturnFrom(geom.Point{X: 1, Y: 5}, 0.5, 0, 0)
 	mover2 := array.ReturnFrom(geom.Point{X: 1.2, Y: 5.2}, 0.5, 0, 0)
-	f1 := fmcw.Synthesize(p, []fmcw.Return{static, mover1}, 0, nil)
-	f2 := fmcw.Synthesize(p, []fmcw.Return{static, mover2}, 0.05, nil)
+	f1 := synthesize(p, []fmcw.Return{static, mover1}, 0, nil)
+	f2 := synthesize(p, []fmcw.Return{static, mover2}, 0.05, nil)
 	pr := NewProcessor(DefaultConfig())
 	dets := pr.Detect(rangeAngle(t, pr, BackgroundSubtract(f2, f1)), array)
 	for _, d := range dets {
@@ -238,9 +240,12 @@ func TestEndToEndSceneTracking(t *testing.T) {
 	}
 	sc.Humans = []*scene.Human{scene.NewHuman(traj, fs)}
 	rng := rand.New(rand.NewSource(42))
-	frames := sc.Capture(0, n, rng)
+	frames := capture(t, sc, 0, n, rng)
 	pr := NewProcessor(DefaultConfig())
-	detSeq := pr.ProcessFrames(frames, sc.Radar)
+	detSeq, err := pr.ProcessFrames(context.Background(), frames, sc.Radar)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tracks := TrackDetections(TrackerConfig{}, detSeq)
 	if len(tracks) == 0 {
 		t.Fatal("no tracks recovered")
@@ -269,7 +274,7 @@ func TestBreathingPhaseExtraction(t *testing.T) {
 	sc.Humans = []*scene.Human{h}
 	rng := rand.New(rand.NewSource(9))
 	nFrames := 400 // 20 s at 20 Hz
-	frames := sc.Capture(0, nFrames, rng)
+	frames := capture(t, sc, 0, nFrames, rng)
 	dist := sc.Radar.DistanceOf(geom.Point{X: 7, Y: 3})
 	ex := BreathingExtractor{}
 	times, phase := ex.PhaseSeries(frames, dist)
@@ -322,7 +327,7 @@ func meanOf(x []float64) float64 {
 func TestProfileBinConversions(t *testing.T) {
 	p := quietParams()
 	pr := NewProcessor(DefaultConfig())
-	fr := fmcw.Synthesize(p, nil, 0, nil)
+	fr := synthesize(p, nil, 0, nil)
 	prof := rangeAngle(t, pr, fr)
 	if got := prof.AngleOfBin(0); got != 0 {
 		t.Fatalf("AngleOfBin(0) = %v", got)
@@ -334,5 +339,23 @@ func TestProfileBinConversions(t *testing.T) {
 	if got := prof.RangeOfBin(1); math.Abs(got-p.RangeResolution()*512/512) > 0.01 {
 		// one bin = fs/N Hz = 2 kHz -> 15 cm
 		t.Fatalf("RangeOfBin(1) = %v", got)
+	}
+}
+
+// TestProcessFramesCanceled: a pre-canceled ctx stops the batch front end
+// before any frame reaches range–angle and returns context.Canceled with no
+// partial detections.
+func TestProcessFramesCanceled(t *testing.T) {
+	sc := scene.NewScene(scene.HomeRoom(), fmcw.DefaultParams())
+	sc.Humans = []*scene.Human{scene.NewHuman(geom.Trajectory{{X: 3, Y: 2}, {X: 5, Y: 4}}, 1)}
+	frames := capture(t, sc, 0, 4, rand.New(rand.NewSource(1)))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	dets, err := NewProcessor(DefaultConfig()).ProcessFrames(ctx, frames, sc.Radar)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("ProcessFrames = %v, want context.Canceled", err)
+	}
+	if dets != nil {
+		t.Fatalf("canceled ProcessFrames returned %d partial detection sets", len(dets))
 	}
 }

@@ -40,14 +40,14 @@ func TestMultiplePhantomsSimultaneously(t *testing.T) {
 	want2 := sc.Radar.DistanceOf(tagCfg.AntennaPosition(5)) + 4.3
 
 	rng := rand.New(rand.NewSource(11))
-	frames := sc.Capture(0, 30, rng)
+	frames := capture(t, sc, 0, 30, rng)
 	// The far phantom's power is ~(d1/d2)^4 of the near one's; use a more
 	// sensitive detector than the default relative threshold.
 	cfg := radar.DefaultConfig()
 	cfg.MinPeakRatio = 0.02
 	pr := radar.NewProcessor(cfg)
 	found1, found2 := 0, 0
-	for _, dets := range pr.ProcessFrames(frames, sc.Radar) {
+	for _, dets := range processFrames(t, pr, frames, sc.Radar) {
 		for _, d := range dets {
 			if math.Abs(d.Range-want1) < 0.4 {
 				found1++
@@ -109,8 +109,8 @@ func TestStationaryGhostAliasing(t *testing.T) {
 	if rem := math.Mod(fsw, params.FrameRate); math.Abs(rem) > 1e-6 {
 		t.Fatalf("test premise broken: f_switch %v not a frame-rate multiple (rem %v)", fsw, rem)
 	}
-	f0 := sc.FrameAt(0, nil)
-	f1 := sc.FrameAt(1/params.FrameRate, nil)
+	frames := capture(t, sc, 0, 2, nil)
+	f0, f1 := frames[0], frames[1]
 	diff := radar.BackgroundSubtract(f1, f0)
 	pr := radar.NewProcessor(radar.DefaultConfig())
 	subtracted, err := pr.RangeAngle(context.Background(), diff)

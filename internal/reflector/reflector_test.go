@@ -13,6 +13,27 @@ import (
 	"rfprotect/internal/scene"
 )
 
+// capture drains n frames of sc from t0, the tests' shorthand for an
+// uncancelable batch capture.
+func capture(t testing.TB, sc *scene.Scene, t0 float64, n int, rng *rand.Rand) []*fmcw.Frame {
+	t.Helper()
+	frames, err := sc.CaptureCtx(context.Background(), t0, n, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frames
+}
+
+// processFrames runs the batch front end over frames, uncancelable.
+func processFrames(t testing.TB, pr *radar.Processor, frames []*fmcw.Frame, array fmcw.Array) [][]radar.Detection {
+	t.Helper()
+	dets, err := pr.ProcessFrames(context.Background(), frames, array)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dets
+}
+
 func testTag(t *testing.T) (*Reflector, Config) {
 	t.Helper()
 	cfg := DefaultConfig(geom.Point{X: 4, Y: 0.2}, 0)
@@ -254,9 +275,9 @@ func TestGhostAppearsAtIntendedLocation(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(3))
-	frames := sc.Capture(0, n, rng)
+	frames := capture(t, sc, 0, n, rng)
 	pr := radar.NewProcessor(radar.DefaultConfig())
-	detSeq := pr.ProcessFrames(frames, sc.Radar)
+	detSeq := processFrames(t, pr, frames, sc.Radar)
 
 	// Per-frame oracle matching: the evaluation knows which trajectory was
 	// spoofed (square-wave harmonics legitimately add extra phantoms, and
@@ -311,7 +332,7 @@ func TestGhostSurvivesBackgroundSubtraction(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(4))
-	frames := sc.Capture(0, 20, rng)
+	frames := capture(t, sc, 0, 20, rng)
 	pr := radar.NewProcessor(radar.DefaultConfig())
 	found := 0
 	for i := 1; i < len(frames); i++ {
@@ -350,7 +371,7 @@ func TestBreathingGhostPhase(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(5))
 	nFrames := 400
-	frames := sc.Capture(0, nFrames, rng)
+	frames := capture(t, sc, 0, nFrames, rng)
 	// The ghost sits at antenna distance + 3 m.
 	ghostDist := sc.Radar.DistanceOf(tagCfg.AntennaPosition(2)) + 3.0
 	ex := radar.BreathingExtractor{}

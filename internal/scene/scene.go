@@ -36,25 +36,10 @@ type Scene struct {
 	// amplitude; amplitude falls off as (RefDistance/d)². Zero means 1 m.
 	RefDistance float64
 
-	// pool, when set with UseFramePool, supplies recycled storage for every
-	// frame the scene synthesizes.
-	pool *fmcw.FramePool
 	// plan, when set with UseSynthPlan, is the compiled synthesis plan every
 	// capture path runs through; nil means compile (or fetch the shared plan
 	// for Params) on first use.
 	plan *fmcw.SynthPlan
-}
-
-// UseFramePool routes every capture path — FrameAt, FrameAtCtx,
-// CaptureBurst, and streams built by Stream (unless overridden per stream
-// with FrameStream.UsePool) — through the given pool, which must be
-// configured with the scene's Params: frames synthesize into recycled pool
-// storage instead of fresh allocations. Emitted frames are bit-identical to
-// the unpooled paths'; ownership of each frame passes to the caller, who
-// recycles it with pool.Put once done. It returns s for chaining.
-func (s *Scene) UseFramePool(pool *fmcw.FramePool) *Scene {
-	s.pool = pool
-	return s
 }
 
 // UseSynthPlan routes every capture path through the given pre-compiled
@@ -156,43 +141,45 @@ func (s *Scene) AppendReturnsAt(dst []fmcw.Return, t float64) []fmcw.Return {
 	return out
 }
 
-// FrameAt synthesizes the radar frame captured at time t, adding the room's
-// diffuse-multipath speckle (random weak companion reflections near every
-// return) when rng is non-nil.
-func (s *Scene) FrameAt(t float64, rng *rand.Rand) *fmcw.Frame {
-	f, _ := s.FrameAtCtx(nil, t, rng)
-	return f
+// FrameAtCtx synthesizes the radar frame captured at time t, adding the
+// room's diffuse-multipath speckle (random weak companion reflections near
+// every return) when rng is non-nil. Cancellation is threaded into the
+// synthesis fan-out; it returns (nil, ctx.Err()) once ctx is done. The rng
+// consumption order (speckle draws, then one noise base draw) is the one
+// every capture path shares, so the frame is bit-identical to the stream's
+// frame at the same instant and rng state.
+func (s *Scene) FrameAtCtx(ctx context.Context, t float64, rng *rand.Rand) (*fmcw.Frame, error) {
+	f, _, err := s.synthAt(ctx, s.synthPlan(), nil, nil, t, rng)
+	return f, err
 }
 
-// FrameAtCtx is FrameAt with cooperative cancellation threaded into the
-// synthesis fan-out; it returns (nil, ctx.Err()) once ctx is done. The rng
-// consumption order is identical to FrameAt (speckle draws, then one noise
-// base draw), so for a nil or never-canceled ctx the frame is bit-identical
-// to the batch path.
-func (s *Scene) FrameAtCtx(ctx context.Context, t float64, rng *rand.Rand) (*fmcw.Frame, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+// synthAt is the one synthesize-at-t step behind FrameAtCtx and
+// FrameStream.Next: it rebuilds the returns at t into the rets scratch
+// (plus speckle when rng is non-nil), then synthesizes them through pl
+// into a frame from pool — or a fresh frame when pool is nil. It returns
+// the frame and the grown scratch; on cancellation a pooled frame goes
+// back to the pool and the error is ctx.Err().
+func (s *Scene) synthAt(ctx context.Context, pl *fmcw.SynthPlan, pool *fmcw.FramePool, rets []fmcw.Return, t float64, rng *rand.Rand) (*fmcw.Frame, []fmcw.Return, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, rets, err
 	}
-	returns := s.AppendReturnsAt(nil, t)
+	rets = s.AppendReturnsAt(rets[:0], t)
 	if rng != nil && s.Room.Speckle > 0 {
-		returns = s.appendSpeckle(returns, rng)
+		rets = s.appendSpeckle(rets, rng)
 	}
-	pl := s.synthPlan()
-	if s.pool != nil {
-		f := s.pool.Get(t)
-		if err := pl.SynthesizeInto(ctx, f, returns, rng, 0); err != nil {
-			s.pool.Put(f) // partially written: zero and recycle
-			return nil, err
+	var f *fmcw.Frame
+	if pool != nil {
+		f = pool.Get(t)
+	} else {
+		f = fmcw.NewFrame(s.Params, t)
+	}
+	if err := pl.SynthesizeInto(ctx, f, rets, rng, 0); err != nil {
+		if pool != nil {
+			pool.Put(f) // partially written: zero and recycle
 		}
-		return f, nil
+		return nil, rets, err
 	}
-	f := fmcw.NewFrame(s.Params, t)
-	if err := pl.SynthesizeInto(ctx, f, returns, rng, 0); err != nil {
-		return nil, err
-	}
-	return f, nil
+	return f, rets, nil
 }
 
 // appendSpeckle appends one weak companion per return: a diffuse bounce
@@ -225,28 +212,11 @@ func (s *Scene) appendSpeckle(returns []fmcw.Return, rng *rand.Rand) []fmcw.Retu
 	return returns
 }
 
-// CaptureBurst synthesizes a chirp burst for Doppler processing: nChirps
-// consecutive chirps spaced pri seconds apart starting at t0.
-func (s *Scene) CaptureBurst(t0 float64, nChirps int, pri float64, rng *rand.Rand) []*fmcw.Frame {
-	out := make([]*fmcw.Frame, nChirps)
-	for k := range out {
-		out[k] = s.FrameAt(t0+float64(k)*pri, rng)
-	}
-	return out
-}
-
-// Capture synthesizes n consecutive frames starting at t0 at the params'
-// frame rate. It is the batch wrapper over Stream: both paths synthesize
-// the same frames in the same order from the same rng draws, so a drained
-// stream is bit-identical to a capture.
-func (s *Scene) Capture(t0 float64, n int, rng *rand.Rand) []*fmcw.Frame {
-	out, _ := s.CaptureCtx(nil, t0, n, rng)
-	return out
-}
-
-// CaptureCtx is Capture with cooperative cancellation: it returns the
-// frames synthesized so far plus ctx.Err() once ctx is done. A nil ctx is
-// exactly Capture.
+// CaptureCtx synthesizes n consecutive frames starting at t0 at the
+// params' frame rate. It is the batch wrapper over Stream: both paths
+// synthesize the same frames in the same order from the same rng draws, so
+// a drained stream is bit-identical to a capture. Once ctx is done it
+// returns the frames synthesized so far plus ctx.Err().
 func (s *Scene) CaptureCtx(ctx context.Context, t0 float64, n int, rng *rand.Rand) ([]*fmcw.Frame, error) {
 	out := make([]*fmcw.Frame, 0, n)
 	st := s.Stream(t0, n, rng)
@@ -268,26 +238,25 @@ func (s *Scene) CaptureCtx(ctx context.Context, t0 float64, n int, rng *rand.Ran
 // runs in O(1) frame *allocations*, synthesizing every frame into recycled
 // pool storage.
 type FrameStream struct {
-	scene   *Scene
-	t0      float64
-	dt      float64
-	n       int
-	i       int
-	rng     *rand.Rand
-	pool    *fmcw.FramePool
-	plan    *fmcw.SynthPlan
-	workers int
-	rets    []fmcw.Return // per-frame returns scratch, reused across Next calls
+	scene *Scene
+	t0    float64
+	dt    float64
+	n     int
+	i     int
+	rng   *rand.Rand
+	pool  *fmcw.FramePool
+	plan  *fmcw.SynthPlan
+	rets  []fmcw.Return // per-frame returns scratch, reused across Next calls
 }
 
-// Stream returns a FrameStream over the same n frames Capture(t0, n, rng)
-// would synthesize: frame i is captured at t0 + i/FrameRate, and rng is
-// consumed in frame order, so draining the stream consumes rng exactly as
-// the batch capture does. n < 0 means an unbounded stream (frames forever,
-// until the consumer stops). A scene configured with UseFramePool passes
-// its pool to the stream; FrameStream.UsePool overrides it per stream.
+// Stream returns a FrameStream over the same n frames
+// CaptureCtx(ctx, t0, n, rng) would synthesize: frame i is captured at
+// t0 + i/FrameRate, and rng is consumed in frame order, so draining the
+// stream consumes rng exactly as the batch capture does. n < 0 means an
+// unbounded stream (frames forever, until the consumer stops). The stream synthesizes through the scene's
+// synthesis plan as resolved at Stream time.
 func (s *Scene) Stream(t0 float64, n int, rng *rand.Rand) *FrameStream {
-	return &FrameStream{scene: s, t0: t0, dt: 1 / s.Params.FrameRate, n: n, rng: rng, pool: s.pool, plan: s.synthPlan()}
+	return &FrameStream{scene: s, t0: t0, dt: 1 / s.Params.FrameRate, n: n, rng: rng, plan: s.synthPlan()}
 }
 
 // UsePool makes the stream synthesize every frame into storage from the
@@ -302,52 +271,15 @@ func (st *FrameStream) UsePool(pool *fmcw.FramePool) *FrameStream {
 	return st
 }
 
-// UseSynthPlan makes the stream synthesize through the given pre-compiled
-// plan (which must match the scene's Params) instead of the one the scene
-// resolved at Stream time. Frames are bit-identical for any plan of the
-// right shape. It returns st for chaining.
-func (st *FrameStream) UseSynthPlan(pl *fmcw.SynthPlan) *FrameStream {
-	st.plan = pl
-	return st
-}
-
-// UseWorkers bounds the synthesis fan-out width per frame (<= 0, the
-// default, means one worker per available CPU). Frames are bit-identical
-// for any value; 1 keeps synthesis inline and allocation-free in the pooled
-// steady state. It returns st for chaining.
-func (st *FrameStream) UseWorkers(workers int) *FrameStream {
-	st.workers = workers
-	return st
-}
-
 // Next synthesizes and returns the next frame. It returns io.EOF once the
-// stream is exhausted, or ctx.Err() once ctx is done (a nil ctx never
-// cancels).
+// stream is exhausted, or ctx.Err() once ctx is done.
 func (st *FrameStream) Next(ctx context.Context) (*fmcw.Frame, error) {
 	if st.n >= 0 && st.i >= st.n {
 		return nil, io.EOF
 	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	sc := st.scene
-	t := st.t0 + float64(st.i)*st.dt
-	st.rets = sc.AppendReturnsAt(st.rets[:0], t)
-	if st.rng != nil && sc.Room.Speckle > 0 {
-		st.rets = sc.appendSpeckle(st.rets, st.rng)
-	}
-	var f *fmcw.Frame
-	if st.pool != nil {
-		f = st.pool.Get(t)
-	} else {
-		f = fmcw.NewFrame(sc.Params, t)
-	}
-	if err := st.plan.SynthesizeInto(ctx, f, st.rets, st.rng, st.workers); err != nil {
-		if st.pool != nil {
-			st.pool.Put(f) // partially written: zero and recycle
-		}
+	f, rets, err := st.scene.synthAt(ctx, st.plan, st.pool, st.rets, st.t0+float64(st.i)*st.dt, st.rng)
+	st.rets = rets
+	if err != nil {
 		return nil, err
 	}
 	st.i++

@@ -1,6 +1,8 @@
 package scene
 
 import (
+	"context"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -191,7 +193,10 @@ func TestSceneExternalSource(t *testing.T) {
 
 func TestCaptureTiming(t *testing.T) {
 	s := NewScene(HomeRoom(), fmcw.DefaultParams())
-	frames := s.Capture(1.0, 3, rand.New(rand.NewSource(1)))
+	frames, err := s.CaptureCtx(context.Background(), 1.0, 3, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(frames) != 3 {
 		t.Fatalf("frames = %d", len(frames))
 	}
@@ -204,59 +209,61 @@ func TestCaptureTiming(t *testing.T) {
 	}
 }
 
-// TestUseFramePoolBitIdentical checks the scene-level pool routing: FrameAt
-// and CaptureBurst through UseFramePool must synthesize bit-identical frames
-// to the allocating paths (same rng draw order), and recycled storage must
-// not leak one frame's samples into the next.
-func TestUseFramePoolBitIdentical(t *testing.T) {
-	build := func() *Scene {
-		s := NewScene(OfficeRoom(), fmcw.DefaultParams())
-		s.Humans = []*Human{NewHuman(geom.Trajectory{{X: 5, Y: 3}, {X: 6, Y: 4}}, 1)}
-		return s
-	}
-	plain := build()
-	pooled := build().UseFramePool(fmcw.NewFramePool(plain.Params))
+// TestStreamUsePoolBitIdentical checks the stream's pool routing: frames
+// synthesized into recycled pool storage must be bit-identical to the
+// allocating stream's and to FrameAtCtx at the same instant (same rng draw
+// order), and recycled storage must not leak one frame's samples into the
+// next.
+func TestStreamUsePoolBitIdentical(t *testing.T) {
+	ctx := context.Background()
+	s := NewScene(OfficeRoom(), fmcw.DefaultParams())
+	s.Humans = []*Human{NewHuman(geom.Trajectory{{X: 5, Y: 3}, {X: 6, Y: 4}}, 1)}
+	pool := fmcw.NewFramePool(s.Params)
 
-	want := plain.FrameAt(0.5, rand.New(rand.NewSource(7)))
-	got := pooled.FrameAt(0.5, rand.New(rand.NewSource(7)))
-	if len(got.Data) != len(want.Data) {
-		t.Fatalf("antenna count %d vs %d", len(got.Data), len(want.Data))
-	}
-	for k := range want.Data {
-		for i, w := range want.Data[k] {
-			g := got.Data[k][i]
-			if math.Float64bits(real(g)) != math.Float64bits(real(w)) ||
-				math.Float64bits(imag(g)) != math.Float64bits(imag(w)) {
-				t.Fatalf("antenna %d sample %d: %v vs %v", k, i, g, w)
-			}
+	const n = 4
+	plain := s.Stream(0.5, n, rand.New(rand.NewSource(7)))
+	pooled := s.Stream(0.5, n, rand.New(rand.NewSource(7))).UsePool(pool)
+	for j := 0; j < n; j++ {
+		want, err := plain.Next(ctx)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Recycle and capture a different instant: the reused storage must hold
-	// exactly the fresh path's samples.
-	pooled.pool.Put(got)
-	want2 := plain.FrameAt(0.9, rand.New(rand.NewSource(9)))
-	got2 := pooled.FrameAt(0.9, rand.New(rand.NewSource(9)))
-	for k := range want2.Data {
-		for i, w := range want2.Data[k] {
-			if got2.Data[k][i] != w {
-				t.Fatalf("recycled frame differs at antenna %d sample %d", k, i)
-			}
+		got, err := pooled.Next(ctx)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Burst path routes through the same pool.
-	wb := plain.CaptureBurst(0, 3, 1e-3, rand.New(rand.NewSource(3)))
-	gb := pooled.CaptureBurst(0, 3, 1e-3, rand.New(rand.NewSource(3)))
-	for j := range wb {
-		for k := range wb[j].Data {
-			for i, w := range wb[j].Data[k] {
-				if gb[j].Data[k][i] != w {
-					t.Fatalf("burst chirp %d antenna %d sample %d differs", j, k, i)
+		if got.Time != want.Time || len(got.Data) != len(want.Data) {
+			t.Fatalf("frame %d: time %v vs %v, %d vs %d antennas", j, got.Time, want.Time, len(got.Data), len(want.Data))
+		}
+		for k := range want.Data {
+			for i, w := range want.Data[k] {
+				g := got.Data[k][i]
+				if math.Float64bits(real(g)) != math.Float64bits(real(w)) ||
+					math.Float64bits(imag(g)) != math.Float64bits(imag(w)) {
+					t.Fatalf("frame %d antenna %d sample %d: %v vs %v", j, k, i, g, w)
 				}
 			}
 		}
+		pool.Put(got) // the next frame reuses this storage
 	}
-	// Streams inherit the scene pool.
-	if st := pooled.Stream(0, 1, nil); st.pool == nil {
-		t.Fatal("Stream did not inherit the scene pool")
+	if _, err := pooled.Next(ctx); err != io.EOF {
+		t.Fatalf("exhausted stream returned %v, want io.EOF", err)
+	}
+
+	// FrameAtCtx is the same synthesize-at-t step as the stream's first frame.
+	first, err := s.FrameAtCtx(ctx, 0.5, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.Stream(0.5, 1, rand.New(rand.NewSource(7))).Next(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range want.Data {
+		for i, w := range want.Data[k] {
+			if first.Data[k][i] != w {
+				t.Fatalf("FrameAtCtx differs from the stream at antenna %d sample %d", k, i)
+			}
+		}
 	}
 }

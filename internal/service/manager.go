@@ -225,7 +225,7 @@ func (m *Manager) CloseRoom(ctx context.Context, id string) (RoomStatus, error) 
 	r.beginDrain()
 	select {
 	case <-r.done:
-	case <-ctxDone(ctx):
+	case <-ctx.Done():
 		return r.Status(), ctx.Err()
 	}
 	sh := m.shards[m.shardOf(id)]
@@ -262,7 +262,7 @@ func (m *Manager) Drain(ctx context.Context) error {
 	select {
 	case <-done:
 		return nil
-	case <-ctxDone(ctx):
+	case <-ctx.Done():
 		m.cancel()
 		<-done
 		return ctx.Err()

@@ -91,16 +91,6 @@ type Room struct {
 	finished bool
 }
 
-// ctxDone adapts a possibly-nil ctx for select: a nil ctx yields a nil
-// channel, which blocks forever — i.e. never cancels, matching the
-// pipeline's nil-ctx convention.
-func ctxDone(ctx context.Context) <-chan struct{} {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Done()
-}
-
 // newRoom assembles a room exactly as a library caller would: session,
 // humans, ghosts, shared plan, pools, planned front end, optional Doppler,
 // tracker — in that order, so a synthetic room's output is bit-identical to
@@ -220,7 +210,7 @@ func (s *queueSource) Next(ctx context.Context) (*fmcw.Frame, error) {
 		}
 		s.r.signalSpace()
 		return f, nil
-	case <-ctxDone(ctx):
+	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
 }
@@ -266,7 +256,7 @@ func (r *Room) Push(ctx context.Context, f *fmcw.Frame) error {
 			// A slot freed (or a stale pulse): retry the enqueue.
 		case <-r.stop:
 			return ErrDraining
-		case <-ctxDone(ctx):
+		case <-ctx.Done():
 			return ctx.Err()
 		}
 	}

@@ -362,11 +362,11 @@ func TestQueuePolicies(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := r.Push(nil, r.pools.Frames.Get(0)); err != nil {
+		if err := r.Push(context.Background(), r.pools.Frames.Get(0)); err != nil {
 			t.Fatalf("push %d: %v", i, err)
 		}
 	}
-	if err := r.Push(nil, r.pools.Frames.Get(0)); err != ErrBacklogged {
+	if err := r.Push(context.Background(), r.pools.Frames.Get(0)); err != ErrBacklogged {
 		t.Fatalf("push to full shed queue: err %v, want ErrBacklogged", err)
 	}
 	if d := r.Status().Dropped; d != 1 {
@@ -385,7 +385,7 @@ func TestQueuePolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rb.Push(nil, rb.pools.Frames.Get(0)); err != nil {
+	if err := rb.Push(context.Background(), rb.pools.Frames.Get(0)); err != nil {
 		t.Fatal(err)
 	}
 	tctx, tcancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
@@ -396,7 +396,7 @@ func TestQueuePolicies(t *testing.T) {
 
 	// Drain wakes blocked pushers and closes the intake.
 	rb.beginDrain()
-	if err := rb.Push(nil, rb.pools.Frames.Get(0)); err != ErrDraining {
+	if err := rb.Push(context.Background(), rb.pools.Frames.Get(0)); err != ErrDraining {
 		t.Fatalf("push after room drain: err %v, want ErrDraining", err)
 	}
 
@@ -405,7 +405,7 @@ func TestQueuePolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rs.Push(nil, nil); err != ErrNotIngest {
+	if err := rs.Push(context.Background(), nil); err != ErrNotIngest {
 		t.Fatalf("push to synthetic room: err %v, want ErrNotIngest", err)
 	}
 }
