@@ -2,10 +2,11 @@ GO ?= go
 
 # Coverage floor (percent of statements) enforced by `make cover` on the
 # packages whose correctness rests on their test harness: the concurrent
-# scheduler, the worker pool and the FFT batch layer under it, the scene
-# capture paths, and the spoof-detection suite.
+# scheduler, the worker pool and the FFT batch layer under it, the frame
+# synthesis and radar front-end kernels with their pools and plans, the
+# scene capture paths, and the spoof-detection suite.
 COVER_MIN ?= 80
-COVER_PKGS ?= ./internal/pipeline ./internal/parallel ./internal/dsp ./internal/scene ./internal/detect
+COVER_PKGS ?= ./internal/pipeline ./internal/parallel ./internal/dsp ./internal/fmcw ./internal/radar ./internal/scene ./internal/detect
 
 .PHONY: build vet lint lint-deep test race short bench bench-go bench-json benchdiff cover fuzz daemon-smoke rfbench-check ci
 

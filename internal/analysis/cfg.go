@@ -35,6 +35,12 @@ type cfgBlock struct {
 	// exit-time checks — an abnormal unwind is neither an error return nor
 	// a success return.
 	panics bool
+
+	// cond is set on the two branches of an if: the block is entered only
+	// when cond evaluated to condTrue. Analyzers may refine their facts on
+	// it (poolcheck: a comma-ok checkout owns nothing where ok is false).
+	cond     ast.Expr
+	condTrue bool
 }
 
 // funcCFG is the control-flow graph of one function body.
@@ -179,22 +185,24 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 		head := b.cur
 		after := b.newBlock()
 		then := b.newBlock()
+		then.cond, then.condTrue = s.Cond, true
 		b.link(head, then)
 		b.cur = then
 		b.stmtList(s.Body.List)
 		if b.cur != nil {
 			b.link(b.cur, after)
 		}
+		// A missing else is an empty block, so the false edge carries its
+		// condition too.
+		els := b.newBlock()
+		els.cond = s.Cond
+		b.link(head, els)
+		b.cur = els
 		if s.Else != nil {
-			els := b.newBlock()
-			b.link(head, els)
-			b.cur = els
 			b.stmt(s.Else, "")
-			if b.cur != nil {
-				b.link(b.cur, after)
-			}
-		} else {
-			b.link(head, after)
+		}
+		if b.cur != nil {
+			b.link(b.cur, after)
 		}
 		b.cur = after
 

@@ -8,15 +8,15 @@ import (
 )
 
 // PoolCheck enforces the buffer-ownership contract from DESIGN.md: a
-// checkout from a free list (FramePool.Get, ProfilePool.Get, the pipeline
-// Item list) must, inside the acquiring function, either reach a matching
-// Put on every non-error path or be handed off through a documented
-// ownership-transfer point (returned, stored into a struct field, passed
-// to another function, sent on a channel). On top of the leak check it
-// flags the two misuse classes the contract comments cannot catch: touching
-// a buffer after it went back to the pool, and capturing a pooled buffer in
-// a goroutine closure (the pool may hand it to another frame while the
-// goroutine still reads it).
+// checkout from a free list (FramePool.Get, ProfilePool.Get,
+// parallel.FreeList.Get, the pipeline Item list) must, inside the acquiring
+// function, either reach a matching Put on every non-error path or be
+// handed off through a documented ownership-transfer point (returned,
+// stored into a struct field, passed to another function, sent on a
+// channel). On top of the leak check it flags the two misuse classes the
+// contract comments cannot catch: touching a buffer after it went back to
+// the pool, and capturing a pooled buffer in a goroutine closure (the pool
+// may hand it to another frame while the goroutine still reads it).
 var PoolCheck = &Analyzer{
 	Name: "poolcheck",
 	Doc: "pooled buffers must reach Put on all non-error paths or be handed off; " +
@@ -90,7 +90,11 @@ type poolChecker struct {
 
 	acquires   map[*ast.AssignStmt]*types.Var
 	acquirePos map[*types.Var]token.Pos
-	reported   map[string]bool
+	// okVars maps the ok of a comma-ok checkout (v, ok := list.Get()) to
+	// its v: on a path where ok is false the list was empty and v owns
+	// nothing.
+	okVars   map[*types.Var]*types.Var
+	reported map[string]bool
 }
 
 // funcNodeSig resolves the signature of a FuncDecl or FuncLit.
@@ -153,59 +157,96 @@ func hasSucc(blk, target *cfgBlock) bool {
 	return false
 }
 
-// collectAcquires records every `x := pool.Get(...)` style assignment in
-// the body, excluding nested function literals (they are analyzed as their
-// own units).
+// collectAcquires records every `x := pool.Get(...)` and
+// `x, ok := list.Get()` style assignment in the body, excluding nested
+// function literals (they are analyzed as their own units).
 func (pc *poolChecker) collectAcquires(body *ast.BlockStmt) {
 	pc.acquires = map[*ast.AssignStmt]*types.Var{}
 	pc.acquirePos = map[*types.Var]token.Pos{}
+	pc.okVars = map[*types.Var]*types.Var{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
 		}
 		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 || len(as.Lhs) != 1 {
+		if !ok || len(as.Rhs) != 1 || len(as.Lhs) > 2 {
 			return true
 		}
 		call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
 		if !ok || !pc.isAcquireCall(call) {
 			return true
 		}
-		id, ok := as.Lhs[0].(*ast.Ident)
-		if !ok || id.Name == "_" {
+		v := pc.localVar(as.Lhs[0]) // nil for _
+		if v == nil {
 			return true
 		}
-		obj := pc.pass.TypesInfo.Defs[id]
-		if obj == nil {
-			obj = pc.pass.TypesInfo.Uses[id]
+		pc.acquires[as] = v
+		if _, seen := pc.acquirePos[v]; !seen {
+			pc.acquirePos[v] = as.Lhs[0].Pos()
 		}
-		if v, ok := obj.(*types.Var); ok {
-			pc.acquires[as] = v
-			if _, seen := pc.acquirePos[v]; !seen {
-				pc.acquirePos[v] = id.Pos()
+		if len(as.Lhs) == 2 {
+			if okVar := pc.localVar(as.Lhs[1]); okVar != nil && types.Identical(okVar.Type(), types.Typ[types.Bool]) {
+				pc.okVars[okVar] = v
 			}
 		}
 		return true
 	})
 }
 
+// localVar resolves an identifier expression to the variable it defines or
+// uses, or nil.
+func (pc *poolChecker) localVar(e ast.Expr) *types.Var {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	obj := pc.pass.TypesInfo.Defs[id]
+	if obj == nil {
+		obj = pc.pass.TypesInfo.Uses[id]
+	}
+	v, _ := obj.(*types.Var)
+	return v
+}
+
+// emptyCheckout returns the variable of the comma-ok checkout whose ok is
+// false whenever blk is entered (`if !ok {` or the else of `if ok {`), or
+// nil.
+func (pc *poolChecker) emptyCheckout(blk *cfgBlock) *types.Var {
+	if blk.cond == nil {
+		return nil
+	}
+	e, truth := ast.Unparen(blk.cond), blk.condTrue
+	for {
+		u, ok := e.(*ast.UnaryExpr)
+		if !ok || u.Op != token.NOT {
+			break
+		}
+		e, truth = ast.Unparen(u.X), !truth
+	}
+	if truth {
+		return nil
+	}
+	return pc.okVars[pc.localVar(e)]
+}
+
 // isAcquireCall reports whether the call checks a buffer out of a
-// first-party free list: a Get* method on a *Pool type, or the pipeline's
-// getItem/GetItem item list.
+// first-party free list: a Get* method on a *Pool or *FreeList type, or the
+// pipeline's getItem.
 func (pc *poolChecker) isAcquireCall(call *ast.CallExpr) bool {
 	fn := calleeFunc(pc.pass.TypesInfo, call)
 	if !firstParty(fn, pc.pass.ModulePath) {
 		return false
 	}
 	name := fn.Name()
-	if name == "getItem" || name == "GetItem" {
+	if name == "getItem" {
 		return true
 	}
 	recv := funcSig(fn).Recv()
 	if recv == nil {
 		return false
 	}
-	return strings.HasPrefix(name, "Get") && strings.HasSuffix(namedTypeName(recv.Type()), "Pool")
+	typ := namedTypeName(recv.Type())
+	return strings.HasPrefix(name, "Get") && (strings.HasSuffix(typ, "Pool") || typ == "FreeList")
 }
 
 // isReleaseCall reports whether the call returns its pooled argument to a
@@ -239,6 +280,9 @@ func namedTypeName(t types.Type) string {
 // diagnostics when report is set. It is used both as the (silent) transfer
 // function of the fixpoint and as the (reporting) final replay.
 func (pc *poolChecker) processBlock(blk *cfgBlock, st poolStates, report bool) {
+	if v := pc.emptyCheckout(blk); v != nil {
+		delete(st, v)
+	}
 	for _, n := range blk.nodes {
 		if as, ok := n.(*ast.AssignStmt); ok {
 			if v, isAcq := pc.acquires[as]; isAcq {

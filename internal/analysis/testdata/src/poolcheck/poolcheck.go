@@ -3,10 +3,15 @@
 // goroutine capture; negative cases for every documented ownership
 // transfer point (return, field store, call hand-off, channel send,
 // deferred Put) plus the error-path exemption and an annotated deliberate
-// leak.
+// leak. The FreeList cases check the comma-ok checkout of a
+// parallel.FreeList used directly.
 package poolcheck
 
-import "errors"
+import (
+	"errors"
+
+	"rfprotect/internal/parallel"
+)
 
 // Buf is the pooled buffer under test.
 type Buf struct{ data []float64 }
@@ -144,4 +149,43 @@ func LoopReuse(p *BufPool, n int) {
 func Allowed(p *BufPool) {
 	b := p.Get() //rfvet:allow poolcheck -- fixture: deliberate leak
 	b.data[0] = 3
+}
+
+// FreeListLeak drops a FreeList checkout on the success path.
+func FreeListLeak(l *parallel.FreeList[*Buf]) {
+	b, ok := l.Get() // want `never returned`
+	if !ok {
+		b = &Buf{data: make([]float64, 8)}
+	}
+	b.data[0] = 1
+}
+
+// FreeListUseAfterPut touches a FreeList value after it went back.
+func FreeListUseAfterPut(l *parallel.FreeList[*Buf]) float64 {
+	b, ok := l.Get()
+	if !ok {
+		b = &Buf{data: make([]float64, 8)}
+	}
+	l.Put(b)
+	return b.data[0] // want `after it was returned`
+}
+
+// FreeListEmptyReturn is clean: on the !ok path the list was empty, so
+// returning a fresh value leaks nothing.
+func FreeListEmptyReturn(l *parallel.FreeList[*Buf]) *Buf {
+	b, ok := l.Get()
+	if !ok {
+		return &Buf{data: make([]float64, 8)}
+	}
+	b.data[0] = 0
+	return b
+}
+
+// FreeListHit is clean: the checkout is returned where ok holds, and the
+// fall-through path had nothing to return.
+func FreeListHit(l *parallel.FreeList[*Buf]) *Buf {
+	if b, ok := l.Get(); ok {
+		return b
+	}
+	return &Buf{data: make([]float64, 8)}
 }

@@ -12,14 +12,8 @@ import (
 	"rfprotect/internal/reflector"
 )
 
-// Config assembles an RF-Protect system.
+// Config assembles an RF-Protect system around a Session's tag.
 type Config struct {
-	// TagPosition / TagAxis place the reflector panel in the world.
-	TagPosition geom.Point
-	TagAxis     float64
-	// Tag optionally overrides the full reflector configuration; when nil,
-	// reflector.DefaultConfig(TagPosition, TagAxis) is used.
-	Tag *reflector.Config
 	// GAN optionally overrides the generator configuration.
 	GAN *gan.Config
 	// CorpusSize is the size of the synthetic training corpus used when
@@ -31,30 +25,17 @@ type Config struct {
 
 // System is a deployed RF-Protect instance.
 type System struct {
-	cfg     Config
 	tag     *reflector.Reflector
 	ctl     *reflector.Controller
 	trainer *gan.Trainer
 	rng     *rand.Rand
 }
 
-// New assembles the system (tag + untrained generator).
-func New(cfg Config) (*System, error) {
-	tagCfg := reflector.DefaultConfig(cfg.TagPosition, cfg.TagAxis)
-	if cfg.Tag != nil {
-		tagCfg = *cfg.Tag
-	}
-	tag, err := reflector.New(tagCfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return newSystem(cfg, tag, reflector.NewController(tag)), nil
-}
-
-// newSystem assembles a System around an already-built tag and controller;
-// it is shared by New (which builds its own tag) and Session.NewSystem
-// (which reuses the session's).
-func newSystem(cfg Config, tag *reflector.Reflector, ctl *reflector.Controller) *System {
+// NewSystem assembles a full RF-Protect System (trajectory generator +
+// ghost management) that shares the session's tag and controller, so ghosts
+// deployed through the System show up in the session's scene and
+// disclosures.
+func (s *Session) NewSystem(cfg Config) *System {
 	ganCfg := gan.DefaultConfig()
 	if cfg.GAN != nil {
 		ganCfg = *cfg.GAN
@@ -65,9 +46,8 @@ func newSystem(cfg Config, tag *reflector.Reflector, ctl *reflector.Controller) 
 	}
 	ds := motion.Generate(cfg.CorpusSize, cfg.Seed+2)
 	return &System{
-		cfg:     cfg,
-		tag:     tag,
-		ctl:     ctl,
+		tag:     s.Tag,
+		ctl:     s.Ctl,
 		trainer: gan.NewTrainer(ganCfg, ds),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}

@@ -22,32 +22,43 @@ func tinyGAN() gan.Config {
 	return c
 }
 
-func quickSystem(t *testing.T, pos geom.Point) *System {
+// quickSystem assembles a session from cfg and a small-GAN System around
+// its tag.
+func quickSystem(t *testing.T, cfg SessionConfig) (*Session, *System) {
 	t.Helper()
-	ganCfg := tinyGAN()
-	sys, err := New(Config{
-		TagPosition: pos,
-		TagAxis:     0,
-		GAN:         &ganCfg,
-		CorpusSize:  100,
-		Seed:        1,
-	})
+	sess, err := NewSession(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys
+	ganCfg := tinyGAN()
+	return sess, sess.NewSystem(Config{GAN: &ganCfg, CorpusSize: 100, Seed: 1})
 }
 
 func TestNewRejectsBadTag(t *testing.T) {
-	bad := reflector.DefaultConfig(geom.Point{}, 0)
-	bad.NumAntennas = 0
-	if _, err := New(Config{Tag: &bad}); err == nil {
+	// A ConfigureTag hook that leaves the tag config invalid must be
+	// rejected before any scene or System is built around it.
+	s, err := NewSession(SessionConfig{
+		Room:         scene.HomeRoom(),
+		ConfigureTag: func(c *reflector.Config) { c.NumAntennas = 0 },
+	})
+	if err == nil {
 		t.Fatal("invalid tag config accepted")
+	}
+	if s != nil {
+		t.Fatal("a rejected tag config must not yield a session")
 	}
 }
 
+// homeSystem is quickSystem in the home room with the tag at (4, 1).
+func homeSystem(t *testing.T) *System {
+	t.Helper()
+	pos := geom.Point{X: 4, Y: 1}
+	_, sys := quickSystem(t, SessionConfig{Room: scene.HomeRoom(), TagPosition: &pos})
+	return sys
+}
+
 func TestSampleTrajectory(t *testing.T) {
-	sys := quickSystem(t, geom.Point{X: 4, Y: 1})
+	sys := homeSystem(t)
 	tr, err := sys.SampleTrajectory(2)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +75,7 @@ func TestSampleTrajectory(t *testing.T) {
 }
 
 func TestDeployGhostProducesDisclosure(t *testing.T) {
-	sys := quickSystem(t, geom.Point{X: 4, Y: 1})
+	sys := homeSystem(t)
 	rec, err := sys.DeployGhost(1, geom.Point{X: 0, Y: 3}, 2.0)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +94,7 @@ func TestDeployGhostProducesDisclosure(t *testing.T) {
 }
 
 func TestDeployBreathingGhost(t *testing.T) {
-	sys := quickSystem(t, geom.Point{X: 4, Y: 1})
+	sys := homeSystem(t)
 	rec, err := sys.DeployBreathingGhost(1, 2.5, 0.25, 0.005, 5, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -94,19 +105,19 @@ func TestDeployBreathingGhost(t *testing.T) {
 }
 
 func TestSaveLoadGenerator(t *testing.T) {
-	sys := quickSystem(t, geom.Point{X: 4, Y: 1})
+	sys := homeSystem(t)
 	var buf bytes.Buffer
 	if err := sys.SaveGenerator(&buf); err != nil {
 		t.Fatal(err)
 	}
-	sys2 := quickSystem(t, geom.Point{X: 4, Y: 1})
+	sys2 := homeSystem(t)
 	if err := sys2.LoadGenerator(&buf); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestTrainGeneratorRuns(t *testing.T) {
-	sys := quickSystem(t, geom.Point{X: 4, Y: 1})
+	sys := homeSystem(t)
 	sys.TrainGenerator(nil, 2)
 	if len(sys.Trainer().History) != 2 {
 		t.Fatalf("history %d", len(sys.Trainer().History))
@@ -123,12 +134,8 @@ func TestLegitSensorFiltersGhost(t *testing.T) {
 	// removes the disclosed ghost, the eavesdropper sees both.
 	params := fmcw.DefaultParams()
 	params.NoiseStd = 0.003
-	sc := scene.NewScene(scene.HomeRoom(), params)
-	sc.Multipath = false
-
-	tagPos := geom.Point{X: sc.Radar.Position.X - 0.5, Y: 1.2}
-	sys := quickSystem(t, tagPos)
-	sc.Sources = []scene.ReturnSource{sys.Tag()}
+	sess, sys := quickSystem(t, SessionConfig{Room: scene.HomeRoom(), Params: params, NoMultipath: true})
+	sc := sess.Scene
 
 	// Real human on the left.
 	n := 80

@@ -6,10 +6,11 @@
 //
 // A typical deployment through the System API:
 //
-//	sys, _ := core.New(core.Config{TagPosition: wall, TagAxis: 0, Seed: 1})
-//	sys.TrainGenerator(nil, 200)              // or sys.LoadGenerator(r)
-//	rec, _ := sys.DeployGhost(2, anchor, 0)   // class-2 ghost at t=0
-//	sc.Sources = append(sc.Sources, sys.Tag())
+//	sess, _ := core.NewSession(core.SessionConfig{Room: scene.HomeRoom()})
+//	sys := sess.NewSystem(core.Config{Seed: 1}) // shares sess.Tag
+//	sys.TrainGenerator(nil, 200)                // or sys.LoadGenerator(r)
+//	rec, _ := sys.DeployGhost(2, anchor, 0)     // class-2 ghost at t=0
+//	frames, _ := sess.Scene.CaptureCtx(ctx, 0, n, rng)
 //
 // # Sessions
 //

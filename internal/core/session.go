@@ -109,12 +109,3 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	}
 	return s, nil
 }
-
-// NewSystem assembles a full RF-Protect System (trajectory generator +
-// ghost management) that shares the session's tag and controller, so ghosts
-// deployed through the System show up in the session's scene and
-// disclosures. cfg's TagPosition/TagAxis/Tag fields are ignored — the
-// session already owns the tag.
-func (s *Session) NewSystem(cfg Config) *System {
-	return newSystem(cfg, s.Tag, s.Ctl)
-}

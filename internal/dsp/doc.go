@@ -44,7 +44,7 @@
 // # Window conventions
 //
 // Window.Coefficients(n) returns the full (periodic-symmetric) n-point
-// window; Apply/ApplyFloat multiply element-wise into a fresh slice. The
+// window; Apply multiplies a signal by it element-wise in place. The
 // radar pipeline windows before the range FFT (Hann by default) to trade
 // main-lobe width for sidelobe suppression; windows are not normalized, so
 // absolute powers are comparable only under the same window.

@@ -236,8 +236,12 @@ func bluestein(x []complex128, inverse bool) {
 	if inverse {
 		w, bfft = p.wInv, p.bInv
 	}
-	a := p.getScratch()
-	defer p.putScratch(a)
+	// Length-m convolution scratch; every element is overwritten below.
+	a, ok := p.scratch.Get()
+	if !ok {
+		a = make([]complex128, p.m)
+	}
+	defer p.scratch.Put(a)
 	for k := 0; k < n; k++ {
 		a[k] = x[k] * w[k]
 	}

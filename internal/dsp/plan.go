@@ -4,7 +4,8 @@ import (
 	"math"
 	"math/bits"
 	"math/cmplx"
-	"sync"
+
+	"rfprotect/internal/parallel"
 )
 
 // fftPlan holds everything a radix-2 transform of one size needs: the
@@ -25,70 +26,25 @@ type fftPlan struct {
 // bluesteinPlan caches the size-dependent pieces of Bluestein's algorithm:
 // the quadratic chirp for each direction and the convolution kernel's
 // length-m FFT (the kernel depends only on n and the direction). It also
-// pools the length-m convolution scratch each transform needs, so the
-// steady state of a Bluestein-sized transform is allocation-free. The pool
-// is a plain mutex-guarded free list rather than a sync.Pool: the GC never
-// empties it, so warmed-up callers (and the allocation-regression gate) see
-// a deterministic zero allocs/op.
+// recycles the length-m convolution scratch each transform needs, so the
+// steady state of a Bluestein-sized transform is allocation-free.
 type bluesteinPlan struct {
 	n, m       int
 	wFwd, wInv []complex128 // chirp w[k] = exp(sign·iπk²/n)
 	bFwd, bInv []complex128 // FFT of the zero-padded conjugate chirp
 
-	mu      sync.Mutex
-	scratch [][]complex128 // free convolution buffers, each of length m
-}
-
-// getScratch pops a length-m convolution buffer from the plan's free list,
-// allocating one when the list is empty (first use, or transform bursts
-// wider than any seen before). The buffer's contents are unspecified; the
-// caller overwrites every element.
-func (p *bluesteinPlan) getScratch() []complex128 {
-	p.mu.Lock()
-	if k := len(p.scratch); k > 0 {
-		a := p.scratch[k-1]
-		p.scratch = p.scratch[:k-1]
-		p.mu.Unlock()
-		return a
-	}
-	p.mu.Unlock()
-	return make([]complex128, p.m)
-}
-
-// putScratch returns a buffer obtained from getScratch to the free list.
-func (p *bluesteinPlan) putScratch(a []complex128) {
-	p.mu.Lock()
-	p.scratch = append(p.scratch, a)
-	p.mu.Unlock()
+	scratch parallel.FreeList[[]complex128] // convolution buffers, each of length m
 }
 
 var (
-	planMu         sync.RWMutex
-	radix2Plans    = map[int]*fftPlan{}
-	bluesteinPlans = map[int]*bluesteinPlan{}
+	radix2Plans    parallel.Cache[int, *fftPlan]
+	bluesteinPlans parallel.Cache[int, *bluesteinPlan]
 )
 
-// planFor returns the cached radix-2 plan for power-of-two size n, building
-// it on first use. Concurrent first calls may build duplicate plans; the
-// map keeps one winner and the losers are garbage, which keeps plan
-// construction outside the lock (bluestein plan construction recursively
-// needs radix-2 plans, so building under the write lock would deadlock).
+// planFor returns the shared radix-2 plan for power-of-two size n, building
+// it on first use.
 func planFor(n int) *fftPlan {
-	planMu.RLock()
-	p := radix2Plans[n]
-	planMu.RUnlock()
-	if p != nil {
-		return p
-	}
-	p = newFFTPlan(n)
-	planMu.Lock()
-	if q, ok := radix2Plans[n]; ok {
-		p = q
-	} else {
-		radix2Plans[n] = p
-	}
-	planMu.Unlock()
-	return p
+	return radix2Plans.Get(n, newFFTPlan)
 }
 
 func newFFTPlan(n int) *fftPlan {
@@ -121,23 +77,9 @@ func stageTwiddles(n int, sign float64) [][]complex128 {
 	return stages
 }
 
-// bluesteinPlanFor returns the cached Bluestein plan for length n.
+// bluesteinPlanFor returns the shared Bluestein plan for length n.
 func bluesteinPlanFor(n int) *bluesteinPlan {
-	planMu.RLock()
-	p := bluesteinPlans[n]
-	planMu.RUnlock()
-	if p != nil {
-		return p
-	}
-	p = newBluesteinPlan(n)
-	planMu.Lock()
-	if q, ok := bluesteinPlans[n]; ok {
-		p = q
-	} else {
-		bluesteinPlans[n] = p
-	}
-	planMu.Unlock()
-	return p
+	return bluesteinPlans.Get(n, newBluesteinPlan)
 }
 
 func newBluesteinPlan(n int) *bluesteinPlan {

@@ -3,7 +3,8 @@ package dsp
 import (
 	"math"
 	"math/cmplx"
-	"sync"
+
+	"rfprotect/internal/parallel"
 )
 
 // This file implements the real-input DFT. A real signal's spectrum is
@@ -21,40 +22,23 @@ import (
 func RFFTLen(n int) int { return n/2 + 1 }
 
 // rfftPlan caches the size-dependent pieces of one real-input transform
-// length: the unpack twiddles e^{-2πik/n} for the packed fast path, plus a
-// pooled scratch free list (length n/2 packed buffers on the fast path, or
-// length-n widening buffers on the fallback). Like the other plan pools the
-// free list is mutex-guarded, never emptied by the GC, so warmed-up callers
-// see a deterministic zero allocs/op.
+// length: the unpack twiddles e^{-2πik/n} for the packed fast path, plus
+// recycled scratch (length n/2 packed buffers on the fast path, or
+// length-n widening buffers on the fallback).
 type rfftPlan struct {
 	n    int
 	pack int          // scratch length: n/2 on the packed fast path, n on the fallback
 	tw   []complex128 // unpack twiddles e^{-2πik/n}, k = 0..n/2; nil selects the fallback
 
-	mu      sync.Mutex
-	scratch [][]complex128
+	scratch parallel.FreeList[[]complex128]
 }
 
-var rfftPlans = map[int]*rfftPlan{}
+var rfftPlans parallel.Cache[int, *rfftPlan]
 
-// rfftPlanFor returns the cached real-input plan for length n, building it
-// on first use under the same build-outside-the-lock discipline as planFor.
+// rfftPlanFor returns the shared real-input plan for length n, building it
+// on first use.
 func rfftPlanFor(n int) *rfftPlan {
-	planMu.RLock()
-	p := rfftPlans[n]
-	planMu.RUnlock()
-	if p != nil {
-		return p
-	}
-	p = newRFFTPlan(n)
-	planMu.Lock()
-	if q, ok := rfftPlans[n]; ok {
-		p = q
-	} else {
-		rfftPlans[n] = p
-	}
-	planMu.Unlock()
-	return p
+	return rfftPlans.Get(n, newRFFTPlan)
 }
 
 func newRFFTPlan(n int) *rfftPlan {
@@ -72,25 +56,6 @@ func newRFFTPlan(n int) *rfftPlan {
 		bluesteinPlanFor(n) // warm the widening fallback's plan
 	}
 	return p
-}
-
-func (p *rfftPlan) getScratch() []complex128 {
-	p.mu.Lock()
-	if k := len(p.scratch); k > 0 {
-		a := p.scratch[k-1]
-		p.scratch[k-1] = nil
-		p.scratch = p.scratch[:k-1]
-		p.mu.Unlock()
-		return a
-	}
-	p.mu.Unlock()
-	return make([]complex128, p.pack)
-}
-
-func (p *rfftPlan) putScratch(a []complex128) {
-	p.mu.Lock()
-	p.scratch = append(p.scratch, a)
-	p.mu.Unlock()
 }
 
 // RFFT computes the DFT of the real signal x and returns the n/2+1
@@ -153,28 +118,30 @@ func rfftTo(dst []complex128, x, win []float64) []complex128 {
 		return dst
 	}
 	p := rfftPlanFor(n)
+	z, ok := p.scratch.Get()
+	if !ok {
+		z = make([]complex128, p.pack)
+	}
 	if p.tw == nil {
-		// Fallback (odd / Bluestein lengths): widen into pooled complex
+		// Fallback (odd / Bluestein lengths): widen into the complex
 		// scratch, run the full transform, keep the half spectrum.
-		buf := p.getScratch()
 		if win != nil {
 			for i, v := range x {
-				buf[i] = complex(v*win[i], 0)
+				z[i] = complex(v*win[i], 0)
 			}
 		} else {
 			for i, v := range x {
-				buf[i] = complex(v, 0)
+				z[i] = complex(v, 0)
 			}
 		}
-		fftInPlace(buf, false)
-		copy(dst, buf[:n/2+1])
-		p.putScratch(buf)
+		fftInPlace(z, false)
+		copy(dst, z[:n/2+1])
+		p.scratch.Put(z)
 		return dst
 	}
 
 	// Fast path: pack even/odd samples into one half-length complex signal.
 	n2 := n / 2
-	z := p.getScratch()
 	if win != nil {
 		for k := 0; k < n2; k++ {
 			z[k] = complex(x[2*k]*win[2*k], x[2*k+1]*win[2*k+1])
@@ -210,6 +177,6 @@ func rfftTo(dst []complex128, x, win []float64) []complex128 {
 		w := p.tw[k]
 		dst[k] = complex(er+real(w)*or-imag(w)*oi, ei+real(w)*oi+imag(w)*or)
 	}
-	p.putScratch(z)
+	p.scratch.Put(z)
 	return dst
 }

@@ -69,12 +69,3 @@ func (w Window) Apply(x []complex128) []complex128 {
 	}
 	return x
 }
-
-// ApplyFloat multiplies x element-wise by the window in place and returns x.
-func (w Window) ApplyFloat(x []float64) []float64 {
-	c := w.Coefficients(len(x))
-	for i := range x {
-		x[i] *= c[i]
-	}
-	return x
-}

@@ -371,9 +371,11 @@ func captureJitter(ctx context.Context, sc *scene.Scene, nFrames int, rng *rand.
 		return 0, false, err
 	}
 	for f, dets := range detSeq {
-		// The first frame only seeds the background subtraction; its
-		// "detections" are unsubtracted clutter and would mis-seed the
-		// continuity gate.
+		// Skip the first difference, frame 1 − frame 0 (ProcessFrames has
+		// already consumed frame 0 as background). In some trials it holds
+		// only noise-level peaks at arbitrary ranges, and the strongest
+		// would seed the continuity gate far from the target, which would
+		// then reject the target's detections.
 		if f == 0 {
 			continue
 		}

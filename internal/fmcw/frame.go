@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"sync"
 
 	"rfprotect/internal/parallel"
 )
@@ -93,10 +92,15 @@ func SynthesizeLegacyInto(ctx context.Context, dst *Frame, returns []Return, rng
 	if noisy {
 		base = rng.Int63()
 	}
-	j := getSynthJob()
+	j, ok := synthJobs.Get()
+	if !ok {
+		j = new(synthJob)
+		j.fn = j.antenna
+	}
 	j.dst, j.returns, j.noisy, j.base = dst, returns, noisy, base
 	err := parallel.ForEachCtx(ctx, p.NumAntennas, workers, j.fn)
-	putSynthJob(j)
+	j.dst, j.returns = nil, nil // a parked job pins nothing
+	synthJobs.Put(j)
 	return err
 }
 
@@ -121,75 +125,26 @@ func (j *synthJob) antenna(k int) {
 		r := getNoiseRng()
 		r.Seed(parallel.SplitSeed(j.base, k))
 		j.dst.addNoiseRow(k, r)
-		putNoiseRng(r)
+		noiseRngs.Put(r)
 	}
 }
 
-// synthJobs is the job free list. A mutex-guarded slice (the repo's free
-// list idiom) rather than sync.Pool so a parked job — and the one-time
-// closure bound to it — survives GC cycles between frames.
-var synthJobs struct {
-	mu   sync.Mutex
-	free []*synthJob
-}
+// synthJobs recycles jobs, and with each the method value bound to it.
+var synthJobs parallel.FreeList[*synthJob]
 
-func getSynthJob() *synthJob {
-	synthJobs.mu.Lock()
-	var j *synthJob
-	if n := len(synthJobs.free); n > 0 {
-		j = synthJobs.free[n-1]
-		synthJobs.free[n-1] = nil
-		synthJobs.free = synthJobs.free[:n-1]
-	}
-	synthJobs.mu.Unlock()
-	if j == nil {
-		j = new(synthJob)
-		j.fn = j.antenna
-	}
-	return j
-}
-
-// putSynthJob parks a job, dropping its frame and returns references so a
-// parked job pins nothing.
-func putSynthJob(j *synthJob) {
-	j.dst, j.returns = nil, nil
-	synthJobs.mu.Lock()
-	synthJobs.free = append(synthJobs.free, j)
-	synthJobs.mu.Unlock()
-}
-
-// noiseRngs pools the per-antenna noise generators so steady-state
+// noiseRngs recycles the per-antenna noise generators so steady-state
 // synthesis stops allocating a rand.Rand (and its ~5 KiB source state) per
-// antenna per frame. Reseeding a pooled source with Seed(s) reproduces
+// antenna per frame. Reseeding a recycled source with Seed(s) reproduces
 // exactly the state rand.New(rand.NewSource(s)) would have, so the noise
 // bits are unchanged; the stream still depends only on (base, antenna).
-// A mutex-guarded free list rather than sync.Pool: pooled sources survive
-// GC cycles between frames, and race-detector builds (where sync.Pool
-// deliberately drops items) keep the exact-zero allocation contract.
-var noiseRngs struct {
-	mu   sync.Mutex
-	free []*rand.Rand
-}
+var noiseRngs parallel.FreeList[*rand.Rand]
 
 func getNoiseRng() *rand.Rand {
-	noiseRngs.mu.Lock()
-	var r *rand.Rand
-	if n := len(noiseRngs.free); n > 0 {
-		r = noiseRngs.free[n-1]
-		noiseRngs.free[n-1] = nil
-		noiseRngs.free = noiseRngs.free[:n-1]
-	}
-	noiseRngs.mu.Unlock()
-	if r == nil {
+	r, ok := noiseRngs.Get()
+	if !ok {
 		r = rand.New(rand.NewSource(0))
 	}
 	return r
-}
-
-func putNoiseRng(r *rand.Rand) {
-	noiseRngs.mu.Lock()
-	noiseRngs.free = append(noiseRngs.free, r)
-	noiseRngs.mu.Unlock()
 }
 
 // addReturnsAntenna accumulates every return into antenna k's row. It is

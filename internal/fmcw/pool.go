@@ -1,13 +1,11 @@
 package fmcw
 
-import "sync"
+import "rfprotect/internal/parallel"
 
 // FramePool recycles equally-shaped frames so the steady state of a
 // streaming pipeline synthesizes, subtracts, and processes millions of
-// frames without allocating a single new one. It is a plain mutex-guarded
-// free list rather than a sync.Pool: the GC never empties it, which keeps
-// warmed-up throughput deterministic and lets allocation-regression tests
-// assert an exact zero allocs/op.
+// frames without allocating a single new one. It is a parallel.FreeList
+// that zeroes and shape-checks frames on the way in.
 //
 // Ownership contract: Get hands the caller exclusive ownership of a zeroed
 // frame; Put takes it back. A frame must not be used after Put — the pool
@@ -17,8 +15,7 @@ import "sync"
 // for how the streaming pipeline threads this contract through its stages.
 type FramePool struct {
 	params Params
-	mu     sync.Mutex
-	free   []*Frame
+	free   parallel.FreeList[*Frame]
 }
 
 // NewFramePool returns an empty pool producing frames with the given
@@ -35,18 +32,13 @@ func (fp *FramePool) Params() Params { return fp.params }
 // allocating otherwise (warm-up, or more frames in flight than ever
 // before).
 func (fp *FramePool) Get(at float64) *Frame {
-	fp.mu.Lock()
-	if k := len(fp.free); k > 0 {
-		f := fp.free[k-1]
-		fp.free[k-1] = nil
-		fp.free = fp.free[:k-1]
-		fp.mu.Unlock()
-		f.Params = fp.params
-		f.Time = at
-		return f
+	f, ok := fp.free.Get()
+	if !ok {
+		return NewFrame(fp.params, at)
 	}
-	fp.mu.Unlock()
-	return NewFrame(fp.params, at)
+	f.Params = fp.params
+	f.Time = at
+	return f
 }
 
 // Put recycles a frame into the pool, zeroing it first so the next Get
@@ -67,14 +59,8 @@ func (fp *FramePool) Put(f *Frame) {
 		}
 	}
 	f.Reset()
-	fp.mu.Lock()
-	fp.free = append(fp.free, f)
-	fp.mu.Unlock()
+	fp.free.Put(f)
 }
 
 // Len reports how many frames are currently parked in the pool.
-func (fp *FramePool) Len() int {
-	fp.mu.Lock()
-	defer fp.mu.Unlock()
-	return len(fp.free)
-}
+func (fp *FramePool) Len() int { return fp.free.Len() }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"sync"
 
 	"rfprotect/internal/parallel"
 )
@@ -41,8 +40,7 @@ type SynthPlan struct {
 	// steerScale[k]·cos(AoA).
 	steerScale []float64
 
-	mu   sync.Mutex
-	free []*synthExec
+	free parallel.FreeList[*synthExec]
 }
 
 // CompileSynthPlan builds the synthesis plan for a parameter shape. Plans
@@ -70,29 +68,13 @@ func CompileSynthPlan(p Params) *SynthPlan {
 // Params returns the shape the plan was compiled for.
 func (pl *SynthPlan) Params() Params { return pl.params }
 
-// synthPlans is the global shape-keyed plan cache behind PlanSynth,
-// mirroring the dsp package's FFT plan cache: the first synthesis of a
-// shape compiles its plan, every later one reuses it.
-var synthPlans struct {
-	mu sync.Mutex
-	m  map[Params]*SynthPlan
-}
+// synthPlans is the process-wide shape-keyed cache behind PlanSynth.
+var synthPlans parallel.Cache[Params, *SynthPlan]
 
 // PlanSynth returns the shared plan for a parameter shape, compiling it on
-// first use. The compile runs under the cache lock so a racing first use
-// never compiles the same shape twice.
+// first use.
 func PlanSynth(p Params) *SynthPlan {
-	synthPlans.mu.Lock()
-	pl := synthPlans.m[p]
-	if pl == nil {
-		pl = CompileSynthPlan(p)
-		if synthPlans.m == nil {
-			synthPlans.m = make(map[Params]*SynthPlan)
-		}
-		synthPlans.m[p] = pl
-	}
-	synthPlans.mu.Unlock()
-	return pl
+	return synthPlans.Get(p, CompileSynthPlan)
 }
 
 // synthExec is one synthesis execution context: the compacted per-return
@@ -122,30 +104,14 @@ type synthExec struct {
 	base  int64
 }
 
-func (pl *SynthPlan) getExec() *synthExec {
-	pl.mu.Lock()
-	if k := len(pl.free); k > 0 {
-		e := pl.free[k-1]
-		pl.free[k-1] = nil
-		pl.free = pl.free[:k-1]
-		pl.mu.Unlock()
-		return e
-	}
-	pl.mu.Unlock()
-	return pl.newExec()
-}
-
-func (pl *SynthPlan) putExec(e *synthExec) {
-	pl.mu.Lock()
-	pl.free = append(pl.free, e)
-	pl.mu.Unlock()
-}
-
 // newExec builds an executor with its fan-out closures bound once — method
 // values, recycled with the executor, so steady-state synthesis creates no
 // closure. Scratch slices start empty and grow to the first call's return
 // count (growSynthFloats/growSynthComplexes, kept out of the annotated hot
-// bodies), then stay.
+// bodies), then stay. noinline keeps the executor's one-time allocation out
+// of SynthesizeInto's //rfvet:allocfree escape diagnostics.
+//
+//go:noinline
 func (pl *SynthPlan) newExec() *synthExec {
 	e := &synthExec{pl: pl}
 	e.tabFn = e.table
@@ -265,7 +231,7 @@ func (e *synthExec) antenna(k int) {
 		rng := getNoiseRng()
 		rng.Seed(parallel.SplitSeed(e.base, k))
 		e.dst.addNoiseRow(k, rng)
-		putNoiseRng(rng)
+		noiseRngs.Put(rng)
 	}
 }
 
@@ -328,7 +294,10 @@ func (pl *SynthPlan) SynthesizeInto(ctx context.Context, dst *Frame, returns []R
 	if noisy {
 		base = rng.Int63()
 	}
-	e := pl.getExec()
+	e, ok := pl.free.Get()
+	if !ok {
+		e = pl.newExec()
+	}
 	e.dst, e.noisy, e.base = dst, noisy, base
 	e.prep(returns)
 	err := parallel.ForEachCtx(ctx, e.nact, workers, e.tabFn)
@@ -336,7 +305,7 @@ func (pl *SynthPlan) SynthesizeInto(ctx context.Context, dst *Frame, returns []R
 		err = parallel.ForEachCtx(ctx, pl.nAnt, workers, e.rowFn)
 	}
 	e.dst = nil
-	pl.putExec(e)
+	pl.free.Put(e)
 	return err
 }
 

@@ -109,10 +109,6 @@ func (t *Trainer) UseBestCheckpoint() {
 	_ = nn.Load(bytes.NewReader(t.bestG), t.G)
 }
 
-// BestScore returns the best validation FID observed (Inf before any
-// evaluation).
-func (t *Trainer) BestScore() float64 { return t.bestScore }
-
 // sampleReal draws a random labeled minibatch from the dataset as step
 // sequences.
 func (t *Trainer) sampleReal(batch int) ([]*nn.Mat, []int) {

@@ -34,9 +34,7 @@ type Pool struct {
 	workers int
 	tasks   chan *batch
 	wg      sync.WaitGroup
-
-	mu   sync.Mutex
-	free []*batch
+	free    FreeList[*batch]
 }
 
 // batch is one scheduled unit of fan-out: a shared claim counter over
@@ -144,16 +142,11 @@ func (p *Pool) Close() {
 // returns one after its join completed (or, for Submit, before the detached
 // task runs — those carry no further batch state).
 func (p *Pool) getBatch() *batch {
-	p.mu.Lock()
-	if n := len(p.free); n > 0 {
-		b := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		p.mu.Unlock()
-		return b
+	b, ok := p.free.Get()
+	if !ok {
+		b = &batch{joined: make(chan struct{}, 1)}
 	}
-	p.mu.Unlock()
-	return &batch{joined: make(chan struct{}, 1)}
+	return b
 }
 
 func (p *Pool) putBatch(b *batch) {
@@ -166,9 +159,7 @@ func (p *Pool) putBatch(b *batch) {
 	case <-b.joined:
 	default:
 	}
-	p.mu.Lock()
-	p.free = append(p.free, b)
-	p.mu.Unlock()
+	p.free.Put(b)
 }
 
 // ForEachCtx calls fn(i) for every i in [0, n) with up to the given width

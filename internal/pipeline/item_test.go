@@ -76,9 +76,7 @@ func TestRunConcurrentReusesItems(t *testing.T) {
 	if st.frames != 3*64 {
 		t.Fatalf("stage saw %d frames, want %d", st.frames, 3*64)
 	}
-	p.itemMu.Lock()
-	free := len(p.itemFree)
-	p.itemMu.Unlock()
+	free := p.items.Len()
 	// Window bound: stages+1 channels of depth 2, plus one per goroutine in
 	// flight. With 1 stage and depth 2 the hard ceiling is a handful; 64
 	// would mean the free list isn't being reused.

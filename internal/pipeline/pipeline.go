@@ -3,9 +3,9 @@ package pipeline
 import (
 	"context"
 	"io"
-	"sync"
 
 	"rfprotect/internal/fmcw"
+	"rfprotect/internal/parallel"
 	"rfprotect/internal/radar"
 )
 
@@ -52,16 +52,13 @@ type Pipeline struct {
 	stages []Stage
 	pools  *Pools
 
-	// itemFree recycles the per-frame Item records: an item goes back on
-	// the list once its last stage has run (and its pooled buffers have
-	// been recycled), so the steady state of Run and RunConcurrent holds
-	// exactly one live Item per in-flight frame and allocates none. Safe
-	// under the Stage contract — stages must not retain the Item or its
-	// buffers beyond Process. A mutex free list rather than sync.Pool for
-	// the same reason fmcw.FramePool uses one: the GC never empties it, so
-	// AllocsPerRun tests can assert an exact zero.
-	itemMu   sync.Mutex
-	itemFree []*Item
+	// items recycles the per-frame Item records: an item goes back on the
+	// list once its last stage has run (and its pooled buffers have been
+	// recycled), so the steady state of Run and RunConcurrent holds exactly
+	// one live Item per in-flight frame and allocates none. Safe under the
+	// Stage contract — stages must not retain the Item or its buffers
+	// beyond Process.
+	items parallel.FreeList[*Item]
 }
 
 // getItem pops a recycled Item (or allocates the first few) and stamps it
@@ -69,15 +66,8 @@ type Pipeline struct {
 // it replaces, except that the Detections backing array survives (emptied)
 // so the peak-extract stage appends into it without allocating.
 func (p *Pipeline) getItem(i int, f *fmcw.Frame) *Item {
-	p.itemMu.Lock()
-	var it *Item
-	if n := len(p.itemFree); n > 0 {
-		it = p.itemFree[n-1]
-		p.itemFree[n-1] = nil
-		p.itemFree = p.itemFree[:n-1]
-	}
-	p.itemMu.Unlock()
-	if it == nil {
+	it, ok := p.items.Get()
+	if !ok {
 		return &Item{Index: i, Frame: f}
 	}
 	dets := it.Detections
@@ -89,11 +79,7 @@ func (p *Pipeline) getItem(i int, f *fmcw.Frame) *Item {
 // putItem returns an item whose stage chain has completed. Items on the
 // error/abort path are never put back — like half-processed buffers, they
 // simply drop to the GC.
-func (p *Pipeline) putItem(it *Item) {
-	p.itemMu.Lock()
-	p.itemFree = append(p.itemFree, it)
-	p.itemMu.Unlock()
-}
+func (p *Pipeline) putItem(it *Item) { p.items.Put(it) }
 
 // New assembles a pipeline. Stages run in the given order for every frame.
 func New(src Source, stages ...Stage) *Pipeline {

@@ -80,27 +80,35 @@ func TestMinRangeExcludesCloseTargets(t *testing.T) {
 
 func TestPlanCacheReuse(t *testing.T) {
 	p := quietParams()
-	pr := NewProcessor(DefaultConfig())
-	fr := synthesize(p, nil, 0, nil)
-	rangeAngle(t, pr, fr)
-	first := pr.plan
-	if first == nil {
-		t.Fatal("no plan compiled")
+	first := PlanFrontEnd(DefaultConfig(), p)
+	if PlanFrontEnd(DefaultConfig(), p) != first {
+		t.Fatal("PlanFrontEnd recompiled for an identical shape")
 	}
-	rangeAngle(t, pr, fr)
-	if pr.plan != first {
-		t.Fatal("plan recompiled for identical params")
+	// Zero-valued fields normalize to their defaults before the lookup, and
+	// a Processor's Plan is the shared one.
+	sparse := DefaultConfig()
+	sparse.AngleBins, sparse.MaxTargets = 0, 0
+	if PlanFrontEnd(sparse, p) != first {
+		t.Fatal("PlanFrontEnd did not normalize zero-valued fields")
 	}
-	if pr.Plan(p) != first {
-		t.Fatal("Plan() recompiled for identical params")
+	if NewProcessor(DefaultConfig()).Plan(p) != first {
+		t.Fatal("Processor.Plan is not PlanFrontEnd")
 	}
-	// Changing params invalidates the cache.
+	// A warm lookup allocates nothing, also where the call is inlined into
+	// another package (fmcw.PlanSynth here).
+	if n := testing.AllocsPerRun(100, func() { PlanFrontEnd(DefaultConfig(), p); fmcw.PlanSynth(p) }); n != 0 {
+		t.Fatalf("warm plan lookups allocate %v per run, want 0", n)
+	}
+	// Changing params or the config selects a different plan.
 	p2 := p
 	p2.CenterFreq = 7e9
-	fr2 := synthesize(p2, nil, 0, nil)
-	rangeAngle(t, pr, fr2)
-	if pr.plan == first {
-		t.Fatal("plan not recompiled for new params")
+	if pl := PlanFrontEnd(DefaultConfig(), p2); pl == first || pl.params != p2 {
+		t.Fatal("PlanFrontEnd reused a plan across params")
+	}
+	cfg := DefaultConfig()
+	cfg.AngleBins = 91
+	if pl := PlanFrontEnd(cfg, p); pl == first || pl.cfg.AngleBins != 91 {
+		t.Fatal("PlanFrontEnd reused a plan across configs")
 	}
 }
 

@@ -58,7 +58,10 @@ func (pl *FrontEndPlan) DetectInto(dst []Detection, prof *Profile, array fmcw.Ar
 	if sep < 2 {
 		sep = 2
 	}
-	e := pl.getDet()
+	e, ok := pl.detFree.Get()
+	if !ok {
+		e = newDetExec()
+	}
 	peaks := e.finder.Find(prof.Power, prof.RangeBins, prof.AngleBins, thresh, sep)
 	if len(peaks) > pl.cfg.MaxTargets {
 		peaks = peaks[:pl.cfg.MaxTargets]
@@ -82,7 +85,7 @@ func (pl *FrontEndPlan) DetectInto(dst []Detection, prof *Profile, array fmcw.Ar
 			Time:  prof.Time,
 		})
 	}
-	pl.putDet(e)
+	pl.detFree.Put(e)
 	return dst
 }
 

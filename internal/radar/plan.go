@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/cmplx"
-	"sync"
 
 	"rfprotect/internal/dsp"
 	"rfprotect/internal/fmcw"
@@ -21,14 +20,14 @@ import (
 //
 // Lifecycle and thread-safety contract:
 //
-//   - CompileFrontEndPlan builds a plan once; the tables are immutable
-//     afterwards and shared by every goroutine.
+//   - PlanFrontEnd returns the process-wide plan for a shape, compiling it
+//     once (CompileFrontEndPlan builds a private one); the tables are
+//     immutable afterwards and shared by every goroutine.
 //   - Each kernel call checks an executor out of the plan's free list and
 //     returns it on exit, so concurrent calls on one plan OVERLAP (each gets
-//     its own spectra/accumulator buffers) instead of serializing the way
-//     the old per-Processor scratch mutex forced. The free lists are plain
-//     mutex-guarded stacks the GC never empties, keeping the warmed-up
-//     steady state at exactly zero allocations per call.
+//     its own spectra/accumulator buffers). The free lists are
+//     parallel.FreeLists, keeping the warmed-up steady state at exactly
+//     zero allocations per call.
 //   - Executors feed per-call state (frame, profile) to their pre-bound
 //     fan-out closures through fields, cleared on exit so a parked executor
 //     never retains a caller's pooled buffers.
@@ -50,9 +49,8 @@ const beamBatch = 16
 // rows never share scratch. Larger arrays fall back to the scalar kernels.
 const beamMaxAVXAnt = 32
 
-// FrontEndPlan is the compiled front end for one radar shape. Compile it
-// once (or let a Processor compile it lazily) and share it: all methods are
-// safe for concurrent use.
+// FrontEndPlan is the compiled front end for one radar shape. Fetch the
+// shared one with PlanFrontEnd: all methods are safe for concurrent use.
 type FrontEndPlan struct {
 	cfg    Config
 	params fmcw.Params
@@ -77,17 +75,32 @@ type FrontEndPlan struct {
 	steerReFlat []float64
 	steerImFlat []float64
 
-	raMu   sync.Mutex
-	raFree []*raExec
-
-	rdMu     sync.Mutex
-	rdShapes map[int]*rdShape // keyed by burst length nd
-
-	detMu   sync.Mutex
-	detFree []*detExec
+	raFree   parallel.FreeList[*raExec]
+	rdShapes parallel.Cache[int, *rdShape] // keyed by burst length nd
+	detFree  parallel.FreeList[*detExec]
 }
 
-// CompileFrontEndPlan builds the front-end plan for one radar shape,
+// frontEndKey identifies one compiled front-end shape: the normalized
+// processing configuration plus the frame parameters.
+type frontEndKey struct {
+	cfg    Config
+	params fmcw.Params
+}
+
+var frontEndPlans parallel.Cache[frontEndKey, *FrontEndPlan]
+
+// PlanFrontEnd returns the process-wide plan for a radar shape, compiling
+// it on first use; zero-valued cfg fields are normalized first, so configs
+// that normalize alike share one plan. It is the front-end sibling of
+// fmcw.PlanSynth: every daemon room and Processor of one shape shares the
+// tables and the warmed executor free lists.
+func PlanFrontEnd(cfg Config, p fmcw.Params) *FrontEndPlan {
+	return frontEndPlans.Get(frontEndKey{cfg: normalizeConfig(cfg), params: p}, func(k frontEndKey) *FrontEndPlan {
+		return CompileFrontEndPlan(k.cfg, k.params)
+	})
+}
+
+// CompileFrontEndPlan builds a private front-end plan for one radar shape,
 // normalizing zero-valued cfg fields exactly as NewProcessor does. The call
 // also warms the dsp plan for the range-FFT size so the first frame's
 // fan-out never races plan construction.
@@ -103,7 +116,6 @@ func CompileFrontEndPlan(cfg Config, p fmcw.Params) *FrontEndPlan {
 		maxBin:   maxRangeBin(cfg, p, n),
 		win:      cfg.Window.Coefficients(n),
 		steering: steeringTable(cfg.AngleBins, p),
-		rdShapes: map[int]*rdShape{},
 	}
 	bins := cfg.AngleBins
 	reBack := make([]float64, pl.nAnt*bins)
@@ -170,25 +182,6 @@ type raExec struct {
 	// Per-call state read by the closures; cleared on exit.
 	frame *fmcw.Frame
 	prof  *Profile
-}
-
-func (pl *FrontEndPlan) getRA() *raExec {
-	pl.raMu.Lock()
-	if k := len(pl.raFree); k > 0 {
-		e := pl.raFree[k-1]
-		pl.raFree[k-1] = nil
-		pl.raFree = pl.raFree[:k-1]
-		pl.raMu.Unlock()
-		return e
-	}
-	pl.raMu.Unlock()
-	return pl.newRAExec()
-}
-
-func (pl *FrontEndPlan) putRA(e *raExec) {
-	pl.raMu.Lock()
-	pl.raFree = append(pl.raFree, e)
-	pl.raMu.Unlock()
 }
 
 func (pl *FrontEndPlan) newRAExec() *raExec {
@@ -421,7 +414,10 @@ func (pl *FrontEndPlan) RangeAngleInto(ctx context.Context, f *fmcw.Frame, prof 
 	if f.Params != pl.params {
 		panic("radar: RangeAngleInto on a frame shape the plan was not compiled for")
 	}
-	e := pl.getRA()
+	e, ok := pl.raFree.Get()
+	if !ok {
+		e = pl.newRAExec()
+	}
 	e.frame, e.prof = f, prof
 
 	bins := pl.cfg.AngleBins
@@ -445,7 +441,7 @@ func (pl *FrontEndPlan) RangeAngleInto(ctx context.Context, f *fmcw.Frame, prof 
 		err = parallel.ForEachCtx(ctx, nb, pl.cfg.Workers, e.beamFn)
 	}
 	e.frame, e.prof = nil, nil
-	pl.putRA(e)
+	pl.raFree.Put(e)
 	return err
 }
 
@@ -455,13 +451,12 @@ func (pl *FrontEndPlan) RangeAngleInto(ctx context.Context, f *fmcw.Frame, prof 
 type rdShape struct {
 	nd   int
 	dwin []float64 // slow-time Hann, length nd
-	free []*rdExec
+	free parallel.FreeList[*rdExec]
 }
 
 // rdExec is one range–Doppler execution context.
 type rdExec struct {
 	pl      *FrontEndPlan
-	sh      *rdShape
 	spectra [][]complex128 // one windowed range-FFT row per chirp
 	cols    [][]complex128 // one slow-time column per fan-out batch
 	fftFn   func(k int)
@@ -472,37 +467,16 @@ type rdExec struct {
 	m       *RangeDopplerMap
 }
 
-func (pl *FrontEndPlan) getRD(nd int) *rdExec {
-	pl.rdMu.Lock()
-	sh := pl.rdShapes[nd]
-	if sh == nil {
-		sh = &rdShape{nd: nd, dwin: dsp.Hann.Coefficients(nd)}
-		pl.rdShapes[nd] = sh
-		pl.rdMu.Unlock()
-		// Warm the slow-time dsp plan outside the plan lock; size 8 (the
-		// standard Doppler window) dispatches to the unrolled kernel.
-		dsp.FFTInPlace(make([]complex128, nd))
-		return pl.newRDExec(sh)
-	}
-	if k := len(sh.free); k > 0 {
-		e := sh.free[k-1]
-		sh.free[k-1] = nil
-		sh.free = sh.free[:k-1]
-		pl.rdMu.Unlock()
-		return e
-	}
-	pl.rdMu.Unlock()
-	return pl.newRDExec(sh)
-}
-
-func (pl *FrontEndPlan) putRD(e *rdExec) {
-	pl.rdMu.Lock()
-	e.sh.free = append(e.sh.free, e)
-	pl.rdMu.Unlock()
+// newRDShape builds the plan slice for burst length nd. It also warms the
+// slow-time dsp plan; size 8 (the standard Doppler window) dispatches to
+// the unrolled kernel.
+func newRDShape(nd int) *rdShape {
+	dsp.FFTInPlace(make([]complex128, nd))
+	return &rdShape{nd: nd, dwin: dsp.Hann.Coefficients(nd)}
 }
 
 func (pl *FrontEndPlan) newRDExec(sh *rdShape) *rdExec {
-	e := &rdExec{pl: pl, sh: sh}
+	e := &rdExec{pl: pl}
 	nd := sh.nd
 	fast := make([]complex128, nd*pl.n)
 	e.spectra = make([][]complex128, nd)
@@ -573,7 +547,11 @@ func (pl *FrontEndPlan) RangeDopplerInto(ctx context.Context, m *RangeDopplerMap
 		antenna = 0
 	}
 	nd := len(chirps)
-	e := pl.getRD(nd)
+	sh := pl.rdShapes.Get(nd, newRDShape)
+	e, ok := sh.free.Get()
+	if !ok {
+		e = pl.newRDExec(sh)
+	}
 	e.chirps, e.antenna, e.m = chirps, antenna, m
 
 	m.Params = p
@@ -590,7 +568,7 @@ func (pl *FrontEndPlan) RangeDopplerInto(ctx context.Context, m *RangeDopplerMap
 		err = parallel.ForEachCtx(ctx, nb, pl.cfg.Workers, e.colFn)
 	}
 	e.chirps, e.m = nil, nil
-	pl.putRD(e)
+	sh.free.Put(e)
 	return err
 }
 
@@ -616,21 +594,8 @@ type detExec struct {
 	finder dsp.Peak2DFinder
 }
 
-func (pl *FrontEndPlan) getDet() *detExec {
-	pl.detMu.Lock()
-	if k := len(pl.detFree); k > 0 {
-		e := pl.detFree[k-1]
-		pl.detFree[k-1] = nil
-		pl.detFree = pl.detFree[:k-1]
-		pl.detMu.Unlock()
-		return e
-	}
-	pl.detMu.Unlock()
-	return &detExec{}
-}
-
-func (pl *FrontEndPlan) putDet(e *detExec) {
-	pl.detMu.Lock()
-	pl.detFree = append(pl.detFree, e)
-	pl.detMu.Unlock()
-}
+// newDetExec builds an empty executor. noinline keeps the one-time
+// allocation out of DetectInto's //rfvet:allocfree escape diagnostics.
+//
+//go:noinline
+func newDetExec() *detExec { return new(detExec) }

@@ -1,25 +1,25 @@
 package radar
 
-import "sync"
+import "rfprotect/internal/parallel"
 
 // ProfilePool and DopplerPool recycle profile and range–Doppler map
 // destinations for the Into kernels, completing the zero-allocation
 // steady-state loop: a streaming consumer Gets a destination, fills it with
 // RangeAngleInto / RangeDopplerInto (which reuse the Power backing's
 // capacity), and Puts it back once downstream stages are done reading it.
-// Like fmcw.FramePool they are plain mutex-guarded free lists rather than
-// sync.Pools: the GC never empties them, so the warmed-up allocation count
-// stays exactly zero and the allocation-regression gate can assert it.
+// Each is a parallel.FreeList.
 //
-// Unlike FramePool the recycled objects are NOT zeroed or shape-checked:
+// Unlike fmcw.FramePool the recycled objects are NOT zeroed or shape-checked:
 // the Into kernels restamp every field and overwrite (or reallocate) Power,
 // so stale contents are harmless and differently-shaped leftovers simply
 // get their backing replaced. See DESIGN.md "Buffer ownership & pooling".
+//
+// Both Gets are noinline so their warm-up allocation stays out of the
+// escape diagnostics of the //rfvet:allocfree stages that call them.
 
 // ProfilePool is a free list of range–angle profiles.
 type ProfilePool struct {
-	mu   sync.Mutex
-	free []*Profile
+	free parallel.FreeList[*Profile]
 }
 
 // NewProfilePool returns an empty pool.
@@ -27,41 +27,30 @@ func NewProfilePool() *ProfilePool { return &ProfilePool{} }
 
 // Get returns a profile with unspecified contents, to be filled by
 // RangeAngleInto.
+//
+//go:noinline
 func (pp *ProfilePool) Get() *Profile {
-	pp.mu.Lock()
-	if k := len(pp.free); k > 0 {
-		p := pp.free[k-1]
-		pp.free[k-1] = nil
-		pp.free = pp.free[:k-1]
-		pp.mu.Unlock()
-		return p
+	p, ok := pp.free.Get()
+	if !ok {
+		p = &Profile{}
 	}
-	pp.mu.Unlock()
-	return &Profile{}
+	return p
 }
 
 // Put recycles a profile. The caller must not use it after Put; Put(nil) is
 // a no-op.
 func (pp *ProfilePool) Put(p *Profile) {
-	if p == nil {
-		return
+	if p != nil {
+		pp.free.Put(p)
 	}
-	pp.mu.Lock()
-	pp.free = append(pp.free, p)
-	pp.mu.Unlock()
 }
 
 // Len reports how many profiles are currently parked in the pool.
-func (pp *ProfilePool) Len() int {
-	pp.mu.Lock()
-	defer pp.mu.Unlock()
-	return len(pp.free)
-}
+func (pp *ProfilePool) Len() int { return pp.free.Len() }
 
 // DopplerPool is a free list of range–Doppler maps.
 type DopplerPool struct {
-	mu   sync.Mutex
-	free []*RangeDopplerMap
+	free parallel.FreeList[*RangeDopplerMap]
 }
 
 // NewDopplerPool returns an empty pool.
@@ -69,33 +58,23 @@ func NewDopplerPool() *DopplerPool { return &DopplerPool{} }
 
 // Get returns a map with unspecified contents, to be filled by
 // RangeDopplerInto.
+//
+//go:noinline
 func (dp *DopplerPool) Get() *RangeDopplerMap {
-	dp.mu.Lock()
-	if k := len(dp.free); k > 0 {
-		m := dp.free[k-1]
-		dp.free[k-1] = nil
-		dp.free = dp.free[:k-1]
-		dp.mu.Unlock()
-		return m
+	m, ok := dp.free.Get()
+	if !ok {
+		m = &RangeDopplerMap{}
 	}
-	dp.mu.Unlock()
-	return &RangeDopplerMap{}
+	return m
 }
 
 // Put recycles a map. The caller must not use it after Put; Put(nil) is a
 // no-op.
 func (dp *DopplerPool) Put(m *RangeDopplerMap) {
-	if m == nil {
-		return
+	if m != nil {
+		dp.free.Put(m)
 	}
-	dp.mu.Lock()
-	dp.free = append(dp.free, m)
-	dp.mu.Unlock()
 }
 
 // Len reports how many maps are currently parked in the pool.
-func (dp *DopplerPool) Len() int {
-	dp.mu.Lock()
-	defer dp.mu.Unlock()
-	return len(dp.free)
-}
+func (dp *DopplerPool) Len() int { return dp.free.Len() }

@@ -13,7 +13,6 @@ package radar
 import (
 	"context"
 	"math"
-	"sync"
 
 	"rfprotect/internal/dsp"
 	"rfprotect/internal/fmcw"
@@ -75,18 +74,14 @@ func (p *Profile) AngleOfBin(a float64) float64 {
 // At returns the power at integer bin (r, a).
 func (p *Profile) At(r, a int) float64 { return p.Power[r*p.AngleBins+a] }
 
-// Processor is a per-Config cache of compiled FrontEndPlans with allocating
-// convenience wrappers over them. The first call for a given frame shape
-// compiles the plan (and a later shape change recompiles it); every kernel
-// is then a plan call. Streaming callers hold a plan directly and use its
-// Into kernels; a Processor is for one-off profiles and the batch
-// reference path. Concurrent calls on one Processor are safe and overlap,
-// each on its own plan executor.
+// Processor is a Config with allocating convenience wrappers over the
+// shared FrontEndPlans of its shapes: every kernel is a call on
+// PlanFrontEnd(cfg, frame params). Streaming callers hold a plan directly
+// and use its Into kernels; a Processor is for one-off profiles and the
+// batch reference path. Concurrent calls on one Processor are safe and
+// overlap, each on its own plan executor.
 type Processor struct {
 	cfg Config
-
-	mu   sync.Mutex
-	plan *FrontEndPlan
 }
 
 // NewProcessor returns a Processor with the given configuration;
@@ -116,18 +111,9 @@ func normalizeConfig(cfg Config) Config {
 // Config returns the processor's effective configuration.
 func (pr *Processor) Config() Config { return pr.cfg }
 
-// Plan returns the processor's compiled plan for frame shape p, compiling
-// and caching one on first use or shape change.
-func (pr *Processor) Plan(p fmcw.Params) *FrontEndPlan {
-	pr.mu.Lock()
-	pl := pr.plan
-	if pl == nil || pl.params != p {
-		pl = CompileFrontEndPlan(pr.cfg, p)
-		pr.plan = pl
-	}
-	pr.mu.Unlock()
-	return pl
-}
+// Plan returns the shared plan for the processor's config and frame shape
+// p: PlanFrontEnd(pr.Config(), p).
+func (pr *Processor) Plan(p fmcw.Params) *FrontEndPlan { return PlanFrontEnd(pr.cfg, p) }
 
 // RangeAngle computes the range–angle power profile of a (typically
 // background-subtracted) frame into a fresh Profile: per-antenna windowed

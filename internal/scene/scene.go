@@ -43,11 +43,10 @@ type Scene struct {
 }
 
 // UseSynthPlan routes every capture path through the given pre-compiled
-// synthesis plan, which must be compiled for the scene's Params. Frames are
-// bit-identical for any plan of the right shape — plans are stateless apart
-// from their warmed executor free lists — so sharing one plan across many
-// scenes of one shape (as the service's room manager does) costs nothing but
-// saves each scene its own phasor-table scratch. It returns s for chaining.
+// synthesis plan, which must be compiled for the scene's Params, instead of
+// the shared fmcw.PlanSynth plan. Frames are bit-identical for any plan of
+// the right shape — plans are stateless apart from their warmed executor
+// free lists. It returns s for chaining.
 func (s *Scene) UseSynthPlan(pl *fmcw.SynthPlan) *Scene {
 	s.plan = pl
 	return s

@@ -357,7 +357,7 @@ func TestQueuePolicies(t *testing.T) {
 	if err := cfg.validate(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := newRoom(cfg, 0, sh, newPlanCache())
+	r, err := newRoom(cfg, 0, sh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestQueuePolicies(t *testing.T) {
 	if err := cfg.validate(); err != nil {
 		t.Fatal(err)
 	}
-	rb, err := newRoom(cfg, 0, sh, newPlanCache())
+	rb, err := newRoom(cfg, 0, sh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestQueuePolicies(t *testing.T) {
 	}
 
 	// Pushing to a synthetic room is a mode error.
-	rs, err := newRoom(RoomConfig{ID: "synth", Frames: 4, QueueDepth: 64}, 0, sh, newPlanCache())
+	rs, err := newRoom(RoomConfig{ID: "synth", Frames: 4, QueueDepth: 64}, 0, sh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,6 +450,57 @@ func TestDuplicateRoomRejected(t *testing.T) {
 	}
 	if _, err := m.CreateRoom(RoomConfig{ID: "dup", Frames: 2}); err != ErrRoomExists {
 		t.Fatalf("duplicate create: err %v, want ErrRoomExists", err)
+	}
+	if err := m.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// createStatus POSTs body to the create-room endpoint and returns the
+// response status.
+func createStatus(t *testing.T, srv *httptest.Server, body string) int {
+	t.Helper()
+	resp, err := http.Post(srv.URL+"/v1/rooms", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestCreateRejectsHugeQueueDepth pins the queue_depth cap: newRoom
+// allocates the queue up front, so an unbounded request would take the
+// daemon down with a fatal out-of-memory error instead of failing one room.
+func TestCreateRejectsHugeQueueDepth(t *testing.T) {
+	m := NewManager(context.Background(), 2)
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+	for _, depth := range []int64{maxQueueDepth + 1, 4e9} {
+		if got := createStatus(t, srv, fmt.Sprintf(`{"queue_depth": %d}`, depth)); got != http.StatusBadRequest {
+			t.Fatalf("queue_depth %d: status %d, want 400", depth, got)
+		}
+	}
+	if got := createStatus(t, srv, fmt.Sprintf(`{"id": "cap", "queue_depth": %d}`, maxQueueDepth)); got != http.StatusCreated {
+		t.Fatalf("queue_depth at the cap: status %d, want 201", got)
+	}
+	if err := m.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCreateRejectsBadDopplerWindow pins the doppler_window bounds [0, cap]:
+// the window's ring buffer is allocated when the room is built.
+func TestCreateRejectsBadDopplerWindow(t *testing.T) {
+	m := NewManager(context.Background(), 2)
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+	for _, k := range []int64{-1, maxDopplerWindow + 1, 4e9} {
+		if got := createStatus(t, srv, fmt.Sprintf(`{"frames": 2, "doppler_window": %d}`, k)); got != http.StatusBadRequest {
+			t.Fatalf("doppler_window %d: status %d, want 400", k, got)
+		}
+	}
+	if got := createStatus(t, srv, fmt.Sprintf(`{"frames": 2, "doppler_window": %d}`, maxDopplerWindow)); got != http.StatusCreated {
+		t.Fatalf("doppler_window at the cap: status %d, want 201", got)
 	}
 	if err := m.Drain(context.Background()); err != nil {
 		t.Fatal(err)

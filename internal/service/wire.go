@@ -97,6 +97,14 @@ func roomByName(name string) (scene.Room, error) {
 	}
 }
 
+// Caps on the create-room sizes newRoom allocates up front. Without them
+// one request asking for billions of queue slots or Doppler chirps would
+// stop the whole daemon with an unrecoverable out-of-memory fatal error.
+const (
+	maxQueueDepth    = 1 << 20
+	maxDopplerWindow = 256
+)
+
 // validate normalizes a RoomConfig and reports the first problem.
 func (c *RoomConfig) validate() error {
 	if _, err := roomByName(c.Room); err != nil {
@@ -108,8 +116,11 @@ func (c *RoomConfig) validate() error {
 	if c.FrameRate < 0 {
 		return fmt.Errorf("service: frame_rate %v must be >= 0", c.FrameRate)
 	}
-	if c.QueueDepth < 0 {
-		return fmt.Errorf("service: queue_depth %d must be >= 0", c.QueueDepth)
+	if c.QueueDepth < 0 || c.QueueDepth > maxQueueDepth {
+		return fmt.Errorf("service: queue_depth %d must be in [0, %d]", c.QueueDepth, maxQueueDepth)
+	}
+	if c.DopplerWindow < 0 || c.DopplerWindow > maxDopplerWindow {
+		return fmt.Errorf("service: doppler_window %d must be in [0, %d]", c.DopplerWindow, maxDopplerWindow)
 	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 64
