@@ -4,9 +4,10 @@ GO ?= go
 # packages whose correctness rests on their test harness: the concurrent
 # scheduler, the worker pool and the FFT batch layer under it, the frame
 # synthesis and radar front-end kernels with their pools and plans, the
-# scene capture paths, and the spoof-detection suite.
+# scene capture paths, the spoof-detection suite, and the daemon's service
+# layer with its ingest decoder.
 COVER_MIN ?= 80
-COVER_PKGS ?= ./internal/pipeline ./internal/parallel ./internal/dsp ./internal/fmcw ./internal/radar ./internal/scene ./internal/detect
+COVER_PKGS ?= ./internal/pipeline ./internal/parallel ./internal/dsp ./internal/fmcw ./internal/radar ./internal/scene ./internal/detect ./internal/service
 
 .PHONY: build vet lint lint-deep test race short bench bench-go bench-json benchdiff cover fuzz daemon-smoke rfbench-check ci
 
@@ -83,22 +84,23 @@ cover:
 		if [ "$$ok" != "1" ]; then echo "coverage below floor for $$pkg"; exit 1; fi; \
 	done
 
-# Bounded fuzz exploration of the stage-composition state space and the
-# spoof-detector input space; the seed corpora alone run on every plain
-# `go test`.
+# Bounded fuzz exploration of the stage-composition state space, the
+# spoof-detector input space, and the ingest frame decoder against its
+# encoding/json oracle; the seed corpora alone run on every plain `go test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStageComposition -fuzztime 10s ./internal/pipeline
 	$(GO) test -run '^$$' -fuzz FuzzDetect -fuzztime 10s ./internal/detect
+	$(GO) test -run '^$$' -fuzz FuzzIngestFrame -fuzztime 10s ./internal/service
 
 # Daemon smoke: build rfprotectd, then drive the full lifecycle under the
 # race detector — 8 concurrent rooms × 64 frames whose exported tracks are
 # bit-identical to the library path, an ingest drain that loses no accepted
-# frame, and start → SIGTERM → drain → clean exit with zero leaked
-# goroutines.
+# frame, HTTP-ingested frames whose tracks are bit-identical to pushed ones,
+# and start → SIGTERM → drain → clean exit with zero leaked goroutines.
 daemon-smoke:
 	$(GO) build -o /dev/null ./cmd/rfprotectd
 	$(GO) test -race -count=1 \
-		-run 'TestSmokeConcurrentRoomsBitIdentical|TestIngestDrainNoFrameLoss|TestDaemonSIGTERMDrain' \
+		-run 'TestSmokeConcurrentRoomsBitIdentical|TestIngestDrainNoFrameLoss|TestIngestHTTPBitIdentical|TestDaemonSIGTERMDrain' \
 		./internal/service ./cmd/rfprotectd
 
 # The end-to-end benchmark harness is a module of its own (cmd/rfbench/go.mod,

@@ -401,13 +401,13 @@ func runSnapshot(minDur time.Duration, seed int64, streamLens []int, quick bool)
 	})
 	add("range_angle_plan_pooled", 1, raS, true)
 
-	chirps := make([]*fmcw.Frame, 8)
-	for i := range chirps {
-		chirps[i] = synthFrame(ctx, params, returns, float64(i)/params.FrameRate, rng, 1)
+	rows := make([][]complex128, 8) // antenna 0 of each chirp
+	for i := range rows {
+		rows[i] = synthFrame(ctx, params, returns, float64(i)/params.FrameRate, rng, 1).Data[0]
 	}
 	var rdMap radar.RangeDopplerMap
 	rdS := measure(minDur, func() {
-		if err := plan.RangeDopplerInto(ctx, &rdMap, chirps, 0, 1/params.FrameRate); err != nil {
+		if err := plan.RangeDopplerInto(ctx, &rdMap, rows, params, 1/params.FrameRate); err != nil {
 			fatal("range-doppler-into", err)
 		}
 	})

@@ -180,31 +180,3 @@ func TestDifferencerPooledBitIdentical(t *testing.T) {
 		t.Fatalf("pooled Differencer.Step allocates %v per op in steady state, want 0", allocs)
 	}
 }
-
-// PushCopy must behave exactly like Push for consumers (same frames in the
-// same order) while never aliasing the pushed frame.
-func TestWindowPushCopy(t *testing.T) {
-	p := testParams()
-	rng := rand.New(rand.NewSource(2))
-	w := NewWindow(3)
-	var scratch []*Frame
-	src := NewFrame(p, 0)
-	for i := 0; i < 7; i++ {
-		want := synthFrame(p, testReturns(3, int64(i)), float64(i), rng, 0)
-		src.CopyFrom(want)
-		w.PushCopy(src)
-		src.Reset() // the window must hold its own copy
-		scratch = w.Frames(scratch[:0])
-		last := scratch[len(scratch)-1]
-		if !framesEqual(last, want) {
-			t.Fatalf("push %d: window tail differs from pushed frame", i)
-		}
-	}
-	if w.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", w.Len())
-	}
-	// Warmed-up window: PushCopy reuses evicted storage, zero allocs.
-	if allocs := testing.AllocsPerRun(50, func() { w.PushCopy(src) }); allocs != 0 {
-		t.Fatalf("PushCopy allocates %v per op in steady state, want 0", allocs)
-	}
-}

@@ -181,3 +181,77 @@ func TestTrackVelocitySurfaced(t *testing.T) {
 		t.Fatal("no track carries a radial-velocity estimate")
 	}
 }
+
+// TestDopplerRingArrivalOrder pins the ring's eviction order: no map until
+// K frames arrived, then the burst handed to the plan holds exactly the
+// observed antenna's rows of the last K frames, oldest first. Each frame's
+// row is stamped with its arrival index so the order is readable.
+func TestDopplerRingArrivalOrder(t *testing.T) {
+	const window, antenna = 3, 1
+	p := dopplerParams()
+	cfg := radar.DefaultConfig()
+	cfg.Workers = 1
+	s := NewDopplerPlanned(radar.CompileFrontEndPlan(cfg, p), window, antenna, radar.NewDopplerPool())
+	src := fmcw.NewFrame(p, 0)
+	for i := 0; i < 7; i++ {
+		src.Time = float64(i) / p.FrameRate
+		for k, row := range src.Data {
+			for j := range row {
+				row[j] = complex(float64(i), float64(k))
+			}
+		}
+		it := Item{Index: i, Frame: src}
+		if err := s.Process(context.Background(), &it); err != nil {
+			t.Fatal(err)
+		}
+		if i < window-1 {
+			if it.RangeDoppler != nil {
+				t.Fatalf("frame %d: map before the ring filled", i)
+			}
+			continue
+		}
+		if it.RangeDoppler == nil || it.RangeDoppler.DopplerBins != window {
+			t.Fatalf("frame %d: want a %d-chirp map, got %+v", i, window, it.RangeDoppler)
+		}
+		if len(s.burst) != window {
+			t.Fatalf("frame %d: burst holds %d rows, want %d", i, len(s.burst), window)
+		}
+		for k, row := range s.burst {
+			if want := complex(float64(i-window+1+k), antenna); row[0] != want || row[len(row)-1] != want {
+				t.Fatalf("frame %d: burst row %d holds %v, want %v (oldest first, antenna %d)", i, k, row[0], want, antenna)
+			}
+		}
+		// The ring owns its rows: overwriting the source frame must not
+		// reach the held history.
+		src.Reset()
+		if row := s.burst[len(s.burst)-1]; row[0] != complex(float64(i), antenna) {
+			t.Fatalf("frame %d: ring aliases the pushed frame", i)
+		}
+	}
+}
+
+// TestDopplerStageZeroAllocsWarm asserts a warm DopplerStage.Process — the
+// ring copy, the burst gather and the map computation — allocates nothing.
+func TestDopplerStageZeroAllocsWarm(t *testing.T) {
+	p := dopplerParams()
+	cfg := radar.DefaultConfig()
+	cfg.Workers = 1
+	pool := radar.NewDopplerPool()
+	s := NewDopplerPlanned(radar.CompileFrontEndPlan(cfg, p), 8, 0, pool)
+	frames := scattererFrames(p, 4, 3, 1)
+	i := 0
+	step := func() {
+		it := Item{Index: i, Frame: frames[i%len(frames)]}
+		i++
+		if err := s.Process(context.Background(), &it); err != nil {
+			t.Fatal(err)
+		}
+		pool.Put(it.RangeDoppler)
+	}
+	for i < 16 {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+		t.Fatalf("warm DopplerStage.Process allocates %v per frame, want 0", allocs)
+	}
+}

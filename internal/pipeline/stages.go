@@ -106,51 +106,82 @@ func FrontEndStagesPlanned(plan *radar.FrontEndPlan, array fmcw.Array, pools *Po
 }
 
 // DopplerStage computes a sliding-window range–Doppler map over the last K
-// raw frames: a K-frame ring buffer (fmcw.Window) feeds per-range-bin
-// slow-time FFTs through the plan, and once the window is full every frame
-// carries the map ending at it (it.RangeDoppler), drawn from the pool. The
+// raw frames of one antenna: a K-slot ring holding that antenna's IF row of
+// each frame feeds per-range-bin slow-time FFTs through the plan, and once
+// the ring is full every frame carries the map ending at it
+// (it.RangeDoppler), drawn from the pool. The other antennas' rows are never
+// read, so the ring keeps one row per slot, not a whole frame. The
 // slow-time sampling interval is the frame interval 1/FrameRate, so the
 // unambiguous velocity band is ±λ·FrameRate/4 — faster radial motion
 // aliases, exactly as it would for a real chirp-coherent processor at that
 // frame rate.
 type DopplerStage struct {
 	plan    *radar.FrontEndPlan
-	win     *fmcw.Window
 	antenna int
-	burst   []*fmcw.Frame // scratch reused every frame
 	pool    *radar.DopplerPool
+	// ring[head] is the next slot to overwrite; slots fill in index order,
+	// so the ring is full once ring[head] has been written.
+	ring  [][]complex128
+	head  int
+	burst [][]complex128 // scratch reused every frame: the ring oldest first
 }
 
 // NewDopplerPlanned returns a Doppler stage with a K-frame window observing
 // the given antenna (window < 2 is treated as 2 — one frame has no slow
-// time), computing its maps through plan into maps drawn from pool.
+// time; an out-of-range antenna falls back to 0), computing its maps
+// through plan into maps drawn from pool.
 func NewDopplerPlanned(plan *radar.FrontEndPlan, window, antenna int, pool *radar.DopplerPool) *DopplerStage {
 	if window < 2 {
 		window = 2
 	}
-	return &DopplerStage{plan: plan, win: fmcw.NewWindow(window), antenna: antenna, pool: pool}
+	return &DopplerStage{
+		plan:    plan,
+		antenna: antenna,
+		pool:    pool,
+		ring:    make([][]complex128, window),
+		burst:   make([][]complex128, 0, window),
+	}
 }
 
 func (s *DopplerStage) Name() string { return "range-doppler" }
 
+//rfvet:allocfree
 func (s *DopplerStage) Process(ctx context.Context, it *Item) error {
-	// The window must own its history: items are recycled (or dropped) as
-	// soon as their stage chain completes, so the stage copies each frame
-	// into its ring instead of aliasing it. A warmed-up ring reuses the
-	// evicted slot's storage, so the copy costs no allocation.
-	s.win.PushCopy(it.Frame)
-	if !s.win.Full() {
-		return nil
+	// The ring must own its history: items are recycled (or dropped) as
+	// soon as their stage chain completes, so the stage copies the observed
+	// row into the slot it evicts instead of aliasing the frame.
+	a := s.antenna
+	if a < 0 || a >= len(it.Frame.Data) {
+		a = 0
 	}
-	s.burst = s.win.Frames(s.burst[:0])
+	src := it.Frame.Data[a]
+	dst := s.ring[s.head]
+	if len(dst) != len(src) {
+		dst = newRow(len(src))
+		s.ring[s.head] = dst
+	}
+	copy(dst, src)
+	s.head = (s.head + 1) % len(s.ring)
+	if s.ring[s.head] == nil {
+		return nil // still filling
+	}
+	// Full ring: head is also the oldest slot.
+	s.burst = append(append(s.burst[:0], s.ring[s.head:]...), s.ring[:s.head]...)
 	m := s.pool.Get()
-	if err := s.plan.RangeDopplerInto(ctx, m, s.burst, s.antenna, 1/it.Frame.Params.FrameRate); err != nil {
+	if err := s.plan.RangeDopplerInto(ctx, m, s.burst, it.Frame.Params, 1/it.Frame.Params.FrameRate); err != nil {
 		s.pool.Put(m) // partially written: contents are unspecified anyway
 		return err
 	}
 	it.RangeDoppler = m
 	return nil
 }
+
+// newRow allocates one ring slot the first time it fills. noinline keeps
+// the warm-up allocation out of Process's //rfvet:allocfree escape
+// diagnostics.
+//
+//go:noinline
+func newRow(n int) []complex128 { return make([]complex128, n) }
 
 // TrackStage feeds each frame's detections into a multi-target tracker,
 // exactly as radar.TrackDetections does in batch: empty detection sets are

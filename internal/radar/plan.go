@@ -462,9 +462,8 @@ type rdExec struct {
 	fftFn   func(k int)
 	colFn   func(b int)
 	// Per-call state read by the closures; cleared on exit.
-	chirps  []*fmcw.Frame
-	antenna int
-	m       *RangeDopplerMap
+	rows [][]complex128
+	m    *RangeDopplerMap
 }
 
 // newRDShape builds the plan slice for burst length nd. It also warms the
@@ -490,7 +489,7 @@ func (pl *FrontEndPlan) newRDExec(sh *rdShape) *rdExec {
 		e.cols[b], slow = slow[:nd:nd], slow[nd:]
 	}
 	e.fftFn = func(k int) {
-		dsp.WindowedFFTTo(e.spectra[k], e.chirps[k].Data[e.antenna], pl.win)
+		dsp.WindowedFFTTo(e.spectra[k], e.rows[k], pl.win)
 	}
 	e.colFn = func(b int) {
 		r0 := b * beamBatch
@@ -519,10 +518,11 @@ func (pl *FrontEndPlan) newRDExec(sh *rdShape) *rdExec {
 }
 
 // RangeDopplerInto computes the range–Doppler map of a chirp burst into m,
-// reusing m.Power's capacity when it suffices. All chirps must have the
-// shape the plan was compiled for; an out-of-range antenna falls back to 0.
-// Output is bit-identical to the historical Processor kernel for any worker
-// count; after the per-burst-length executor free list is warm, a
+// reusing m.Power's capacity when it suffices. rows holds one antenna's IF
+// samples per chirp, oldest first, uniformly spaced by pri; p must be the
+// parameters the plan was compiled for and every row must be one chirp
+// long. Output is bit-identical to the historical Processor kernel for any
+// worker count; after the per-burst-length executor free list is warm, a
 // Workers: 1 call allocates nothing (a sliding window still filling changes
 // the burst length every frame, so the steady state begins once the window
 // is full). Concurrent calls on one plan are safe and overlap.
@@ -531,28 +531,29 @@ func (pl *FrontEndPlan) newRDExec(sh *rdShape) *rdExec {
 // (or passed to the next call, which overwrites it).
 //
 //rfvet:allocfree
-func (pl *FrontEndPlan) RangeDopplerInto(ctx context.Context, m *RangeDopplerMap, chirps []*fmcw.Frame, antenna int, pri float64) error {
+func (pl *FrontEndPlan) RangeDopplerInto(ctx context.Context, m *RangeDopplerMap, rows [][]complex128, p fmcw.Params, pri float64) error {
 	if m == nil {
 		panic("radar: RangeDopplerInto with nil map")
 	}
-	if len(chirps) == 0 {
+	if len(rows) == 0 {
 		*m = RangeDopplerMap{Power: m.Power[:0]}
 		return nil
 	}
-	p := chirps[0].Params
 	if p != pl.params {
 		panic("radar: RangeDopplerInto on a chirp shape the plan was not compiled for")
 	}
-	if antenna < 0 || antenna >= p.NumAntennas {
-		antenna = 0
+	for _, row := range rows {
+		if len(row) != pl.n {
+			panic("radar: RangeDopplerInto row length differs from the plan's samples per chirp")
+		}
 	}
-	nd := len(chirps)
+	nd := len(rows)
 	sh := pl.rdShapes.Get(nd, newRDShape)
 	e, ok := sh.free.Get()
 	if !ok {
 		e = pl.newRDExec(sh)
 	}
-	e.chirps, e.antenna, e.m = chirps, antenna, m
+	e.rows, e.m = rows, m
 
 	m.Params = p
 	m.PRI = pri
@@ -567,7 +568,7 @@ func (pl *FrontEndPlan) RangeDopplerInto(ctx context.Context, m *RangeDopplerMap
 		nb := (pl.maxBin + beamBatch - 1) / beamBatch
 		err = parallel.ForEachCtx(ctx, nb, pl.cfg.Workers, e.colFn)
 	}
-	e.chirps, e.m = nil, nil
+	e.rows, e.m = nil, nil
 	sh.free.Put(e)
 	return err
 }

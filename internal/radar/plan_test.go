@@ -168,7 +168,7 @@ func TestRangeDopplerIntoBitIdentical(t *testing.T) {
 			if !dopplerMapsEqual(got, want) {
 				t.Fatalf("workers=%d nd=%d: RangeDoppler differs across worker counts", workers, nd)
 			}
-			if err := pr.Plan(p).RangeDopplerInto(context.Background(), m, burst[:nd], 1, pri); err != nil {
+			if err := pr.Plan(p).RangeDopplerInto(context.Background(), m, antennaRows(burst[:nd], 1), p, pri); err != nil {
 				t.Fatal(err)
 			}
 			if !dopplerMapsEqual(m, want) {
@@ -179,10 +179,44 @@ func TestRangeDopplerIntoBitIdentical(t *testing.T) {
 	}
 }
 
+// antennaRows gathers one antenna's row of every chirp, the input shape of
+// RangeDopplerInto.
+func antennaRows(chirps []*fmcw.Frame, antenna int) [][]complex128 {
+	rows := make([][]complex128, len(chirps))
+	for k, c := range chirps {
+		rows[k] = c.Data[antenna]
+	}
+	return rows
+}
+
+// RangeDopplerInto rejects rows the plan was not compiled for: other
+// params, or a row that is not one chirp long.
+func TestRangeDopplerIntoShapeMismatchPanics(t *testing.T) {
+	p := smallParams()
+	pl := CompileFrontEndPlan(DefaultConfig(), p)
+	rows := antennaRows([]*fmcw.Frame{scratchFrame(p, 1, 0), scratchFrame(p, 2, 0)}, 0)
+	other := p
+	other.FrameRate *= 2
+	short := [][]complex128{rows[0], rows[1][:len(rows[1])-1]}
+	for name, call := range map[string]func(){
+		"params": func() { _ = pl.RangeDopplerInto(context.Background(), &RangeDopplerMap{}, rows, other, 0.01) },
+		"row":    func() { _ = pl.RangeDopplerInto(context.Background(), &RangeDopplerMap{}, short, p, 0.01) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s mismatch: no panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
 func TestRangeDopplerIntoEmptyBurst(t *testing.T) {
 	pl := CompileFrontEndPlan(DefaultConfig(), smallParams())
 	m := &RangeDopplerMap{Power: make([]float64, 7), RangeBins: 1, DopplerBins: 7}
-	if err := pl.RangeDopplerInto(context.Background(), m, nil, 0, 0.01); err != nil {
+	if err := pl.RangeDopplerInto(context.Background(), m, nil, smallParams(), 0.01); err != nil {
 		t.Fatal(err)
 	}
 	if m.RangeBins != 0 || m.DopplerBins != 0 || len(m.Power) != 0 {
@@ -217,11 +251,12 @@ func TestIntoVariantsZeroAllocsSteadyState(t *testing.T) {
 		burst = append(burst, scratchFrame(p, int64(20+i), float64(i)*pri))
 	}
 	m := &RangeDopplerMap{}
-	if err := pl.RangeDopplerInto(context.Background(), m, burst, 0, pri); err != nil {
+	rows := antennaRows(burst, 0)
+	if err := pl.RangeDopplerInto(context.Background(), m, rows, p, pri); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
-		if err := pl.RangeDopplerInto(context.Background(), m, burst, 0, pri); err != nil {
+		if err := pl.RangeDopplerInto(context.Background(), m, rows, p, pri); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {

@@ -3,9 +3,15 @@ package service
 import (
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 )
+
+// maxControlBody caps the JSON control bodies (create-room, program-ghost):
+// encoding/json buffers a whole value before decoding it, so without a cap
+// one huge request could exhaust the daemon's memory. A one-hour 20 Hz
+// trajectory is about 3 MB of JSON. Frame bodies need no cap: their
+// decoder's memory does not grow with the body.
+const maxControlBody = 8 << 20
 
 // Handler returns the daemon's HTTP API: room lifecycle, frame ingest, the
 // NDJSON output stream, track export, ghost programming, and /metrics.
@@ -36,7 +42,10 @@ type errorBody struct {
 // fault (400).
 func writeError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooBig):
+		status = http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrNoRoom):
 		status = http.StatusNotFound
 	case errors.Is(err, ErrRoomExists), errors.Is(err, ErrNotIngest), errors.Is(err, ErrBusy):
@@ -66,7 +75,7 @@ func (m *Manager) handleHealth(w http.ResponseWriter, req *http.Request) {
 
 func (m *Manager) handleCreateRoom(w http.ResponseWriter, req *http.Request) {
 	var cfg RoomConfig
-	if err := json.NewDecoder(req.Body).Decode(&cfg); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxControlBody)).Decode(&cfg); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -106,9 +115,12 @@ func (m *Manager) handleCloseRoom(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// handleIngest accepts one frame or an NDJSON batch of frames (one JSON
-// FrameSpec per line / concatenated values) and pushes each through the
-// room's bounded queue, honoring its backpressure/shed policy.
+// handleIngest accepts one frame or a batch of frames (newline-separated
+// or concatenated; the grammar is frameDecoder's) and pushes each through
+// the room's bounded queue, honoring its backpressure/shed policy. Every
+// frame is decoded straight into a frame from the room's pool, through a
+// recycled fixed-size decoder, so the request's memory does not grow with
+// the body.
 func (m *Manager) handleIngest(w http.ResponseWriter, req *http.Request) {
 	r, err := m.Room(req.PathValue("id"))
 	if err != nil {
@@ -119,18 +131,20 @@ func (m *Manager) handleIngest(w http.ResponseWriter, req *http.Request) {
 		writeError(w, ErrNotIngest)
 		return
 	}
-	dec := json.NewDecoder(req.Body)
+	dec := getFrameDecoder(req.Body)
+	defer putFrameDecoder(dec)
 	ingested := 0
 	for {
-		var spec FrameSpec
-		if err := dec.Decode(&spec); err == io.EOF {
-			break
-		} else if err != nil {
+		more, err := dec.more()
+		if err != nil {
 			writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error(), "ingested": ingested})
 			return
 		}
-		f := r.pools.Frames.Get(spec.Time)
-		if err := spec.toFrame(f); err != nil {
+		if !more {
+			break
+		}
+		f := r.pools.Frames.Get(0)
+		if err := dec.decode(f); err != nil {
 			r.pools.Frames.Put(f)
 			writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error(), "ingested": ingested})
 			return
@@ -208,7 +222,7 @@ func (m *Manager) handleProgramGhost(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var spec TrajSpec
-	if err := json.NewDecoder(req.Body).Decode(&spec); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxControlBody)).Decode(&spec); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -216,17 +230,12 @@ func (m *Manager) handleProgramGhost(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "service: ghost needs >= 2 trajectory points"})
 		return
 	}
-	rec, err := r.ProgramGhost(spec)
+	st, err := r.ProgramGhost(spec)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, GhostStatus{
-		Index:   len(r.GhostStatuses()) - 1,
-		Start:   rec.Start,
-		Tick:    rec.Tick,
-		Entries: len(rec.Entries),
-	})
+	writeJSON(w, http.StatusCreated, st)
 }
 
 func (m *Manager) handleGhosts(w http.ResponseWriter, req *http.Request) {

@@ -12,7 +12,6 @@ import (
 	"rfprotect/internal/fmcw"
 	"rfprotect/internal/pipeline"
 	"rfprotect/internal/radar"
-	"rfprotect/internal/reflector"
 	"rfprotect/internal/scene"
 )
 
@@ -488,17 +487,19 @@ func (r *Room) Status() RoomStatus {
 }
 
 // ProgramGhost appends a ghost program to the room's tag and disclosure
-// log. Synthetic rooms synthesize from the tag on the runner goroutine, so
-// programming one mid-capture would race the synthesis — it is rejected
-// with ErrBusy until the room finishes. Ingest rooms never synthesize; their
-// tag exists for the disclosure workflow and accepts programs any time.
-func (r *Room) ProgramGhost(spec TrajSpec) (reflector.GhostRecord, error) {
+// log and returns its record, indexed under the same lock that appended it
+// so concurrent programs each learn their own index. Synthetic rooms
+// synthesize from the tag on the runner goroutine, so programming one
+// mid-capture would race the synthesis — it is rejected with ErrBusy until
+// the room finishes. Ingest rooms never synthesize; their tag exists for
+// the disclosure workflow and accepts programs any time.
+func (r *Room) ProgramGhost(spec TrajSpec) (GhostStatus, error) {
 	if r.Mode() == "synthetic" {
 		r.mu.Lock()
 		running := !r.finished
 		r.mu.Unlock()
 		if running {
-			return reflector.GhostRecord{}, ErrBusy
+			return GhostStatus{}, ErrBusy
 		}
 	}
 	rate := spec.Rate
@@ -507,7 +508,16 @@ func (r *Room) ProgramGhost(spec TrajSpec) (reflector.GhostRecord, error) {
 	}
 	r.ghostMu.Lock()
 	defer r.ghostMu.Unlock()
-	return r.sess.Ctl.ProgramForRadar(spec.trajectory(), r.sess.Scene.Radar, rate, spec.Start)
+	rec, err := r.sess.Ctl.ProgramForRadar(spec.trajectory(), r.sess.Scene.Radar, rate, spec.Start)
+	if err != nil {
+		return GhostStatus{}, err
+	}
+	return GhostStatus{
+		Index:   len(r.sess.Ctl.Records()) - 1,
+		Start:   rec.Start,
+		Tick:    rec.Tick,
+		Entries: len(rec.Entries),
+	}, nil
 }
 
 // GhostStatuses lists the room's disclosure records.

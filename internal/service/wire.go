@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"rfprotect/internal/detect"
-	"rfprotect/internal/fmcw"
 	"rfprotect/internal/geom"
 	"rfprotect/internal/radar"
 	"rfprotect/internal/scene"
@@ -133,33 +132,6 @@ func (c *RoomConfig) validate() error {
 	for i, g := range c.Ghosts {
 		if len(g.Points) < 2 {
 			return fmt.Errorf("service: ghosts[%d] needs >= 2 trajectory points", i)
-		}
-	}
-	return nil
-}
-
-// FrameSpec is one ingested radar frame on the wire: Data[k][i] is IF
-// sample i on antenna k as an [re, im] pair. Its shape must match the
-// room's radar parameters.
-type FrameSpec struct {
-	Time float64        `json:"time"`
-	Data [][][2]float64 `json:"data"`
-}
-
-// toFrame validates the spec's shape against dst's and fills dst in place.
-func (fs *FrameSpec) toFrame(dst *fmcw.Frame) error {
-	if len(fs.Data) != len(dst.Data) {
-		return fmt.Errorf("service: frame has %d antennas, room expects %d", len(fs.Data), len(dst.Data))
-	}
-	for k, row := range fs.Data {
-		if len(row) != len(dst.Data[k]) {
-			return fmt.Errorf("service: antenna %d has %d samples, room expects %d", k, len(row), len(dst.Data[k]))
-		}
-	}
-	dst.Time = fs.Time
-	for k, row := range fs.Data {
-		for i, s := range row {
-			dst.Data[k][i] = complex(s[0], s[1])
 		}
 	}
 	return nil
