@@ -106,10 +106,10 @@ func FrontEndStagesPlanned(plan *radar.FrontEndPlan, array fmcw.Array, pools *Po
 }
 
 // DopplerStage computes a sliding-window range–Doppler map over the last K
-// raw frames of one antenna: a K-slot ring holding that antenna's IF row of
-// each frame feeds per-range-bin slow-time FFTs through the plan, and once
-// the ring is full every frame carries the map ending at it
-// (it.RangeDoppler), drawn from the pool. The other antennas' rows are never
+// raw frames of one antenna: a K-slot ring (fmcw.RowWindow) holding that
+// antenna's IF row of each frame feeds per-range-bin slow-time FFTs through
+// the plan, and once the ring is full every frame carries the map ending at
+// it (it.RangeDoppler), drawn from the pool. The other antennas' rows are never
 // read, so the ring keeps one row per slot, not a whole frame. The
 // slow-time sampling interval is the frame interval 1/FrameRate, so the
 // unambiguous velocity band is ±λ·FrameRate/4 — faster radial motion
@@ -119,11 +119,8 @@ type DopplerStage struct {
 	plan    *radar.FrontEndPlan
 	antenna int
 	pool    *radar.DopplerPool
-	// ring[head] is the next slot to overwrite; slots fill in index order,
-	// so the ring is full once ring[head] has been written.
-	ring  [][]complex128
-	head  int
-	burst [][]complex128 // scratch reused every frame: the ring oldest first
+	ring    *fmcw.RowWindow
+	burst   [][]complex128 // scratch reused every frame: the ring oldest first
 }
 
 // NewDopplerPlanned returns a Doppler stage with a K-frame window observing
@@ -138,7 +135,7 @@ func NewDopplerPlanned(plan *radar.FrontEndPlan, window, antenna int, pool *rada
 		plan:    plan,
 		antenna: antenna,
 		pool:    pool,
-		ring:    make([][]complex128, window),
+		ring:    fmcw.NewRowWindow(window),
 		burst:   make([][]complex128, 0, window),
 	}
 }
@@ -154,19 +151,11 @@ func (s *DopplerStage) Process(ctx context.Context, it *Item) error {
 	if a < 0 || a >= len(it.Frame.Data) {
 		a = 0
 	}
-	src := it.Frame.Data[a]
-	dst := s.ring[s.head]
-	if len(dst) != len(src) {
-		dst = newRow(len(src))
-		s.ring[s.head] = dst
+	s.ring.PushCopy(it.Frame.Data[a])
+	if !s.ring.Full() {
+		return nil
 	}
-	copy(dst, src)
-	s.head = (s.head + 1) % len(s.ring)
-	if s.ring[s.head] == nil {
-		return nil // still filling
-	}
-	// Full ring: head is also the oldest slot.
-	s.burst = append(append(s.burst[:0], s.ring[s.head:]...), s.ring[:s.head]...)
+	s.burst = s.ring.Rows(s.burst[:0])
 	m := s.pool.Get()
 	if err := s.plan.RangeDopplerInto(ctx, m, s.burst, it.Frame.Params, 1/it.Frame.Params.FrameRate); err != nil {
 		s.pool.Put(m) // partially written: contents are unspecified anyway
@@ -175,13 +164,6 @@ func (s *DopplerStage) Process(ctx context.Context, it *Item) error {
 	it.RangeDoppler = m
 	return nil
 }
-
-// newRow allocates one ring slot the first time it fills. noinline keeps
-// the warm-up allocation out of Process's //rfvet:allocfree escape
-// diagnostics.
-//
-//go:noinline
-func newRow(n int) []complex128 { return make([]complex128, n) }
 
 // TrackStage feeds each frame's detections into a multi-target tracker,
 // exactly as radar.TrackDetections does in batch: empty detection sets are
