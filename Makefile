@@ -48,9 +48,10 @@ short:
 race:
 	$(GO) test -race -timeout 45m ./...
 
-# Regenerate the tracked performance snapshot (schema v2: ns/op plus
-# allocs/op and bytes/op per row). Run this after any deliberate
-# performance change so benchdiff gates against the new reality.
+# Regenerate the tracked kernel-gate snapshot (schema v2: ns/op plus
+# allocs/op and bytes/op per kernel row; end-to-end numbers are
+# cmd/rfbench's). Run this after any deliberate performance change so
+# benchdiff gates against the new reality.
 bench:
 	$(GO) run ./cmd/bench -out BENCH_pipeline.json
 
@@ -61,11 +62,11 @@ bench-go:
 	$(GO) test -bench=Pipeline -benchmem -run='^$$' .
 	$(GO) test -bench=. -benchmem -run='^$$' ./internal/fmcw ./internal/dsp
 
-# Allocation/throughput regression gate: re-measure with short windows and
+# Kernel regression gate: re-measure the kernel rows with short windows and
 # compare against the committed snapshot. ns/op gets a generous 4x ratio so
 # slow CI machines don't flake; allocs/op on the pooled single-worker rows
 # (allocs_exact) is compared exactly — one new allocation on the hot path
-# fails the build.
+# fails the build — and the intra-run synth_plan speedup must stay >= 2.0.
 benchdiff:
 	$(GO) run ./cmd/bench -quick -baseline BENCH_pipeline.json
 

@@ -322,13 +322,12 @@ func BenchmarkStreamingCaptureTrack(b *testing.B) {
 	})
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pr := radar.NewProcessor(radar.DefaultConfig())
 			rng := rand.New(rand.NewSource(1))
 			frames, err := sc.CaptureCtx(context.Background(), 0, nFrames, rng)
 			if err != nil {
 				b.Fatal(err)
 			}
-			dets, err := pr.ProcessFrames(context.Background(), frames, sc.Radar)
+			dets, err := radar.PlanFrontEnd(radar.DefaultConfig(), sc.Params).ProcessFrames(context.Background(), frames, sc.Radar)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -6,11 +6,10 @@ import (
 	"sort"
 )
 
-// This file is the -baseline regression gate. Rows are matched by key —
-// the name for result rows, the (name, frames) pair for streaming rows —
-// so row order is free. The worker column is machine-dependent (rows
-// measured at GOMAXPROCS workers carry whatever width the baseline machine
-// had), so it is not part of the key; runSnapshot gives the one-worker and
+// This file is the -baseline regression gate. Rows are matched by name, so
+// row order is free. The worker column is machine-dependent (rows measured
+// at GOMAXPROCS workers carry whatever width the baseline machine had), so
+// it is not part of the key; runSnapshot gives the one-worker and
 // all-worker variants of a measurement distinct names instead. A row
 // present on only one side means the harness and the committed baseline
 // disagree, and the fix is to regenerate the baseline, not to loosen the
@@ -18,10 +17,10 @@ import (
 //
 // Two checks per row:
 //
-//   - ns/op (ns/frame for streaming rows) may grow up to maxNsRatio times
-//     the baseline. The ratio is deliberately generous — CI machines are
-//     noisy and slower than the machine that wrote the baseline — so the
-//     timing gate only catches order-of-magnitude cliffs.
+//   - ns/op may grow up to maxNsRatio times the baseline. The ratio is
+//     deliberately generous — CI machines are noisy and slower than the
+//     machine that wrote the baseline — so the timing gate only catches
+//     order-of-magnitude cliffs.
 //   - allocs/op is compared exactly (after rounding) when BOTH rows are
 //     marked AllocsExact and single-worker. Those rows are pooled steady
 //     states whose allocation count is deterministic, so even one new
@@ -40,21 +39,6 @@ var speedupFloors = map[string]float64{
 	"synth_plan": 2.0,
 }
 
-// baselineStreamLens extracts the capture lengths the baseline's streaming
-// section was measured at, in first-appearance order, so a gating run can
-// reproduce the same rows.
-func baselineStreamLens(base *Snapshot) []int {
-	var lens []int
-	seen := make(map[int]bool)
-	for _, s := range base.Streaming {
-		if !seen[s.Frames] {
-			seen[s.Frames] = true
-			lens = append(lens, s.Frames)
-		}
-	}
-	return lens
-}
-
 // allocsComparable reports whether a result row pair is subject to the
 // exact allocation gate.
 func allocsComparable(b, r Result) bool {
@@ -67,7 +51,7 @@ func compareSnapshots(base, run *Snapshot, maxNsRatio float64) []string {
 	if base.Schema != run.Schema {
 		return []string{fmt.Sprintf("schema mismatch: baseline %d, run %d", base.Schema, run.Schema)}
 	}
-	baseResults, fails := matchRows("result rows", base.Results, run.Results, func(r Result) string { return r.Name })
+	baseResults, fails := matchRows(base.Results, run.Results)
 	for _, r := range run.Results {
 		b, ok := baseResults[r.Name]
 		if !ok {
@@ -80,19 +64,6 @@ func compareSnapshots(base, run *Snapshot, maxNsRatio float64) []string {
 		if allocsComparable(b, r) && math.Round(r.AllocsPerOp) > math.Round(b.AllocsPerOp) {
 			fails = append(fails, fmt.Sprintf("%s (workers=%d): %.0f allocs/op, baseline %.0f — an allocation crept into a pooled steady state",
 				r.Name, r.Workers, math.Round(r.AllocsPerOp), math.Round(b.AllocsPerOp)))
-		}
-	}
-	streamKey := func(s StreamResult) string { return fmt.Sprintf("%s/%d", s.Name, s.Frames) }
-	baseStreams, streamFails := matchRows("streaming rows", base.Streaming, run.Streaming, streamKey)
-	fails = append(fails, streamFails...)
-	for _, r := range run.Streaming {
-		b, ok := baseStreams[streamKey(r)]
-		if !ok {
-			continue
-		}
-		if b.NsPerFrame > 0 && r.NsPerFrame > b.NsPerFrame*maxNsRatio {
-			fails = append(fails, fmt.Sprintf("%s (%d frames): %.0f ns/frame exceeds baseline %.0f × %.1f",
-				r.Name, r.Frames, r.NsPerFrame, b.NsPerFrame, maxNsRatio))
 		}
 	}
 	floors := make([]string, 0, len(speedupFloors))
@@ -114,18 +85,17 @@ func compareSnapshots(base, run *Snapshot, maxNsRatio float64) []string {
 	return fails
 }
 
-// matchRows indexes the baseline's rows by key and reports as failures what
-// the key matching cannot gate: a key that appears twice on one side, and
-// the keys present on only one side (gathered into one message).
-func matchRows[T any](what string, base, run []T, key func(T) string) (baseRows map[string]T, fails []string) {
-	index := func(side string, rows []T) map[string]T {
-		m := make(map[string]T, len(rows))
+// matchRows indexes the baseline's rows by name and reports as failures
+// what the name matching cannot gate: a name that appears twice on one
+// side, and the names present on only one side (gathered into one message).
+func matchRows(base, run []Result) (baseRows map[string]Result, fails []string) {
+	index := func(side string, rows []Result) map[string]Result {
+		m := make(map[string]Result, len(rows))
 		for _, r := range rows {
-			k := key(r)
-			if _, dup := m[k]; dup {
-				fails = append(fails, fmt.Sprintf("%s: %s appears twice in the %s — row keys must be unique", what, k, side))
+			if _, dup := m[r.Name]; dup {
+				fails = append(fails, fmt.Sprintf("result rows: %s appears twice in the %s — row names must be unique", r.Name, side))
 			}
-			m[k] = r
+			m[r.Name] = r
 		}
 		return m
 	}
@@ -144,8 +114,8 @@ func matchRows[T any](what string, base, run []T, key func(T) string) (baseRows 
 	if len(missing)+len(extra) > 0 {
 		sort.Strings(missing)
 		sort.Strings(extra)
-		fails = append(fails, fmt.Sprintf("%s differ: missing from the run %v, not in the baseline %v — regenerate the baseline with `make bench`",
-			what, missing, extra))
+		fails = append(fails, fmt.Sprintf("result rows differ: missing from the run %v, not in the baseline %v — regenerate the baseline with `make bench`",
+			missing, extra))
 	}
 	return baseRows, fails
 }

@@ -8,12 +8,12 @@ import (
 // snap builds a minimal schema-2 snapshot for exercising the gate. Every
 // gated speedup is present at its floor so the floor check stays quiet in
 // tests that exercise the other gates.
-func snap(results []Result, streams []StreamResult) *Snapshot {
+func snap(results []Result) *Snapshot {
 	speedups := make(map[string]float64, len(speedupFloors))
 	for name, floor := range speedupFloors {
 		speedups[name] = floor
 	}
-	return &Snapshot{Schema: snapshotSchema, Results: results, Streaming: streams, Speedups: speedups}
+	return &Snapshot{Schema: snapshotSchema, Results: results, Speedups: speedups}
 }
 
 func TestCompareSnapshotsPassesWithinTolerance(t *testing.T) {
@@ -22,7 +22,6 @@ func TestCompareSnapshotsPassesWithinTolerance(t *testing.T) {
 			{Name: "a", Workers: 1, NsPerOp: 1000, AllocsPerOp: 0, AllocsExact: true},
 			{Name: "b", Workers: 4, NsPerOp: 500, AllocsPerOp: 12.3},
 		},
-		[]StreamResult{{Name: "s", Frames: 64, NsPerFrame: 1e6, AllocsPerFrame: 40}},
 	)
 	run := snap(
 		[]Result{
@@ -32,7 +31,6 @@ func TestCompareSnapshotsPassesWithinTolerance(t *testing.T) {
 			// exact): fine.
 			{Name: "b", Workers: 2, NsPerOp: 1950, AllocsPerOp: 80},
 		},
-		[]StreamResult{{Name: "s", Frames: 64, NsPerFrame: 3.9e6, AllocsPerFrame: 400}},
 	)
 	if fails := compareSnapshots(base, run, 4); len(fails) != 0 {
 		t.Fatalf("want pass, got failures: %v", fails)
@@ -40,26 +38,17 @@ func TestCompareSnapshotsPassesWithinTolerance(t *testing.T) {
 }
 
 func TestCompareSnapshotsNsRegression(t *testing.T) {
-	base := snap([]Result{{Name: "a", Workers: 1, NsPerOp: 1000}}, nil)
-	run := snap([]Result{{Name: "a", Workers: 1, NsPerOp: 4100}}, nil)
+	base := snap([]Result{{Name: "a", Workers: 1, NsPerOp: 1000}})
+	run := snap([]Result{{Name: "a", Workers: 1, NsPerOp: 4100}})
 	fails := compareSnapshots(base, run, 4)
 	if len(fails) != 1 || !strings.Contains(fails[0], "ns/op") {
 		t.Fatalf("want one ns/op failure, got %v", fails)
 	}
 }
 
-func TestCompareSnapshotsStreamNsRegression(t *testing.T) {
-	base := snap(nil, []StreamResult{{Name: "s", Frames: 64, NsPerFrame: 1e6}})
-	run := snap(nil, []StreamResult{{Name: "s", Frames: 64, NsPerFrame: 5e6}})
-	fails := compareSnapshots(base, run, 4)
-	if len(fails) != 1 || !strings.Contains(fails[0], "ns/frame") {
-		t.Fatalf("want one ns/frame failure, got %v", fails)
-	}
-}
-
 func TestCompareSnapshotsAllocRegression(t *testing.T) {
-	base := snap([]Result{{Name: "a", Workers: 1, NsPerOp: 1000, AllocsPerOp: 0, AllocsExact: true}}, nil)
-	run := snap([]Result{{Name: "a", Workers: 1, NsPerOp: 1000, AllocsPerOp: 1.02, AllocsExact: true}}, nil)
+	base := snap([]Result{{Name: "a", Workers: 1, NsPerOp: 1000, AllocsPerOp: 0, AllocsExact: true}})
+	run := snap([]Result{{Name: "a", Workers: 1, NsPerOp: 1000, AllocsPerOp: 1.02, AllocsExact: true}})
 	fails := compareSnapshots(base, run, 4)
 	if len(fails) != 1 || !strings.Contains(fails[0], "allocs/op") {
 		t.Fatalf("want one allocs/op failure, got %v", fails)
@@ -83,8 +72,8 @@ func TestCompareSnapshotsAllocGateNeedsExactRows(t *testing.T) {
 		{be: true, re: false, bw: 1, rw: 1},
 		{be: true, re: true, bw: 4, rw: 4},
 	} {
-		base := snap([]Result{{Name: "a", Workers: tc.bw, NsPerOp: 1000, AllocsPerOp: 0, AllocsExact: tc.be}}, nil)
-		run := snap([]Result{{Name: "a", Workers: tc.rw, NsPerOp: 1000, AllocsPerOp: 50, AllocsExact: tc.re}}, nil)
+		base := snap([]Result{{Name: "a", Workers: tc.bw, NsPerOp: 1000, AllocsPerOp: 0, AllocsExact: tc.be}})
+		run := snap([]Result{{Name: "a", Workers: tc.rw, NsPerOp: 1000, AllocsPerOp: 50, AllocsExact: tc.re}})
 		if fails := compareSnapshots(base, run, 4); len(fails) != 0 {
 			t.Fatalf("case %+v: want no failures, got %v", tc, fails)
 		}
@@ -92,14 +81,14 @@ func TestCompareSnapshotsAllocGateNeedsExactRows(t *testing.T) {
 }
 
 func TestCompareSnapshotsRowMismatch(t *testing.T) {
-	base := snap([]Result{{Name: "a"}, {Name: "b"}}, nil)
-	run := snap([]Result{{Name: "a"}, {Name: "c"}}, nil)
+	base := snap([]Result{{Name: "a"}, {Name: "b"}})
+	run := snap([]Result{{Name: "a"}, {Name: "c"}})
 	fails := compareSnapshots(base, run, 4)
 	if len(fails) != 1 || !strings.Contains(fails[0], "regenerate") {
 		t.Fatalf("want one name-mismatch failure, got %v", fails)
 	}
 
-	run = snap([]Result{{Name: "a"}}, nil)
+	run = snap([]Result{{Name: "a"}})
 	fails = compareSnapshots(base, run, 4)
 	if len(fails) != 1 || !strings.Contains(fails[0], "result rows") {
 		t.Fatalf("want one row-count failure, got %v", fails)
@@ -110,14 +99,8 @@ func TestCompareSnapshotsRowMismatch(t *testing.T) {
 // position, so a baseline listing the same rows in another order passes —
 // and the gates still apply to the matching row.
 func TestCompareSnapshotsReorderedBaseline(t *testing.T) {
-	base := snap(
-		[]Result{{Name: "a", Workers: 1, NsPerOp: 1000}, {Name: "b", Workers: 1, NsPerOp: 10}},
-		[]StreamResult{{Name: "s", Frames: 64, NsPerFrame: 1e6}, {Name: "s", Frames: 256, NsPerFrame: 2e6}},
-	)
-	run := snap(
-		[]Result{{Name: "b", Workers: 1, NsPerOp: 11}, {Name: "a", Workers: 1, NsPerOp: 1100}},
-		[]StreamResult{{Name: "s", Frames: 256, NsPerFrame: 2e6}, {Name: "s", Frames: 64, NsPerFrame: 1e6}},
-	)
+	base := snap([]Result{{Name: "a", Workers: 1, NsPerOp: 1000}, {Name: "b", Workers: 1, NsPerOp: 10}})
+	run := snap([]Result{{Name: "b", Workers: 1, NsPerOp: 11}, {Name: "a", Workers: 1, NsPerOp: 1100}})
 	if fails := compareSnapshots(base, run, 4); len(fails) != 0 {
 		t.Fatalf("reordered rows should pass, got %v", fails)
 	}
@@ -129,24 +112,20 @@ func TestCompareSnapshotsReorderedBaseline(t *testing.T) {
 	}
 }
 
-// TestCompareSnapshotsMissingOrExtraRow: a row on only one side fails,
-// for result rows and for streaming rows (keyed by name and frames), and so
-// does a key that appears twice.
+// TestCompareSnapshotsMissingOrExtraRow: a row on only one side fails, and
+// so does a name that appears twice.
 func TestCompareSnapshotsMissingOrExtraRow(t *testing.T) {
-	base := snap([]Result{{Name: "a"}, {Name: "b"}}, []StreamResult{{Name: "s", Frames: 64}})
+	base := snap([]Result{{Name: "a"}, {Name: "b"}})
 	for _, tc := range []struct {
 		name    string
 		results []Result
-		streams []StreamResult
 		want    string
 	}{
-		{"missing result", []Result{{Name: "b"}}, []StreamResult{{Name: "s", Frames: 64}}, "missing from the run [a]"},
-		{"extra result", []Result{{Name: "b"}, {Name: "a"}, {Name: "c"}}, []StreamResult{{Name: "s", Frames: 64}}, "not in the baseline [c]"},
-		{"missing stream", []Result{{Name: "a"}, {Name: "b"}}, nil, "missing from the run [s/64]"},
-		{"stream frames differ", []Result{{Name: "a"}, {Name: "b"}}, []StreamResult{{Name: "s", Frames: 12}}, "not in the baseline [s/12]"},
-		{"duplicate result", []Result{{Name: "a"}, {Name: "b"}, {Name: "b"}}, []StreamResult{{Name: "s", Frames: 64}}, "appears twice in the run"},
+		{"missing result", []Result{{Name: "b"}}, "missing from the run [a]"},
+		{"extra result", []Result{{Name: "b"}, {Name: "a"}, {Name: "c"}}, "not in the baseline [c]"},
+		{"duplicate result", []Result{{Name: "a"}, {Name: "b"}, {Name: "b"}}, "appears twice in the run"},
 	} {
-		fails := compareSnapshots(base, snap(tc.results, tc.streams), 4)
+		fails := compareSnapshots(base, snap(tc.results), 4)
 		if len(fails) != 1 || !strings.Contains(fails[0], tc.want) {
 			t.Fatalf("%s: want one failure containing %q, got %v", tc.name, tc.want, fails)
 		}
@@ -154,8 +133,8 @@ func TestCompareSnapshotsMissingOrExtraRow(t *testing.T) {
 }
 
 func TestCompareSnapshotsSpeedupFloor(t *testing.T) {
-	base := snap(nil, nil)
-	run := snap(nil, nil)
+	base := snap(nil)
+	run := snap(nil)
 	// At the floor exactly: passes.
 	if fails := compareSnapshots(base, run, 4); len(fails) != 0 {
 		t.Fatalf("at-floor speedups should pass, got %v", fails)
@@ -181,16 +160,5 @@ func TestCompareSnapshotsSchemaMismatch(t *testing.T) {
 	fails := compareSnapshots(base, run, 4)
 	if len(fails) != 1 || !strings.Contains(fails[0], "schema") {
 		t.Fatalf("want one schema failure, got %v", fails)
-	}
-}
-
-func TestBaselineStreamLens(t *testing.T) {
-	base := snap(nil, []StreamResult{
-		{Name: "s", Frames: 64}, {Name: "c", Frames: 64}, {Name: "b", Frames: 64},
-		{Name: "s", Frames: 256}, {Name: "c", Frames: 256}, {Name: "b", Frames: 256},
-	})
-	got := baselineStreamLens(base)
-	if len(got) != 2 || got[0] != 64 || got[1] != 256 {
-		t.Fatalf("baselineStreamLens = %v, want [64 256]", got)
 	}
 }

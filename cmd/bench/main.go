@@ -1,7 +1,9 @@
-// Command bench measures the simulation stack's hot paths — frame
-// synthesis, FFTs, the pooled destination-passing kernels, and one
-// end-to-end experiment — and writes a JSON snapshot so the performance
-// trajectory can be tracked across PRs.
+// Command bench is the kernel gate: it measures the simulation stack's hot
+// paths — frame synthesis, FFTs, and the pooled destination-passing kernels
+// of the frame path — and writes a JSON snapshot so the performance
+// trajectory can be tracked across changes. End-to-end throughput and
+// latency are cmd/rfbench's job; the paper results are pinned by the
+// experiment goldens.
 //
 // Usage:
 //
@@ -38,15 +40,11 @@ import (
 	"runtime"
 	"time"
 
-	"rfprotect/internal/core"
 	"rfprotect/internal/dsp"
-	"rfprotect/internal/experiments"
 	"rfprotect/internal/fmcw"
-	"rfprotect/internal/geom"
 	"rfprotect/internal/parallel"
 	"rfprotect/internal/pipeline"
 	"rfprotect/internal/radar"
-	"rfprotect/internal/scene"
 )
 
 // snapshotSchema is bumped whenever the JSON layout changes incompatibly;
@@ -69,20 +67,6 @@ type Result struct {
 	AllocsExact bool `json:"allocs_exact,omitempty"`
 }
 
-// StreamResult is one capture-and-track run — streaming, concurrent,
-// pooled, or batch — with its throughput, allocation rate, and
-// retained-heap footprint.
-type StreamResult struct {
-	Name           string  `json:"name"`
-	Frames         int     `json:"frames"`
-	Workers        int     `json:"workers"`
-	NsPerFrame     float64 `json:"ns_per_frame"`
-	FramesPerSec   float64 `json:"frames_per_sec"`
-	AllocsPerFrame float64 `json:"allocs_per_frame"`
-	BytesPerFrame  float64 `json:"bytes_per_frame"`
-	PeakHeapBytes  uint64  `json:"peak_heap_bytes"`
-}
-
 // Snapshot is the BENCH_pipeline.json schema.
 type Snapshot struct {
 	Schema     int                `json:"schema"`
@@ -93,11 +77,6 @@ type Snapshot struct {
 	Quick      bool               `json:"quick,omitempty"`
 	Results    []Result           `json:"results"`
 	Speedups   map[string]float64 `json:"speedups"`
-	// Streaming holds the streaming-vs-batch comparison at two capture
-	// lengths: the streaming rows' peak heap stays flat as frames grow,
-	// the batch rows' grows linearly, and the pooled rows' allocs/frame
-	// drop to the detection/tracking residue.
-	Streaming []StreamResult `json:"streaming,omitempty"`
 }
 
 // sample is one measurement: mean wall time and mean allocation cost per
@@ -172,10 +151,6 @@ func main() {
 		minDur = 200 * time.Millisecond
 	}
 
-	streamLens := []int{64, 256}
-	if *quick {
-		streamLens = []int{12, 36}
-	}
 	var base *Snapshot
 	if *baseline != "" {
 		b, err := loadSnapshot(*baseline)
@@ -189,15 +164,9 @@ func main() {
 			os.Exit(2)
 		}
 		base = b
-		// Re-run the streaming section at the baseline's capture lengths so
-		// the rows line up even under -quick; ns/frame and allocs/frame are
-		// only comparable at equal frame counts.
-		if lens := baselineStreamLens(base); len(lens) > 0 {
-			streamLens = lens
-		}
 	}
 
-	snap := runSnapshot(minDur, *seed, streamLens, *quick)
+	snap := runSnapshot(minDur, *seed, *quick)
 
 	if base != nil {
 		fails := compareSnapshots(base, &snap, *nsRatio)
@@ -208,8 +177,8 @@ func main() {
 			}
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "\nbenchdiff: ok — %d result rows and %d streaming rows within tolerance of %s\n",
-			len(snap.Results), len(snap.Streaming), *baseline)
+		fmt.Fprintf(os.Stderr, "\nbenchdiff: ok — %d result rows within tolerance of %s\n",
+			len(snap.Results), *baseline)
 	}
 
 	// In baseline mode the run is a gate, not a refresh: never overwrite the
@@ -228,11 +197,10 @@ func main() {
 }
 
 // runSnapshot performs every measurement and assembles the snapshot. Every
-// result row has a unique name and every streaming row a unique
-// (name, frames) pair: -baseline matches rows by those keys, so row order
-// is free, and adding, removing or renaming a row means regenerating the
+// row has a unique name: -baseline matches rows by name, so row order is
+// free, and adding, removing or renaming a row means regenerating the
 // committed baseline.
-func runSnapshot(minDur time.Duration, seed int64, streamLens []int, quick bool) Snapshot {
+func runSnapshot(minDur time.Duration, seed int64, quick bool) Snapshot {
 	ctx := context.Background()
 	snap := Snapshot{
 		Schema:     snapshotSchema,
@@ -431,48 +399,6 @@ func runSnapshot(minDur time.Duration, seed int64, streamLens []int, quick bool)
 	})
 	add("pipeline_run_item_pooled", 1, itemS, true)
 
-	// Streaming vs batch: the same eavesdropper capture-and-track workload
-	// run through the bounded-memory pipeline (one frame in flight), the
-	// stage-overlapped scheduler, the pooled pipeline (recycled frame,
-	// profile, and Doppler buffers), and the batch path (all frames
-	// materialized). Two capture lengths expose the memory asymptotics.
-	addStream := func(name string, frames int, r streamSample) {
-		snap.Streaming = append(snap.Streaming, StreamResult{
-			Name:           name,
-			Frames:         frames,
-			Workers:        runtime.GOMAXPROCS(0),
-			NsPerFrame:     r.ns,
-			FramesPerSec:   1e9 / r.ns,
-			AllocsPerFrame: r.allocs,
-			BytesPerFrame:  r.bytes,
-			PeakHeapBytes:  r.peak,
-		})
-		fmt.Fprintf(os.Stderr, "%-36s frames=%-4d %12.0f ns/frame  %8.1f frames/s  %8.1f allocs/frame  peak heap %6.1f MiB\n",
-			name, frames, r.ns, 1e9/r.ns, r.allocs, float64(r.peak)/(1<<20))
-	}
-	span := streamLens[len(streamLens)-1]
-	for _, n := range streamLens {
-		s := captureRun(ctx, seed, n, span, modeStreaming)
-		addStream("streaming_capture_track", n, s)
-		c := captureRun(ctx, seed, n, span, modeConcurrent)
-		addStream("streaming_capture_track_concurrent", n, c)
-		p := captureRun(ctx, seed, n, span, modePooled)
-		addStream("streaming_capture_track_pooled", n, p)
-		if n == span {
-			// Stage-overlap speedup of the ≥2-stage chain at the longest
-			// capture; near 1× on a single CPU, above it once stages can
-			// genuinely run on different cores. The pooled ratio is the
-			// allocation story instead: how much per-frame garbage the
-			// buffer-recycling path eliminates.
-			snap.Speedups["concurrent_pipeline"] = s.ns / c.ns
-			if p.allocs > 0 {
-				snap.Speedups["pooled_allocs_reduction"] = s.allocs / p.allocs
-			}
-		}
-		b := captureRun(ctx, seed, n, span, modeBatch)
-		addStream("batch_capture_track", n, b)
-	}
-
 	// Sliding-window Doppler: steady-state per-frame cost of the K-frame
 	// ring-buffer range–Doppler recompute (slow-time FFT over 8 frames of
 	// 512-sample chirps, every range bin), through the pooled stage — map
@@ -481,26 +407,6 @@ func runSnapshot(minDur time.Duration, seed int64, streamLens []int, quick bool)
 	// exactly like the other Into rows.
 	dop := measure(minDur, dopplerStageRun(ctx, seed))
 	add("doppler_stage_win8_per_frame", 1, dop, true)
-
-	// End-to-end experiment: Fig. 9 radar localization (no GAN training),
-	// covering synthesis, range-angle profiles, peaks, and tracking.
-	e2e := measure(minDur, func() {
-		if _, err := experiments.Fig9Ctx(ctx, seed); err != nil {
-			fatal("fig9", err)
-		}
-	})
-	add("experiment_fig9_end_to_end", runtime.GOMAXPROCS(0), e2e, false)
-
-	// Adversary-suite smoke: one trajectory per arm through the full
-	// arms-race loop — naive tag, hardened tag, human control, and the
-	// replay-spoofer probes — pinning the end-to-end cost of the
-	// spoof-detection stack (capture, Doppler, tracking, scoring).
-	arms := measure(minDur, func() {
-		if _, err := experiments.ArmsRaceCtx(ctx, experiments.Sizes{TrajPerRoom: 1}, seed); err != nil {
-			fatal("armsrace", err)
-		}
-	})
-	add("experiment_armsrace_smoke", runtime.GOMAXPROCS(0), arms, false)
 
 	return snap
 }
@@ -537,110 +443,6 @@ func writeSnapshot(path string, snap *Snapshot) {
 	if err := enc.Encode(snap); err != nil {
 		fatal("encode", err)
 	}
-}
-
-// captureRun modes: the sequential streaming pipeline, the stage-overlapped
-// concurrent scheduler (goroutine per stage, bounded channels), the pooled
-// pipeline (the same sequential chain with its buffers recycled through
-// UsePools), and the batch path.
-const (
-	modeStreaming = iota
-	modeConcurrent
-	modePooled
-	modeBatch
-)
-
-// streamSample is one capture-and-track measurement: per-frame wall time
-// and allocation cost, plus the heap retained at the end of the run.
-type streamSample struct {
-	ns     float64
-	allocs float64
-	bytes  float64
-	peak   uint64
-}
-
-// captureRun measures one eavesdropper session — synthesize nFrames of a
-// home with a programmed ghost, range-angle process, track — through the
-// selected path. The ghost walks for span frames, the longest capture of the
-// run, so it is present in every frame of every capture length; a shorter
-// ghost would leave the later frames to noise peaks. All paths produce
-// bit-identical tracks; only cost and footprint differ.
-func captureRun(ctx context.Context, seed int64, nFrames, span int, mode int) streamSample {
-	sess, err := core.NewSession(core.SessionConfig{Room: scene.HomeRoom()})
-	if err != nil {
-		fatal("session", err)
-	}
-	sc := sess.Scene
-	cx := sc.Radar.Position.X
-	ghost := make(geom.Trajectory, span)
-	for i := range ghost {
-		f := float64(i) / float64(len(ghost)-1)
-		ghost[i] = geom.Point{X: cx + 0.3 + f, Y: 2.7 + 1.5*f}
-	}
-	if _, err := sess.Ctl.ProgramForRadar(ghost, sc.Radar, sc.Params.FrameRate, 0); err != nil {
-		fatal("ghost", err)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	pr := radar.NewProcessor(radar.DefaultConfig())
-
-	runtime.GC()
-	var m0 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	var tracks []*radar.Track
-	var frames []*fmcw.Frame
-	switch mode {
-	case modeBatch:
-		frames, err = sc.CaptureCtx(ctx, 0, nFrames, rng)
-		if err != nil {
-			fatal("capture", err)
-		}
-		dets, err := pr.ProcessFrames(ctx, frames, sc.Radar)
-		if err != nil {
-			fatal("process-frames", err)
-		}
-		tracks = radar.TrackDetections(radar.TrackerConfig{}, dets)
-	default:
-		// One chain for every streaming row: the pooled row only adds the
-		// recycling half (source pool + UsePools).
-		plan := pr.Plan(sc.Params)
-		pools := pipeline.NewPools(sc.Params)
-		trk := pipeline.NewTrack(radar.TrackerConfig{})
-		src := sc.Stream(0, nFrames, rng)
-		p := pipeline.New(src, append(pipeline.FrontEndStagesPlanned(plan, sc.Radar, pools), trk)...)
-		if mode == modePooled {
-			src.UsePool(pools.Frames)
-			p.UsePools(pools)
-		}
-		if mode == modeConcurrent {
-			_, err = p.RunConcurrent(ctx, 2)
-		} else {
-			_, err = p.Run(ctx)
-		}
-		if err != nil {
-			fatal("pipeline", err)
-		}
-		tracks = trk.Tracks()
-	}
-	elapsed := time.Since(start)
-	// Collect transient garbage first so the reading is the heap the run
-	// actually holds on to — the batch path's frames are still referenced
-	// here, the streaming path never kept any. (Mallocs/TotalAlloc are
-	// monotonic, so the forced GC doesn't disturb the per-frame rates.)
-	runtime.GC()
-	var m1 runtime.MemStats
-	runtime.ReadMemStats(&m1)
-	runtime.KeepAlive(frames)
-	runtime.KeepAlive(tracks)
-	r := streamSample{
-		ns:     float64(elapsed.Nanoseconds()) / float64(nFrames),
-		allocs: float64(m1.Mallocs-m0.Mallocs) / float64(nFrames),
-		bytes:  float64(m1.TotalAlloc-m0.TotalAlloc) / float64(nFrames),
-	}
-	if m1.HeapAlloc > m0.HeapAlloc {
-		r.peak = m1.HeapAlloc - m0.HeapAlloc
-	}
-	return r
 }
 
 // dopplerStageRun returns a closure measuring the steady-state per-frame

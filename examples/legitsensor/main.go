@@ -48,7 +48,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	dets, err := radar.NewProcessor(radar.DefaultConfig()).ProcessFrames(ctx, frames, sc.Radar)
+	dets, err := radar.PlanFrontEnd(radar.DefaultConfig(), sc.Params).ProcessFrames(ctx, frames, sc.Radar)
 	if err != nil {
 		panic(err)
 	}

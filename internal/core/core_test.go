@@ -164,7 +164,7 @@ func TestLegitSensorFiltersGhost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	detSeq, err := radar.NewProcessor(radar.DefaultConfig()).ProcessFrames(ctx, frames, sc.Radar)
+	detSeq, err := radar.PlanFrontEnd(radar.DefaultConfig(), sc.Params).ProcessFrames(ctx, frames, sc.Radar)
 	if err != nil {
 		t.Fatal(err)
 	}

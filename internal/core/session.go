@@ -64,7 +64,7 @@ type Session struct {
 	// Views holds every radar's scene: Views[0] is Scene (the primary, with
 	// the tag deployed relative to it), followed by one scene per
 	// ExtraRadars entry in order. All views share the one Tag; captures are
-	// independent per view (separate rngs, separate processors).
+	// independent per view (separate rngs).
 	Views []*scene.Scene
 }
 

@@ -97,8 +97,7 @@ func AblationCtx(ctx context.Context, seed int64) (AblationResult, error) {
 		if err != nil {
 			return res, err
 		}
-		pr := radar.NewProcessor(radar.DefaultConfig())
-		dets, err := pr.ProcessFrames(ctx, frames, sc.Radar)
+		dets, err := radar.PlanFrontEnd(radar.DefaultConfig(), sc.Params).ProcessFrames(ctx, frames, sc.Radar)
 		if err != nil {
 			return res, err
 		}
@@ -171,8 +170,8 @@ func twoFramePeakPower(ctx context.Context, sc *scene.Scene, rng *rand.Rand) (fl
 	if err != nil {
 		return 0, err
 	}
-	prof, err := radar.NewProcessor(radar.DefaultConfig()).RangeAngle(ctx, radar.BackgroundSubtract(f1, f0))
-	if err != nil {
+	prof := &radar.Profile{}
+	if err := radar.PlanFrontEnd(radar.DefaultConfig(), f0.Params).RangeAngleInto(ctx, f1.Sub(f0), prof); err != nil {
 		return 0, err
 	}
 	return maxOf(prof.Power), nil

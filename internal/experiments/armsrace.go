@@ -363,10 +363,9 @@ func captureJitter(ctx context.Context, sc *scene.Scene, nFrames int, rng *rand.
 	if err != nil {
 		return 0, false, err
 	}
-	pr := radar.NewProcessor(radar.DefaultConfig())
 	var ranges []float64
 	last := math.NaN()
-	detSeq, err := pr.ProcessFrames(ctx, frames, sc.Radar)
+	detSeq, err := radar.PlanFrontEnd(radar.DefaultConfig(), sc.Params).ProcessFrames(ctx, frames, sc.Radar)
 	if err != nil {
 		return 0, false, err
 	}

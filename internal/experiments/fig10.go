@@ -52,9 +52,8 @@ func Fig10Ctx(ctx context.Context, sz Sizes, seed int64) (Fig10Result, error) {
 		if err != nil {
 			return res, err
 		}
-		pr := radar.NewProcessor(radar.DefaultConfig())
-		prof, err := pr.RangeAngle(ctx, radar.BackgroundSubtract(f1, f0))
-		if err != nil {
+		prof := &radar.Profile{}
+		if err := radar.PlanFrontEnd(radar.DefaultConfig(), f0.Params).RangeAngleInto(ctx, f1.Sub(f0), prof); err != nil {
 			return res, err
 		}
 		res.HumanProfile = prof
@@ -79,9 +78,8 @@ func Fig10Ctx(ctx context.Context, sz Sizes, seed int64) (Fig10Result, error) {
 		if err != nil {
 			return res, err
 		}
-		pr := radar.NewProcessor(radar.DefaultConfig())
-		prof, err := pr.RangeAngle(ctx, radar.BackgroundSubtract(f1, f0))
-		if err != nil {
+		prof := &radar.Profile{}
+		if err := radar.PlanFrontEnd(radar.DefaultConfig(), f0.Params).RangeAngleInto(ctx, f1.Sub(f0), prof); err != nil {
 			return res, err
 		}
 		res.GhostProfile = prof

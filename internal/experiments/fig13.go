@@ -60,8 +60,7 @@ func Fig13Ctx(ctx context.Context, seed int64) (Fig13Result, error) {
 	if err != nil {
 		return res, err
 	}
-	pr := radar.NewProcessor(radar.DefaultConfig())
-	detSeq, err := pr.ProcessFrames(ctx, frames, sc.Radar)
+	detSeq, err := radar.PlanFrontEnd(radar.DefaultConfig(), sc.Params).ProcessFrames(ctx, frames, sc.Radar)
 	if err != nil {
 		return res, err
 	}

@@ -60,8 +60,7 @@ func Fig9Ctx(ctx context.Context, seed int64) (Fig9Result, error) {
 			if err != nil {
 				return err
 			}
-			pr := radar.NewProcessor(radar.DefaultConfig())
-			detSeq, err := pr.ProcessFrames(ctx, frames, sc.Radar)
+			detSeq, err := radar.PlanFrontEnd(radar.DefaultConfig(), sc.Params).ProcessFrames(ctx, frames, sc.Radar)
 			if err != nil {
 				return err
 			}

@@ -80,8 +80,8 @@ func MultiRadarCtx(ctx context.Context, seed int64) (MultiRadarResult, error) {
 	}
 
 	// The two radars' capture-and-process chains are independent (separate
-	// scenes, separate seeded rngs, separate processors — the Processor's
-	// steering cache is mutable), so they run as parallel tasks.
+	// scenes and seeded rngs; a shared front-end plan is safe for concurrent
+	// use), so they run as parallel tasks.
 	var framesA []*fmcw.Frame
 	var detsA, detsB [][]radar.Detection
 	g := parallel.NewGroup(0)
@@ -91,7 +91,7 @@ func MultiRadarCtx(ctx context.Context, seed int64) (MultiRadarResult, error) {
 		if err != nil {
 			return err
 		}
-		detsA, err = radar.NewProcessor(radar.DefaultConfig()).ProcessFrames(ctx, framesA, scA.Radar)
+		detsA, err = radar.PlanFrontEnd(radar.DefaultConfig(), scA.Params).ProcessFrames(ctx, framesA, scA.Radar)
 		return err
 	})
 	g.GoCtx(ctx, func() error {
@@ -99,7 +99,7 @@ func MultiRadarCtx(ctx context.Context, seed int64) (MultiRadarResult, error) {
 		if err != nil {
 			return err
 		}
-		detsB, err = radar.NewProcessor(radar.DefaultConfig()).ProcessFrames(ctx, framesB, scB.Radar)
+		detsB, err = radar.PlanFrontEnd(radar.DefaultConfig(), scB.Params).ProcessFrames(ctx, framesB, scB.Radar)
 		return err
 	})
 	if err := g.Wait(); err != nil {

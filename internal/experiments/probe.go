@@ -93,8 +93,7 @@ func ghostVisible(ctx context.Context, sc *scene.Scene, wantDist, tol float64, r
 	if err != nil {
 		return false, err
 	}
-	pr := radar.NewProcessor(radar.DefaultConfig())
-	detSeq, err := pr.ProcessFrames(ctx, frames, sc.Radar)
+	detSeq, err := radar.PlanFrontEnd(radar.DefaultConfig(), sc.Params).ProcessFrames(ctx, frames, sc.Radar)
 	if err != nil {
 		return false, err
 	}

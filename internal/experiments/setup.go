@@ -131,8 +131,7 @@ func (e *Env) MeasureGhostCtx(ctx context.Context, traj geom.Trajectory, fs floa
 	if err != nil {
 		return out, err
 	}
-	pr := radar.NewProcessor(radar.DefaultConfig())
-	detSeq, err := pr.ProcessFrames(ctx, frames, e.Scene.Radar)
+	detSeq, err := radar.PlanFrontEnd(radar.DefaultConfig(), e.Scene.Params).ProcessFrames(ctx, frames, e.Scene.Radar)
 	if err != nil {
 		return out, err
 	}

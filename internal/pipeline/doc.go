@@ -14,7 +14,7 @@
 // the batch path is strict equivalence: for the same scene, seed, and
 // configuration, streaming a capture frame by frame produces bit-identical
 // frames, profiles, detections, tracks, and breathing-phase series to
-// Scene.CaptureCtx + Processor.ProcessFrames + radar.TrackDetections +
+// Scene.CaptureCtx + FrontEndPlan.ProcessFrames + radar.TrackDetections +
 // BreathingExtractor.PhaseSeries, with or without Pipeline.UsePools. The
 // golden equivalence tests in this package enforce it. DESIGN.md
 // ("Streaming pipeline") documents the stage graph and cancellation

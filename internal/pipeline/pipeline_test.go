@@ -52,15 +52,26 @@ func capture(t testing.TB, sc *scene.Scene, t0 float64, n int, rng *rand.Rand) [
 	return frames
 }
 
-// processFrames runs the batch reference front end over frames,
-// uncancelable.
-func processFrames(t testing.TB, pr *radar.Processor, frames []*fmcw.Frame, array fmcw.Array) [][]radar.Detection {
+// processFrames runs the batch reference front end of the default config
+// over frames, uncancelable.
+func processFrames(t testing.TB, frames []*fmcw.Frame, array fmcw.Array) [][]radar.Detection {
 	t.Helper()
-	dets, err := pr.ProcessFrames(context.Background(), frames, array)
+	dets, err := radar.PlanFrontEnd(radar.DefaultConfig(), frames[0].Params).ProcessFrames(context.Background(), frames, array)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return dets
+}
+
+// rangeAngle is the default config's range–angle profile of f into a fresh
+// Profile, uncancelable.
+func rangeAngle(t testing.TB, f *fmcw.Frame) *radar.Profile {
+	t.Helper()
+	prof := &radar.Profile{}
+	if err := radar.PlanFrontEnd(radar.DefaultConfig(), f.Params).RangeAngleInto(context.Background(), f, prof); err != nil {
+		t.Fatal(err)
+	}
+	return prof
 }
 
 // synthesize is a fresh frame captured at at, synthesized through the
@@ -92,17 +103,11 @@ func TestStreamingEquivalentToBatch(t *testing.T) {
 
 	// --- Batch path: capture everything, then process.
 	batchFrames := capture(t, s.Scene, 0, nFrames, rand.New(rand.NewSource(seed)))
-	pr := radar.NewProcessor(radar.DefaultConfig())
-	batchDets := processFrames(t, pr, batchFrames, s.Scene.Radar)
+	batchDets := processFrames(t, batchFrames, s.Scene.Radar)
 	batchTracks := radar.TrackDetections(radar.TrackerConfig{}, batchDets)
 	var batchProfiles []*radar.Profile
-	prP := radar.NewProcessor(radar.DefaultConfig())
 	for i := 1; i < len(batchFrames); i++ {
-		prof, err := prP.RangeAngle(context.Background(), radar.BackgroundSubtract(batchFrames[i], batchFrames[i-1]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		batchProfiles = append(batchProfiles, prof)
+		batchProfiles = append(batchProfiles, rangeAngle(t, batchFrames[i].Sub(batchFrames[i-1])))
 	}
 	batchTimes, batchPhase := radar.BreathingExtractor{}.PhaseSeries(batchFrames, breathDist)
 
@@ -277,8 +282,7 @@ func TestDeadlineExpiresMidCapture(t *testing.T) {
 func TestFromFramesReplay(t *testing.T) {
 	s := testSession(t)
 	frames := capture(t, s.Scene, 0, 6, rand.New(rand.NewSource(3)))
-	pr := radar.NewProcessor(radar.DefaultConfig())
-	want := processFrames(t, pr, frames, s.Scene.Radar)
+	want := processFrames(t, frames, s.Scene.Radar)
 
 	detsC := NewCollectDetections()
 	stages := append(frontEnd(s.Scene), detsC)

@@ -57,7 +57,7 @@ func runGoldenChain(t *testing.T, sc *scene.Scene, nFrames int, seed int64, work
 // TestChainEquivalentToBatch is the golden contract of the one front-end
 // chain: for every worker count, for the sequential and the concurrent
 // runner, and with and without UsePools, it produces the detections and
-// tracks of the batch reference — Processor.ProcessFrames +
+// tracks of the batch reference — FrontEndPlan.ProcessFrames +
 // radar.TrackDetections over Scene.CaptureCtx — frame for frame and point for
 // point.
 func TestChainEquivalentToBatch(t *testing.T) {
@@ -65,7 +65,7 @@ func TestChainEquivalentToBatch(t *testing.T) {
 	const seed = 11
 	sc := testSession(t).Scene
 	frames := capture(t, sc, 0, nFrames, rand.New(rand.NewSource(seed)))
-	wantDets := processFrames(t, radar.NewProcessor(radar.DefaultConfig()), frames, sc.Radar)
+	wantDets := processFrames(t, frames, sc.Radar)
 	wantTracks := radar.TrackDetections(radar.TrackerConfig{}, wantDets)
 	for _, workers := range []int{1, 2, 0} {
 		for _, depth := range []int{0, 1, 4} { // 0 = sequential Run
@@ -142,21 +142,25 @@ func (c *dopplerMapsCollector) Process(ctx context.Context, it *Item) error {
 }
 
 // TestPlannedEquivalentToUnpooled checks the planned Doppler stage against
-// the allocating kernel wrapper: with pooled maps, sequentially and
-// concurrently, every sliding-window map the chain emits equals
-// Processor.RangeDoppler over the same window of source frames.
+// the plain kernel call: with pooled maps, sequentially and concurrently,
+// every sliding-window map the chain emits equals RangeDopplerInto into a
+// fresh map over the same window of source frames.
 func TestPlannedEquivalentToUnpooled(t *testing.T) {
 	const nFrames = 14
 	const window = 6
 	const seed = 7
 	sc := testSession(t).Scene
 	frames := capture(t, sc, 0, nFrames, rand.New(rand.NewSource(seed)))
-	pr := radar.NewProcessor(radar.DefaultConfig())
+	ref := radar.PlanFrontEnd(radar.DefaultConfig(), sc.Params)
 	pri := 1 / sc.Params.FrameRate
 	var want []*radar.RangeDopplerMap
 	for end := window; end <= nFrames; end++ {
-		m, err := pr.RangeDoppler(context.Background(), frames[end-window:end], 0, pri)
-		if err != nil {
+		rows := make([][]complex128, window)
+		for k, f := range frames[end-window : end] {
+			rows[k] = f.Data[0]
+		}
+		m := &radar.RangeDopplerMap{}
+		if err := ref.RangeDopplerInto(context.Background(), m, rows, sc.Params, pri); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, m)
@@ -186,7 +190,7 @@ func TestPlannedEquivalentToUnpooled(t *testing.T) {
 		}
 		for i, w := range want {
 			if !reflect.DeepEqual(mapsC.maps[i], w) {
-				t.Fatalf("depth=%d: map %d differs from Processor.RangeDoppler", depth, i)
+				t.Fatalf("depth=%d: map %d differs from RangeDopplerInto", depth, i)
 			}
 		}
 	}
@@ -194,7 +198,7 @@ func TestPlannedEquivalentToUnpooled(t *testing.T) {
 
 // TestCollectorsCopyUnderUsePools pins the collectors' retention contract:
 // with every buffer recycled through UsePools, the collected frames and
-// profiles still equal the source frames and the batch RangeAngle outputs,
+// profiles still equal the source frames and the batch RangeAngleInto outputs,
 // because each collector keeps its own copy rather than a pooled buffer that
 // a later frame overwrites.
 func TestCollectorsCopyUnderUsePools(t *testing.T) {
@@ -227,14 +231,10 @@ func TestCollectorsCopyUnderUsePools(t *testing.T) {
 	if len(profs) != nFrames-1 {
 		t.Fatalf("collected %d profiles, want %d", len(profs), nFrames-1)
 	}
-	pr := radar.NewProcessor(radar.DefaultConfig())
 	for i := 1; i < nFrames; i++ {
-		ref, err := pr.RangeAngle(context.Background(), radar.BackgroundSubtract(want[i], want[i-1]))
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := rangeAngle(t, want[i].Sub(want[i-1]))
 		if profs[i-1].Time != ref.Time || !reflect.DeepEqual(profs[i-1].Power, ref.Power) {
-			t.Fatalf("collected profile %d differs from the batch RangeAngle output", i-1)
+			t.Fatalf("collected profile %d differs from the batch RangeAngleInto output", i-1)
 		}
 	}
 }

@@ -95,8 +95,9 @@ func (s *PeakExtractStage) Process(ctx context.Context, it *Item) error {
 // detection slices) comes from pools, so with a source feeding from
 // pools.Frames and Pipeline.UsePools(pools) the whole chain allocates
 // nothing per frame once warm. The detection sequence is bit-identical to
-// Processor.ProcessFrames over the same frames. The N-room daemon assembles
-// each room from one plan per params-shape with exactly this chain.
+// the plan's ProcessFrames over the same frames. The N-room daemon
+// assembles each room from one plan per params-shape with exactly this
+// chain.
 func FrontEndStagesPlanned(plan *radar.FrontEndPlan, array fmcw.Array, pools *Pools) []Stage {
 	return []Stage{
 		newBackgroundSubtract(pools.Frames),
@@ -251,7 +252,7 @@ func (s *BreathingPhaseStage) Series() (times, phase []float64) {
 // chain may run with Pipeline.UsePools.
 
 // DetectionsCollector accumulates the per-frame detection sets, matching
-// Processor.ProcessFrames output shape.
+// FrontEndPlan.ProcessFrames output shape.
 type DetectionsCollector struct {
 	dets [][]radar.Detection
 }

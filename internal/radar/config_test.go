@@ -9,9 +9,11 @@ import (
 	"rfprotect/internal/geom"
 )
 
+// TestProcessorConfigDefaults: zero-valued tuning fields of a plan's config
+// fall back to their DefaultConfig values. Window and MinRange keep their
+// zero values, so this plan is not the DefaultConfig one.
 func TestProcessorConfigDefaults(t *testing.T) {
-	pr := NewProcessor(Config{})
-	cfg := pr.Config()
+	cfg := PlanFrontEnd(Config{}, quietParams()).cfg
 	def := DefaultConfig()
 	if cfg.AngleBins != def.AngleBins {
 		t.Fatalf("AngleBins %d", cfg.AngleBins)
@@ -35,8 +37,8 @@ func TestMaxTargetsCapsDetections(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxTargets = 2
 	cfg.MinPeakRatio = 0.01
-	pr := NewProcessor(cfg)
-	dets := pr.Detect(rangeAngle(t, pr, fr), array)
+	pl := PlanFrontEnd(cfg, p)
+	dets := pl.DetectInto(nil, rangeAngle(t, pl, fr), array)
 	if len(dets) > 2 {
 		t.Fatalf("got %d detections, cap 2", len(dets))
 	}
@@ -50,8 +52,8 @@ func TestMaxRangeExcludesFarTargets(t *testing.T) {
 	fr := synthesize(p, []fmcw.Return{near, far}, 0, nil)
 	cfg := DefaultConfig()
 	cfg.MaxRange = 8
-	pr := NewProcessor(cfg)
-	for _, d := range pr.Detect(rangeAngle(t, pr, fr), array) {
+	pl := PlanFrontEnd(cfg, p)
+	for _, d := range pl.DetectInto(nil, rangeAngle(t, pl, fr), array) {
 		if d.Range > 8.5 {
 			t.Fatalf("detection beyond MaxRange: %v", d)
 		}
@@ -66,8 +68,8 @@ func TestMinRangeExcludesCloseTargets(t *testing.T) {
 	fr := synthesize(p, []fmcw.Return{veryClose, normal}, 0, nil)
 	cfg := DefaultConfig()
 	cfg.MinRange = 1.5
-	pr := NewProcessor(cfg)
-	dets := pr.Detect(rangeAngle(t, pr, fr), array)
+	pl := PlanFrontEnd(cfg, p)
+	dets := pl.DetectInto(nil, rangeAngle(t, pl, fr), array)
 	for _, d := range dets {
 		if d.Range < 1.2 {
 			t.Fatalf("detection below MinRange: %v", d)
@@ -84,15 +86,11 @@ func TestPlanCacheReuse(t *testing.T) {
 	if PlanFrontEnd(DefaultConfig(), p) != first {
 		t.Fatal("PlanFrontEnd recompiled for an identical shape")
 	}
-	// Zero-valued fields normalize to their defaults before the lookup, and
-	// a Processor's Plan is the shared one.
+	// Zero-valued fields normalize to their defaults before the lookup.
 	sparse := DefaultConfig()
 	sparse.AngleBins, sparse.MaxTargets = 0, 0
 	if PlanFrontEnd(sparse, p) != first {
 		t.Fatal("PlanFrontEnd did not normalize zero-valued fields")
-	}
-	if NewProcessor(DefaultConfig()).Plan(p) != first {
-		t.Fatal("Processor.Plan is not PlanFrontEnd")
 	}
 	// A warm lookup allocates nothing, also where the call is inlined into
 	// another package (fmcw.PlanSynth here).
@@ -119,9 +117,8 @@ func TestBeamformingPeakAtTrueAngle(t *testing.T) {
 	for _, aoa := range []float64{0.5, 1.0, math.Pi / 2, 2.2} {
 		ret := fmcw.Return{Delay: 2 * 4.0 / fmcw.C, Amplitude: 1, AoA: aoa}
 		fr := synthesize(p, []fmcw.Return{ret}, 0, nil)
-		pr := NewProcessor(DefaultConfig())
-		prof := rangeAngle(t, pr, fr)
-		dets := pr.Detect(prof, array)
+		pl := PlanFrontEnd(DefaultConfig(), p)
+		dets := pl.DetectInto(nil, rangeAngle(t, pl, fr), array)
 		if len(dets) == 0 {
 			t.Fatalf("aoa %v: no detection", aoa)
 		}
@@ -155,8 +152,8 @@ func TestEmpiricalAngleResolutionClaim(t *testing.T) {
 	r1 := fmcw.Return{Delay: 2 * 4.0 / fmcw.C, Amplitude: 1, AoA: math.Pi/2 - sep/2}
 	r2 := fmcw.Return{Delay: 2 * 4.0 / fmcw.C, Amplitude: 1, AoA: math.Pi/2 + sep/2}
 	fr := synthesize(p, []fmcw.Return{r1, r2}, 0, nil)
-	pr := NewProcessor(DefaultConfig())
-	dets := pr.Detect(rangeAngle(t, pr, fr), array)
+	pl := PlanFrontEnd(DefaultConfig(), p)
+	dets := pl.DetectInto(nil, rangeAngle(t, pl, fr), array)
 	count := 0
 	for _, d := range dets {
 		if math.Abs(d.Range-4) < 0.5 {
@@ -169,9 +166,9 @@ func TestEmpiricalAngleResolutionClaim(t *testing.T) {
 }
 
 func TestDetectEmptyProfile(t *testing.T) {
-	pr := NewProcessor(DefaultConfig())
+	pl := PlanFrontEnd(DefaultConfig(), quietParams())
 	prof := &Profile{AngleBins: 181}
-	if dets := pr.Detect(prof, fmcw.Array{}); dets != nil {
+	if dets := pl.DetectInto(nil, prof, fmcw.Array{}); dets != nil {
 		t.Fatal("empty profile should have no detections")
 	}
 }

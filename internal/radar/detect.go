@@ -17,24 +17,14 @@ type Detection struct {
 	Time  float64
 }
 
-// Detect extracts target detections from a range–angle profile: 2-D local
-// maxima above the power thresholds, refined with quadratic interpolation in
-// both range and angle, then mapped to world coordinates through the array.
-// The returned slice is freshly allocated and safe to retain; steady-state
-// callers that want to reuse a buffer use FrontEndPlan.DetectInto.
-func (pr *Processor) Detect(prof *Profile, array fmcw.Array) []Detection {
-	if prof.RangeBins == 0 {
-		return nil
-	}
-	return pr.Plan(prof.Params).DetectInto(make([]Detection, 0, pr.cfg.MaxTargets), prof, array)
-}
-
 // DetectInto extracts target detections from a range–angle profile into
-// dst[:0] and returns the result, exactly as Detect would compute them. The
-// interpolation column and peak-finder scratch come from the plan's free
-// list, so a warmed-up call allocates nothing beyond growing dst the first
-// time. The profile must describe the plan's compiled shape (any profile
-// produced by the plan's RangeAngleInto does).
+// dst[:0] and returns the result: 2-D local maxima above the power
+// thresholds, refined with quadratic interpolation in both range and angle,
+// then mapped to world coordinates through the array. The interpolation
+// column and peak-finder scratch come from the plan's free list, so a
+// warmed-up call allocates nothing beyond growing dst the first time. The
+// profile must describe the plan's compiled shape (any profile produced by
+// the plan's RangeAngleInto does).
 //
 //rfvet:allocfree
 func (pl *FrontEndPlan) DetectInto(dst []Detection, prof *Profile, array fmcw.Array) []Detection {
@@ -107,12 +97,14 @@ func (e *detExec) rangeCol(n int) []float64 {
 
 // ProcessFrames runs the full front end over a frame sequence: successive
 // background subtraction followed by profile computation and detection.
-// The first frame serves only as background; len(frames)-1 detection sets
-// are returned. Every step allocates its own buffers, which makes it the
-// batch reference the pooled streaming chain is tested against. The ctx is
+// Every frame must have the plan's compiled shape. The first frame serves
+// only as background; len(frames)-1 detection sets are returned. Every
+// step allocates its own buffers — an unpooled fmcw.Differencer, a fresh
+// Profile per frame, a fresh detection slice — which makes it the batch
+// reference the pooled streaming chain is tested against. The ctx is
 // threaded into every range–angle pass; once it is done ProcessFrames
 // returns (nil, ctx.Err()), never partial detections.
-func (pr *Processor) ProcessFrames(ctx context.Context, frames []*fmcw.Frame, array fmcw.Array) ([][]Detection, error) {
+func (pl *FrontEndPlan) ProcessFrames(ctx context.Context, frames []*fmcw.Frame, array fmcw.Array) ([][]Detection, error) {
 	if len(frames) < 2 {
 		return nil, nil
 	}
@@ -123,11 +115,11 @@ func (pr *Processor) ProcessFrames(ctx context.Context, frames []*fmcw.Frame, ar
 		if !ok {
 			continue
 		}
-		prof, err := pr.RangeAngle(ctx, d)
-		if err != nil {
+		prof := &Profile{}
+		if err := pl.RangeAngleInto(ctx, d, prof); err != nil {
 			return nil, err
 		}
-		out = append(out, pr.Detect(prof, array))
+		out = append(out, pl.DetectInto(make([]Detection, 0, pl.cfg.MaxTargets), prof, array))
 	}
 	return out, nil
 }

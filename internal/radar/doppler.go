@@ -1,7 +1,6 @@
 package radar
 
 import (
-	"context"
 	"math"
 
 	"rfprotect/internal/dsp"
@@ -65,35 +64,6 @@ func (m *RangeDopplerMap) At(r, d int) float64 { return m.Power[r*m.DopplerBins+
 // MaxUnambiguousVelocity returns the Nyquist velocity λ/(4·PRI).
 func (m *RangeDopplerMap) MaxUnambiguousVelocity() float64 {
 	return m.Params.Wavelength() / (4 * m.PRI)
-}
-
-// RangeDoppler computes the range–Doppler map of a chirp burst on one
-// antenna into a fresh map; chirps must share parameters and be uniformly
-// spaced by pri, an out-of-range antenna falls back to 0, and an empty
-// burst yields an empty map. Cancellation is threaded into the range-FFT
-// batch and the per-range-bin slow-time fan-out; once ctx is done it
-// returns (nil, ctx.Err()). The map is bit-identical for any worker count:
-// each chirp's range FFT and each range bin's Doppler column are
-// independent work items writing disjoint destinations. It is the
-// allocating wrapper over FrontEndPlan.RangeDopplerInto: it gathers the
-// antenna's row of every chirp and hands the rows to the plan.
-func (pr *Processor) RangeDoppler(ctx context.Context, chirps []*fmcw.Frame, antenna int, pri float64) (*RangeDopplerMap, error) {
-	m := &RangeDopplerMap{}
-	if len(chirps) == 0 {
-		return m, nil
-	}
-	p := chirps[0].Params
-	if antenna < 0 || antenna >= p.NumAntennas {
-		antenna = 0
-	}
-	rows := make([][]complex128, len(chirps))
-	for k, c := range chirps {
-		rows[k] = c.Data[antenna]
-	}
-	if err := pr.Plan(p).RangeDopplerInto(ctx, m, rows, p, pri); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 // PeakVelocityAtRange extracts the dominant Doppler peak in the range rows

@@ -35,8 +35,7 @@ func TestRangeDopplerMovingTarget(t *testing.T) {
 	const nChirps = 128
 	rng := rand.New(rand.NewSource(1))
 	burst := captureBurst(t, sc, 1.0, nChirps, pri, rng)
-	pr := NewProcessor(DefaultConfig())
-	rd := rangeDoppler(t, pr, burst, 0, pri)
+	rd := rangeDoppler(t, PlanFrontEnd(DefaultConfig(), sc.Params), burst, 0, pri)
 	rd.RejectStatic(1)
 	targets := rd.DetectMoving(0.3, 4)
 	if len(targets) == 0 {
@@ -64,8 +63,7 @@ func TestRangeDopplerStaticRejection(t *testing.T) {
 	const pri = 1e-3
 	rng := rand.New(rand.NewSource(2))
 	burst := captureBurst(t, sc, 0.5, 128, pri, rng)
-	pr := NewProcessor(DefaultConfig())
-	rd := rangeDoppler(t, pr, burst, 0, pri)
+	rd := rangeDoppler(t, PlanFrontEnd(DefaultConfig(), sc.Params), burst, 0, pri)
 
 	// Before rejection the static clutter dominates the zero-Doppler column.
 	clutterBin := int(math.Round(sc.Radar.DistanceOf(sc.Clutter[0].Pos) /
@@ -109,8 +107,7 @@ func TestGhostSurvivesDopplerRejection(t *testing.T) {
 	const pri = 1e-3
 	rng := rand.New(rand.NewSource(3))
 	burst := captureBurst(t, sc, 1.0, 128, pri, rng)
-	pr := NewProcessor(DefaultConfig())
-	rd := rangeDoppler(t, pr, burst, 0, pri)
+	rd := rangeDoppler(t, PlanFrontEnd(DefaultConfig(), sc.Params), burst, 0, pri)
 	rd.RejectStatic(1)
 	targets := rd.DetectMoving(0.2, 6)
 	ghostRange := sc.Radar.DistanceOf(tagCfg.AntennaPosition(2)) + extra
@@ -155,8 +152,7 @@ func TestAliasedDoppler(t *testing.T) {
 }
 
 func TestRangeDopplerEmptyBurst(t *testing.T) {
-	pr := NewProcessor(DefaultConfig())
-	rd := rangeDoppler(t, pr, nil, 0, 1e-3)
+	rd := rangeDoppler(t, PlanFrontEnd(DefaultConfig(), fmcw.DefaultParams()), nil, 0, 1e-3)
 	if rd.DetectMoving(0.5, 4) != nil {
 		t.Fatal("empty burst should detect nothing")
 	}

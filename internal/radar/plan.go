@@ -92,8 +92,8 @@ var frontEndPlans parallel.Cache[frontEndKey, *FrontEndPlan]
 // PlanFrontEnd returns the process-wide plan for a radar shape, compiling
 // it on first use; zero-valued cfg fields are normalized first, so configs
 // that normalize alike share one plan. It is the front-end sibling of
-// fmcw.PlanSynth: every daemon room and Processor of one shape shares the
-// tables and the warmed executor free lists.
+// fmcw.PlanSynth: every daemon room, pipeline and batch caller of one shape
+// shares the tables and the warmed executor free lists.
 func PlanFrontEnd(cfg Config, p fmcw.Params) *FrontEndPlan {
 	return frontEndPlans.Get(frontEndKey{cfg: normalizeConfig(cfg), params: p}, func(k frontEndKey) *FrontEndPlan {
 		return CompileFrontEndPlan(k.cfg, k.params)
@@ -101,7 +101,7 @@ func PlanFrontEnd(cfg Config, p fmcw.Params) *FrontEndPlan {
 }
 
 // CompileFrontEndPlan builds a private front-end plan for one radar shape,
-// normalizing zero-valued cfg fields exactly as NewProcessor does. The call
+// normalizing zero-valued cfg fields exactly as PlanFrontEnd does. The call
 // also warms the dsp plan for the range-FFT size so the first frame's
 // fan-out never races plan construction.
 func CompileFrontEndPlan(cfg Config, p fmcw.Params) *FrontEndPlan {
@@ -398,10 +398,10 @@ func (e *raExec) beamRowN(row []float64, r int) {
 
 // RangeAngleInto computes the range–angle power profile of f into prof,
 // reusing prof.Power's capacity when it suffices. The frame must have the
-// shape the plan was compiled for. Output is bit-identical to the
-// historical Processor kernel for any worker count and any prior contents
-// of prof; after the executor free list is warm, a Workers: 1 call
-// allocates nothing. Concurrent calls on one plan are safe and overlap.
+// shape the plan was compiled for. Output is bit-identical to the pre-plan
+// kernel for any worker count and any prior contents of prof; after the
+// executor free list is warm, a Workers: 1 call allocates nothing.
+// Concurrent calls on one plan are safe and overlap.
 //
 // On cancellation prof holds partially written garbage and must be
 // discarded (or simply passed to the next call, which overwrites it).
@@ -521,8 +521,8 @@ func (pl *FrontEndPlan) newRDExec(sh *rdShape) *rdExec {
 // reusing m.Power's capacity when it suffices. rows holds one antenna's IF
 // samples per chirp, oldest first, uniformly spaced by pri; p must be the
 // parameters the plan was compiled for and every row must be one chirp
-// long. Output is bit-identical to the historical Processor kernel for any
-// worker count; after the per-burst-length executor free list is warm, a
+// long. Output is bit-identical to the pre-plan kernel for any worker
+// count; after the per-burst-length executor free list is warm, a
 // Workers: 1 call allocates nothing (a sliding window still filling changes
 // the burst length every frame, so the steady state begins once the window
 // is full). Concurrent calls on one plan are safe and overlap.

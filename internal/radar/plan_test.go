@@ -11,20 +11,25 @@ import (
 )
 
 // rangeAngle and rangeDoppler are the tests' shorthand for uncancelable
-// allocating kernel calls.
-func rangeAngle(t testing.TB, pr *Processor, f *fmcw.Frame) *Profile {
+// kernel calls into fresh destinations. rangeDoppler gathers one antenna's
+// row of every chirp (an out-of-range antenna falls back to 0); an empty
+// burst yields an empty map.
+func rangeAngle(t testing.TB, pl *FrontEndPlan, f *fmcw.Frame) *Profile {
 	t.Helper()
-	prof, err := pr.RangeAngle(context.Background(), f)
-	if err != nil {
+	prof := &Profile{}
+	if err := pl.RangeAngleInto(context.Background(), f, prof); err != nil {
 		t.Fatal(err)
 	}
 	return prof
 }
 
-func rangeDoppler(t testing.TB, pr *Processor, chirps []*fmcw.Frame, antenna int, pri float64) *RangeDopplerMap {
+func rangeDoppler(t testing.TB, pl *FrontEndPlan, chirps []*fmcw.Frame, antenna int, pri float64) *RangeDopplerMap {
 	t.Helper()
-	m, err := pr.RangeDoppler(context.Background(), chirps, antenna, pri)
-	if err != nil {
+	if antenna < 0 || antenna >= pl.params.NumAntennas {
+		antenna = 0
+	}
+	m := &RangeDopplerMap{}
+	if err := pl.RangeDopplerInto(context.Background(), m, antennaRows(chirps, antenna), pl.params, pri); err != nil {
 		t.Fatal(err)
 	}
 	return m
@@ -113,10 +118,10 @@ func dopplerMapsEqual(a, b *RangeDopplerMap) bool {
 	return true
 }
 
-// RangeAngleInto must reproduce RangeAngle bit-for-bit: for any worker
-// count, into a fresh destination, and into a dirty reused one (including a
-// destination previously filled from a different frame, exercising the
-// near-range re-zeroing).
+// RangeAngleInto is bit-identical for any worker count, into a fresh
+// destination, and into a dirty reused one (including a destination
+// previously filled from a different frame, exercising the near-range
+// re-zeroing).
 func TestRangeAngleIntoBitIdentical(t *testing.T) {
 	p := smallParams()
 	frames := []*fmcw.Frame{scratchFrame(p, 1, 0), scratchFrame(p, 2, 0.05)}
@@ -126,17 +131,16 @@ func TestRangeAngleIntoBitIdentical(t *testing.T) {
 		cfg.Workers = workers
 		reuse := pool.Get()
 		for _, f := range frames {
-			want := rangeAngle(t, NewProcessor(DefaultConfig()), f)
-			pr := NewProcessor(cfg)
-			got := rangeAngle(t, pr, f)
-			if !profilesEqual(got, want) {
-				t.Fatalf("workers=%d: RangeAngle differs across worker counts", workers)
+			want := rangeAngle(t, PlanFrontEnd(DefaultConfig(), p), f)
+			pl := PlanFrontEnd(cfg, p)
+			if got := rangeAngle(t, pl, f); !profilesEqual(got, want) {
+				t.Fatalf("workers=%d: RangeAngleInto differs across worker counts", workers)
 			}
 			// Dirty the reused destination, then overwrite it in place.
 			for i := range reuse.Power {
 				reuse.Power[i] = 1e9
 			}
-			if err := pr.Plan(p).RangeAngleInto(context.Background(), f, reuse); err != nil {
+			if err := pl.RangeAngleInto(context.Background(), f, reuse); err != nil {
 				t.Fatal(err)
 			}
 			if !profilesEqual(reuse, want) {
@@ -147,8 +151,8 @@ func TestRangeAngleIntoBitIdentical(t *testing.T) {
 	}
 }
 
-// RangeDopplerInto must reproduce RangeDoppler bit-for-bit, including
-// into a reused map previously filled from a different burst length.
+// RangeDopplerInto is bit-identical for any worker count, into a fresh map
+// and into a reused one previously filled from a different burst length.
 func TestRangeDopplerIntoBitIdentical(t *testing.T) {
 	p := smallParams()
 	pri := 1 / p.FrameRate
@@ -162,13 +166,12 @@ func TestRangeDopplerIntoBitIdentical(t *testing.T) {
 		cfg.Workers = workers
 		m := pool.Get()
 		for _, nd := range []int{5, 8, 3} { // shrinking nd exercises capacity reuse
-			want := rangeDoppler(t, NewProcessor(DefaultConfig()), burst[:nd], 1, pri)
-			pr := NewProcessor(cfg)
-			got := rangeDoppler(t, pr, burst[:nd], 1, pri)
-			if !dopplerMapsEqual(got, want) {
-				t.Fatalf("workers=%d nd=%d: RangeDoppler differs across worker counts", workers, nd)
+			want := rangeDoppler(t, PlanFrontEnd(DefaultConfig(), p), burst[:nd], 1, pri)
+			pl := PlanFrontEnd(cfg, p)
+			if got := rangeDoppler(t, pl, burst[:nd], 1, pri); !dopplerMapsEqual(got, want) {
+				t.Fatalf("workers=%d nd=%d: RangeDopplerInto differs across worker counts", workers, nd)
 			}
-			if err := pr.Plan(p).RangeDopplerInto(context.Background(), m, antennaRows(burst[:nd], 1), p, pri); err != nil {
+			if err := pl.RangeDopplerInto(context.Background(), m, antennaRows(burst[:nd], 1), p, pri); err != nil {
 				t.Fatal(err)
 			}
 			if !dopplerMapsEqual(m, want) {
@@ -295,18 +298,17 @@ func TestPoolsRecycle(t *testing.T) {
 	}
 }
 
-// DetectInto must produce exactly Detect's detections (same values, same
-// order) while reusing the caller's buffer, across repeated calls on
-// different profiles.
+// DetectInto into a reused buffer produces exactly its detections into a
+// fresh one (same values, same order), across repeated calls on different
+// profiles.
 func TestDetectIntoGoldenEquivalence(t *testing.T) {
 	p := smallParams()
 	array := fmcw.Array{Position: geom.Point{}, Facing: 1}
-	pr := NewProcessor(DefaultConfig())
-	pl := pr.Plan(p)
+	pl := PlanFrontEnd(DefaultConfig(), p)
 	var buf []Detection
 	for seed := int64(1); seed <= 4; seed++ {
-		prof := rangeAngle(t, pr, scratchFrame(p, seed, float64(seed)*0.05))
-		want := pr.Detect(prof, array)
+		prof := rangeAngle(t, pl, scratchFrame(p, seed, float64(seed)*0.05))
+		want := pl.DetectInto(nil, prof, array)
 		buf = pl.DetectInto(buf, prof, array)
 		if len(buf) != len(want) {
 			t.Fatalf("seed %d: %d detections vs %d", seed, len(buf), len(want))
@@ -328,8 +330,7 @@ func TestDetectAndObserveZeroAllocsSteadyState(t *testing.T) {
 	array := fmcw.Array{Position: geom.Point{}, Facing: 1}
 	cfg := DefaultConfig()
 	cfg.Workers = 1
-	pr := NewProcessor(cfg)
-	pl := pr.Plan(p)
+	pl := PlanFrontEnd(cfg, p)
 	f := scratchFrame(p, 3, 0)
 	prof := &Profile{}
 	if err := pl.RangeAngleInto(context.Background(), f, prof); err != nil {

@@ -11,7 +11,6 @@
 package radar
 
 import (
-	"context"
 	"math"
 
 	"rfprotect/internal/dsp"
@@ -74,22 +73,6 @@ func (p *Profile) AngleOfBin(a float64) float64 {
 // At returns the power at integer bin (r, a).
 func (p *Profile) At(r, a int) float64 { return p.Power[r*p.AngleBins+a] }
 
-// Processor is a Config with allocating convenience wrappers over the
-// shared FrontEndPlans of its shapes: every kernel is a call on
-// PlanFrontEnd(cfg, frame params). Streaming callers hold a plan directly
-// and use its Into kernels; a Processor is for one-off profiles and the
-// batch reference path. Concurrent calls on one Processor are safe and
-// overlap, each on its own plan executor.
-type Processor struct {
-	cfg Config
-}
-
-// NewProcessor returns a Processor with the given configuration;
-// zero-valued fields fall back to DefaultConfig values.
-func NewProcessor(cfg Config) *Processor {
-	return &Processor{cfg: normalizeConfig(cfg)}
-}
-
 // normalizeConfig fills zero-valued config fields with DefaultConfig values.
 func normalizeConfig(cfg Config) Config {
 	def := DefaultConfig()
@@ -107,28 +90,3 @@ func normalizeConfig(cfg Config) Config {
 	}
 	return cfg
 }
-
-// Config returns the processor's effective configuration.
-func (pr *Processor) Config() Config { return pr.cfg }
-
-// Plan returns the shared plan for the processor's config and frame shape
-// p: PlanFrontEnd(pr.Config(), p).
-func (pr *Processor) Plan(p fmcw.Params) *FrontEndPlan { return PlanFrontEnd(pr.cfg, p) }
-
-// RangeAngle computes the range–angle power profile of a (typically
-// background-subtracted) frame into a fresh Profile: per-antenna windowed
-// range FFT, then Eq. 2 beamforming at every range bin. Cancellation is
-// threaded into the FFT batch and the beamforming fan-out; once ctx is done
-// it returns (nil, ctx.Err()). It is the allocating wrapper over
-// FrontEndPlan.RangeAngleInto.
-func (pr *Processor) RangeAngle(ctx context.Context, f *fmcw.Frame) (*Profile, error) {
-	prof := &Profile{}
-	if err := pr.Plan(f.Params).RangeAngleInto(ctx, f, prof); err != nil {
-		return nil, err
-	}
-	return prof, nil
-}
-
-// BackgroundSubtract returns cur - prev, the standard static-reflector
-// rejection (§3).
-func BackgroundSubtract(cur, prev *fmcw.Frame) *fmcw.Frame { return cur.Sub(prev) }

@@ -24,9 +24,8 @@ func TestRangeAngleSingleTarget(t *testing.T) {
 	target := geom.Point{X: 1.5, Y: 4}
 	ret := array.ReturnFrom(target, 1, 0, 0)
 	fr := synthesize(p, []fmcw.Return{ret}, 0, nil)
-	pr := NewProcessor(DefaultConfig())
-	prof := rangeAngle(t, pr, fr)
-	dets := pr.Detect(prof, array)
+	pl := PlanFrontEnd(DefaultConfig(), p)
+	dets := pl.DetectInto(nil, rangeAngle(t, pl, fr), array)
 	if len(dets) == 0 {
 		t.Fatal("no detections")
 	}
@@ -51,8 +50,8 @@ func TestDetectSeparatesTwoTargets(t *testing.T) {
 		array.ReturnFrom(t1, 1, 0, 0),
 		array.ReturnFrom(t2, 0.8, 0, 0),
 	}, 0, nil)
-	pr := NewProcessor(DefaultConfig())
-	dets := pr.Detect(rangeAngle(t, pr, fr), array)
+	pl := PlanFrontEnd(DefaultConfig(), p)
+	dets := pl.DetectInto(nil, rangeAngle(t, pl, fr), array)
 	if len(dets) < 2 {
 		t.Fatalf("got %d detections, want 2", len(dets))
 	}
@@ -78,8 +77,8 @@ func TestBackgroundSubtractionKillsStatic(t *testing.T) {
 	mover2 := array.ReturnFrom(geom.Point{X: 1.2, Y: 5.2}, 0.5, 0, 0)
 	f1 := synthesize(p, []fmcw.Return{static, mover1}, 0, nil)
 	f2 := synthesize(p, []fmcw.Return{static, mover2}, 0.05, nil)
-	pr := NewProcessor(DefaultConfig())
-	dets := pr.Detect(rangeAngle(t, pr, BackgroundSubtract(f2, f1)), array)
+	pl := PlanFrontEnd(DefaultConfig(), p)
+	dets := pl.DetectInto(nil, rangeAngle(t, pl, f2.Sub(f1)), array)
 	for _, d := range dets {
 		if d.Pos.Dist(geom.Point{X: 0, Y: 2}) < 0.5 {
 			t.Fatalf("static reflector leaked through subtraction: %v", d)
@@ -241,8 +240,7 @@ func TestEndToEndSceneTracking(t *testing.T) {
 	sc.Humans = []*scene.Human{scene.NewHuman(traj, fs)}
 	rng := rand.New(rand.NewSource(42))
 	frames := capture(t, sc, 0, n, rng)
-	pr := NewProcessor(DefaultConfig())
-	detSeq, err := pr.ProcessFrames(context.Background(), frames, sc.Radar)
+	detSeq, err := PlanFrontEnd(DefaultConfig(), params).ProcessFrames(context.Background(), frames, sc.Radar)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,9 +324,8 @@ func meanOf(x []float64) float64 {
 
 func TestProfileBinConversions(t *testing.T) {
 	p := quietParams()
-	pr := NewProcessor(DefaultConfig())
 	fr := synthesize(p, nil, 0, nil)
-	prof := rangeAngle(t, pr, fr)
+	prof := rangeAngle(t, PlanFrontEnd(DefaultConfig(), p), fr)
 	if got := prof.AngleOfBin(0); got != 0 {
 		t.Fatalf("AngleOfBin(0) = %v", got)
 	}
@@ -351,7 +348,7 @@ func TestProcessFramesCanceled(t *testing.T) {
 	frames := capture(t, sc, 0, 4, rand.New(rand.NewSource(1)))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	dets, err := NewProcessor(DefaultConfig()).ProcessFrames(ctx, frames, sc.Radar)
+	dets, err := PlanFrontEnd(DefaultConfig(), sc.Params).ProcessFrames(ctx, frames, sc.Radar)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("ProcessFrames = %v, want context.Canceled", err)
 	}

@@ -1,7 +1,6 @@
 package reflector
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -45,9 +44,8 @@ func TestMultiplePhantomsSimultaneously(t *testing.T) {
 	// sensitive detector than the default relative threshold.
 	cfg := radar.DefaultConfig()
 	cfg.MinPeakRatio = 0.02
-	pr := radar.NewProcessor(cfg)
 	found1, found2 := 0, 0
-	for _, dets := range processFrames(t, pr, frames, sc.Radar) {
+	for _, dets := range processFrames(t, radar.PlanFrontEnd(cfg, sc.Params), frames, sc.Radar) {
 		for _, d := range dets {
 			if math.Abs(d.Range-want1) < 0.4 {
 				found1++
@@ -111,23 +109,14 @@ func TestStationaryGhostAliasing(t *testing.T) {
 	}
 	frames := capture(t, sc, 0, 2, nil)
 	f0, f1 := frames[0], frames[1]
-	diff := radar.BackgroundSubtract(f1, f0)
-	pr := radar.NewProcessor(radar.DefaultConfig())
-	subtracted, err := pr.RangeAngle(context.Background(), diff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dets := pr.Detect(subtracted, sc.Radar); len(dets) != 0 {
+	pl := radar.PlanFrontEnd(radar.DefaultConfig(), params)
+	if dets := detectFrame(t, pl, f1.Sub(f0), sc.Radar); len(dets) != 0 {
 		t.Fatalf("aliased stationary ghost should cancel under subtraction, got %v", dets)
 	}
 	// Raw processing still sees the phantom.
-	prof, err := pr.RangeAngle(context.Background(), f0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := sc.Radar.DistanceOf(tagCfg.AntennaPosition(0)) + extra
 	found := false
-	for _, d := range pr.Detect(prof, sc.Radar) {
+	for _, d := range detectFrame(t, pl, f0, sc.Radar) {
 		if math.Abs(d.Range-want) < 0.4 {
 			found = true
 		}

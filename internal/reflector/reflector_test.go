@@ -25,13 +25,24 @@ func capture(t testing.TB, sc *scene.Scene, t0 float64, n int, rng *rand.Rand) [
 }
 
 // processFrames runs the batch front end over frames, uncancelable.
-func processFrames(t testing.TB, pr *radar.Processor, frames []*fmcw.Frame, array fmcw.Array) [][]radar.Detection {
+func processFrames(t testing.TB, pl *radar.FrontEndPlan, frames []*fmcw.Frame, array fmcw.Array) [][]radar.Detection {
 	t.Helper()
-	dets, err := pr.ProcessFrames(context.Background(), frames, array)
+	dets, err := pl.ProcessFrames(context.Background(), frames, array)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return dets
+}
+
+// detectFrame profiles one frame and extracts its detections,
+// uncancelable.
+func detectFrame(t testing.TB, pl *radar.FrontEndPlan, f *fmcw.Frame, array fmcw.Array) []radar.Detection {
+	t.Helper()
+	prof := &radar.Profile{}
+	if err := pl.RangeAngleInto(context.Background(), f, prof); err != nil {
+		t.Fatal(err)
+	}
+	return pl.DetectInto(nil, prof, array)
 }
 
 func testTag(t *testing.T) (*Reflector, Config) {
@@ -276,8 +287,7 @@ func TestGhostAppearsAtIntendedLocation(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(3))
 	frames := capture(t, sc, 0, n, rng)
-	pr := radar.NewProcessor(radar.DefaultConfig())
-	detSeq := processFrames(t, pr, frames, sc.Radar)
+	detSeq := processFrames(t, radar.PlanFrontEnd(radar.DefaultConfig(), params), frames, sc.Radar)
 
 	// Per-frame oracle matching: the evaluation knows which trajectory was
 	// spoofed (square-wave harmonics legitimately add extra phantoms, and
@@ -333,16 +343,10 @@ func TestGhostSurvivesBackgroundSubtraction(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(4))
 	frames := capture(t, sc, 0, 20, rng)
-	pr := radar.NewProcessor(radar.DefaultConfig())
+	pl := radar.PlanFrontEnd(radar.DefaultConfig(), params)
 	found := 0
 	for i := 1; i < len(frames); i++ {
-		diff := radar.BackgroundSubtract(frames[i], frames[i-1])
-		prof, err := pr.RangeAngle(context.Background(), diff)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dets := pr.Detect(prof, sc.Radar)
-		for _, d := range dets {
+		for _, d := range detectFrame(t, pl, frames[i].Sub(frames[i-1]), sc.Radar) {
 			// Any detection beyond the tag itself counts as the ghost.
 			if d.Range > 2.0 {
 				found++

@@ -6,16 +6,16 @@
 // # Rooms
 //
 // A Room is one tenant deployment: its own core.Session (scene, tag,
-// controller), its own radar.Processor, its own pipeline.Pools, and a
-// pooled stage chain ending in a tracker — assembled in exactly the order a
-// library caller would use, so a synthetic room's detections and tracks are
-// bit-identical to the same configuration run by hand. Rooms come in two
-// modes. A synthetic room (Frames > 0) synthesizes its own capture from a
-// seed, optionally paced to a real-time frame rate, and finishes on its
-// own. An ingest room (Frames == 0) processes frames POSTed to it through
-// a bounded queue until closed or drained; the full-queue policy is per
-// room — block the producer (backpressure, the default) or drop with a 429
-// (load-shedding).
+// controller), the shared radar.PlanFrontEnd plan of its shape, its own
+// pipeline.Pools, and a pooled stage chain ending in a tracker — assembled
+// in exactly the order a library caller would use, so a synthetic room's
+// detections and tracks are bit-identical to the same configuration run by
+// hand. Rooms come in two modes. A synthetic room (Frames > 0) synthesizes
+// its own capture from a seed, optionally paced to a real-time frame rate,
+// and finishes on its own. An ingest room (Frames == 0) processes frames
+// POSTed to it through a bounded queue until closed or drained; the
+// full-queue policy is per room — block the producer (backpressure, the
+// default) or drop with a 429 (load-shedding).
 //
 // # Manager
 //

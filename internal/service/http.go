@@ -226,8 +226,8 @@ func (m *Manager) handleProgramGhost(w http.ResponseWriter, req *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if len(spec.Points) < 2 {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "service: ghost needs >= 2 trajectory points"})
+	if err := spec.check("ghost"); err != nil {
+		writeError(w, err)
 		return
 	}
 	st, err := r.ProgramGhost(spec)

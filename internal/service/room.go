@@ -23,12 +23,12 @@ const (
 	stateFailed   = "failed"
 )
 
-// Room hosts one tenant session: a core.Session with its own buffer pools,
-// processor, and pooled stage chain, driven by a single runner goroutine
-// owned by the Manager. All cross-goroutine access (status, track dumps,
-// ingest pushes, subscriptions) goes through the Room's own synchronization;
-// the pipeline itself stays single-threaded and bit-identical to the
-// library path.
+// Room hosts one tenant session: a core.Session with its own buffer pools
+// and pooled stage chain over the shared front-end plan, driven by a single
+// runner goroutine owned by the Manager. All cross-goroutine access (status,
+// track dumps, ingest pushes, subscriptions) goes through the Room's own
+// synchronization; the pipeline itself stays single-threaded and
+// bit-identical to the library path.
 type Room struct {
 	ID  string
 	cfg RoomConfig
@@ -105,19 +105,14 @@ func newRoom(cfg RoomConfig, shardIdx int, sh *shard) (*Room, error) {
 		return nil, err
 	}
 	sc := sess.Scene
+	if err := checkGhostTicks(0, sc.Params.FrameRate, sess.Tag.Config().SyncGranularity, cfg.Ghosts...); err != nil {
+		return nil, err
+	}
 	for _, h := range cfg.Humans {
-		rate := h.Rate
-		if rate == 0 {
-			rate = sc.Params.FrameRate
-		}
-		sc.Humans = append(sc.Humans, scene.NewHuman(h.trajectory(), rate))
+		sc.Humans = append(sc.Humans, scene.NewHuman(h.trajectory(), h.rate(sc.Params.FrameRate)))
 	}
 	for _, g := range cfg.Ghosts {
-		rate := g.Rate
-		if rate == 0 {
-			rate = sc.Params.FrameRate
-		}
-		if _, err := sess.Ctl.ProgramForRadar(g.trajectory(), sc.Radar, rate, g.Start); err != nil {
+		if _, err := sess.Ctl.ProgramForRadar(g.trajectory(), sc.Radar, g.rate(sc.Params.FrameRate), g.Start); err != nil {
 			return nil, err
 		}
 	}
@@ -502,13 +497,17 @@ func (r *Room) ProgramGhost(spec TrajSpec) (GhostStatus, error) {
 			return GhostStatus{}, ErrBusy
 		}
 	}
-	rate := spec.Rate
-	if rate == 0 {
-		rate = r.sess.Scene.Params.FrameRate
-	}
+	frameRate := r.sess.Scene.Params.FrameRate
 	r.ghostMu.Lock()
 	defer r.ghostMu.Unlock()
-	rec, err := r.sess.Ctl.ProgramForRadar(spec.trajectory(), r.sess.Scene.Radar, rate, spec.Start)
+	held := 0
+	for _, rec := range r.sess.Ctl.Records() {
+		held += len(rec.Entries)
+	}
+	if err := checkGhostTicks(held, frameRate, r.sess.Tag.Config().SyncGranularity, spec); err != nil {
+		return GhostStatus{}, err
+	}
+	rec, err := r.sess.Ctl.ProgramForRadar(spec.trajectory(), r.sess.Scene.Radar, spec.rate(frameRate), spec.Start)
 	if err != nil {
 		return GhostStatus{}, err
 	}

@@ -507,6 +507,108 @@ func TestCreateRejectsBadDopplerWindow(t *testing.T) {
 	}
 }
 
+// ghostWithTicks is a two-point ghost whose program holds about frac of
+// maxGhostTicks control ticks at the default 10 ms tick.
+func ghostWithTicks(frac float64) TrajSpec {
+	return TrajSpec{Points: []geom.Point{{X: 3, Y: 3}, {X: 4, Y: 4}}, Rate: 1 / (frac * maxGhostTicks * 0.010)}
+}
+
+// postJSON POSTs v as JSON to url and returns the response status.
+func postJSON(t *testing.T, url string, v any) int {
+	t.Helper()
+	body, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url, "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestCreateRejectsGhostTickOverflow pins the create-room half of the
+// ghost-tick cap: the tag controller allocates every control tick of a
+// ghost program up front, so ghosts whose ticks add up past maxGhostTicks
+// (or one tiny-rate ghost asking for ~10⁹ ticks) are refused with 400
+// before anything is programmed, and so is a negative rate. No room is
+// created.
+func TestCreateRejectsGhostTickOverflow(t *testing.T) {
+	m := NewManager(context.Background(), 2)
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+	neg := ghostWithTicks(0.1)
+	neg.Rate = -1
+	for _, c := range []struct {
+		name string
+		cfg  RoomConfig
+	}{
+		// Each ghost alone fits; together they pass the cap.
+		{"sum", RoomConfig{ID: "sum", Ghosts: []TrajSpec{ghostWithTicks(0.6), ghostWithTicks(0.6)}}},
+		{"tiny-rate", RoomConfig{ID: "tiny", Ghosts: []TrajSpec{{Points: neg.Points, Rate: 1e-7}}}},
+		{"negative-ghost-rate", RoomConfig{ID: "neg-ghost", Ghosts: []TrajSpec{neg}}},
+		{"negative-human-rate", RoomConfig{ID: "neg-human", Humans: []TrajSpec{neg}}},
+	} {
+		if got := postJSON(t, srv.URL+"/v1/rooms", c.cfg); got != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", c.name, got)
+		}
+		if _, err := m.Room(c.cfg.ID); err != ErrNoRoom {
+			t.Fatalf("%s: refused room exists (err %v)", c.name, err)
+		}
+	}
+	if got := postJSON(t, srv.URL+"/v1/rooms", RoomConfig{ID: "fits", Ghosts: []TrajSpec{ghostWithTicks(0.6)}}); got != http.StatusCreated {
+		t.Fatalf("ghost under the cap: status %d, want 201", got)
+	}
+	if err := m.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestProgramGhostRejectsTickOverflow pins the program-ghost half of the
+// ghost-tick cap on an ingest room, which accepts programs without limit:
+// a program whose ticks, added to those the room already holds, pass
+// maxGhostTicks is refused with 400 — so is a tiny rate or a negative one
+// — and the room's ghost list is unchanged.
+func TestProgramGhostRejectsTickOverflow(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	m := NewManager(ctx, 1)
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+	r, err := m.CreateRoom(RoomConfig{ID: "tag"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := srv.URL + "/v1/rooms/tag/ghosts"
+	if got := postJSON(t, url, ghostWithTicks(0.6)); got != http.StatusCreated {
+		t.Fatalf("first ghost: status %d, want 201", got)
+	}
+	neg := ghostWithTicks(0.1)
+	neg.Rate = -1
+	for _, c := range []struct {
+		name string
+		spec TrajSpec
+	}{
+		{"past-held", ghostWithTicks(0.6)}, // fits alone, not on top of the first
+		{"tiny-rate", TrajSpec{Points: neg.Points, Rate: 1e-7}},
+		{"negative-rate", neg},
+	} {
+		if got := postJSON(t, url, c.spec); got != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", c.name, got)
+		}
+		if n := len(r.GhostStatuses()); n != 1 {
+			t.Fatalf("%s: %d ghost records, want the 1 accepted", c.name, n)
+		}
+	}
+	if got := postJSON(t, url, ghostWithTicks(0.3)); got != http.StatusCreated {
+		t.Fatalf("ghost within the remaining ticks: status %d, want 201", got)
+	}
+	if err := m.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSpoofScoresConcurrentWithStreaming hammers the spoof-score read path
 // while the room's runner is mid-capture: the emit stage advances the
 // tracker and feeds the scorer under trkMu on the runner goroutine while

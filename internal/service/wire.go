@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"rfprotect/internal/detect"
 	"rfprotect/internal/geom"
@@ -84,6 +85,42 @@ func (ts TrajSpec) trajectory() geom.Trajectory {
 	return tr
 }
 
+// check reports the first problem with the spec; what names it in the
+// error.
+func (ts TrajSpec) check(what string) error {
+	if len(ts.Points) < 2 {
+		return fmt.Errorf("service: %s needs >= 2 trajectory points", what)
+	}
+	if ts.Rate < 0 {
+		return fmt.Errorf("service: %s rate %v must be >= 0", what, ts.Rate)
+	}
+	return nil
+}
+
+// rate is the spec's sample rate, frameRate when unset.
+func (ts TrajSpec) rate(frameRate float64) float64 {
+	if ts.Rate == 0 {
+		return frameRate
+	}
+	return ts.Rate
+}
+
+// checkGhostTicks reports an error when programming specs as ghosts on a
+// tag that already holds held control ticks would take it past
+// maxGhostTicks. Each spec's count is the one reflector.Controller
+// allocates, ⌊(points−1)/rate/tick⌋ + 1, taken in floating point so that
+// no rate can overflow it; nothing is allocated before the check passes.
+func checkGhostTicks(held int, frameRate, tick float64, specs ...TrajSpec) error {
+	total := float64(held)
+	for _, ts := range specs {
+		total += math.Floor(float64(len(ts.Points)-1)/ts.rate(frameRate)/tick) + 1
+	}
+	if total > maxGhostTicks {
+		return fmt.Errorf("service: ghost programs would hold %.0f control ticks, over the room's cap of %d", total, maxGhostTicks)
+	}
+	return nil
+}
+
 // roomByName maps the wire name to a scene room.
 func roomByName(name string) (scene.Room, error) {
 	switch name {
@@ -96,12 +133,16 @@ func roomByName(name string) (scene.Room, error) {
 	}
 }
 
-// Caps on the create-room sizes newRoom allocates up front. Without them
-// one request asking for billions of queue slots or Doppler chirps would
-// stop the whole daemon with an unrecoverable out-of-memory fatal error.
+// Caps on the sizes a room allocates up front. Without them one request
+// asking for billions of queue slots, Doppler chirps or ghost control ticks
+// would stop the whole daemon with an unrecoverable out-of-memory fatal
+// error. The tag controller allocates about 64 B per control tick, so
+// maxGhostTicks, the total over all of a room's ghost programs, is about
+// 64 MB: 2.9 h of tag time at the default 10 ms tick.
 const (
 	maxQueueDepth    = 1 << 20
 	maxDopplerWindow = 256
+	maxGhostTicks    = 1 << 20
 )
 
 // validate normalizes a RoomConfig and reports the first problem.
@@ -125,13 +166,13 @@ func (c *RoomConfig) validate() error {
 		c.QueueDepth = 64
 	}
 	for i, h := range c.Humans {
-		if len(h.Points) < 2 {
-			return fmt.Errorf("service: humans[%d] needs >= 2 trajectory points", i)
+		if err := h.check(fmt.Sprintf("humans[%d]", i)); err != nil {
+			return err
 		}
 	}
 	for i, g := range c.Ghosts {
-		if len(g.Points) < 2 {
-			return fmt.Errorf("service: ghosts[%d] needs >= 2 trajectory points", i)
+		if err := g.check(fmt.Sprintf("ghosts[%d]", i)); err != nil {
+			return err
 		}
 	}
 	return nil
