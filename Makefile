@@ -2,8 +2,8 @@ GO ?= go
 
 # Coverage floor (percent of statements) enforced by `make cover` on the
 # packages whose correctness rests on their test harness: the concurrent
-# scheduler, the worker pool and the FFT batch layer under it, the frame
-# synthesis and radar front-end kernels with their pools and plans, the
+# scheduler, the worker pool, the FFT kernels and their shared plans, the
+# frame synthesis and radar front-end kernels with their pools and plans, the
 # scene capture paths, the spoof-detection suite, and the daemon's service
 # layer with its ingest decoder.
 COVER_MIN ?= 80
@@ -23,11 +23,14 @@ vet:
 # see DESIGN.md "Static analysis") finds a violation. Every //rfvet:allow
 # must carry a `-- justification`. (Plain stdlib tooling — no external
 # linters; rfvet is built from this repo.) Fast: AST/type analysis only, no
-# compiler invocation — the escape-analysis gate lives in lint-deep.
+# compiler invocation — the escape-analysis gate lives in lint-deep. The
+# second vet type-checks the tree as arm64, so the !amd64 fallbacks
+# (beam_other.go, synth_other.go) and their tests compile on an amd64 host.
 lint:
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 	$(GO) run ./cmd/rfvet -require-justification ./...
 
 # lint plus the allocfree pass: rebuild with -gcflags=-m and fail if any

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/cmplx"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -206,8 +205,7 @@ func BenchmarkPipelineFrameSynthesis(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineRangeFFT measures the cached-plan 512-point range FFT
-// and the 64-row batch shape of a Doppler burst.
+// BenchmarkPipelineRangeFFT measures the cached-plan 512-point range FFT.
 func BenchmarkPipelineRangeFFT(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	row := make([]complex128, 512)
@@ -219,46 +217,6 @@ func BenchmarkPipelineRangeFFT(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			copy(buf, row)
 			dsp.FFTInPlace(buf)
-		}
-	})
-	batch := make([][]complex128, 64)
-	for k := range batch {
-		r := make([]complex128, 512)
-		copy(r, row)
-		batch[k] = r
-	}
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("batch-64x512-workers-%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := dsp.FFTEachCtx(context.Background(), batch, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkMagnitude measures the magnitude kernel both ways — the
-// historical cmplx.Abs formulation and the math.Hypot one dsp.Magnitude
-// now uses — over the radar's 512-bin spectrum shape. Same destination
-// buffer, zero allocations either way; the delta is pure per-element cost.
-func BenchmarkMagnitude(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := make([]complex128, 512)
-	for i := range x {
-		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	dst := make([]float64, len(x))
-	b.Run("hypot-512", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			dsp.MagnitudeTo(dst, x)
-		}
-	})
-	b.Run("cmplx-abs-512", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for k, v := range x {
-				dst[k] = cmplx.Abs(v)
-			}
 		}
 	})
 }

@@ -34,7 +34,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/cmplx"
 	"math/rand"
 	"os"
 	"runtime"
@@ -91,8 +90,8 @@ type sample struct {
 // measureSamples is the min-of-K sub-sampling width: measure splits its
 // window into this many independently timed sub-windows and reports the
 // fastest one's mean ns/op. A single mean absorbs whatever the OS did
-// during the window (5–10 % run-to-run jitter on the frame_synthesis and
-// batch_fft rows), which eats gate headroom; the minimum of K means is a
+// during the window (5–10 % run-to-run jitter on the frame_synthesis
+// rows), which eats gate headroom; the minimum of K means is a
 // far more stable estimate of the code's actual cost, since interference
 // only ever makes a sub-window slower.
 const measureSamples = 3
@@ -271,9 +270,9 @@ func runSnapshot(minDur time.Duration, seed int64, quick bool) Snapshot {
 	add("frame_synthesis_planned", 1, planned, true)
 	snap.Speedups["synth_plan"] = legacy.ns / planned.ns
 
-	// Single 512-point range FFT, cached plan (steady state of the radar
-	// pipeline): in place over a copy, and through the FFTTo destination-
-	// passing variant. Both are allocation-free once the plan is cached.
+	// Single 512-point FFT, cached plan (steady state of the radar
+	// pipeline), in place over a copy. Allocation-free once the plan is
+	// cached.
 	x := synthSignal(512, seed)
 	buf := make([]complex128, len(x))
 	fft := measure(minDur, func() {
@@ -281,21 +280,15 @@ func runSnapshot(minDur time.Duration, seed int64, quick bool) Snapshot {
 		dsp.FFTInPlace(buf)
 	})
 	add("fft_512_cached_plan", 1, fft, true)
-	fftTo := measure(minDur, func() { dsp.FFTTo(buf, x) })
-	add("fft_512_to", 1, fftTo, true)
 
-	// Real-input FFT: the half-spectrum transform (pack-two-reals over a
-	// size-256 complex FFT) against the full complex transform above, plain
-	// and with the window fused into the pack. Both reuse the cached plan
-	// and allocate nothing.
+	// Real-input FFT with the window fused into the pack: the half-spectrum
+	// transform (pack-two-reals over a size-256 complex FFT) behind
+	// dsp.DominantFrequency. Reuses the cached plan and allocates nothing.
 	rx := make([]float64, len(x))
 	for i, v := range x {
 		rx[i] = real(v)
 	}
 	half := make([]complex128, len(x)/2+1)
-	rfftS := measure(minDur, func() { dsp.RFFTTo(half, rx) })
-	add("rfft_512_to", 1, rfftS, true)
-	snap.Speedups["rfft_vs_fft"] = fftTo.ns / rfftS.ns
 	hann := dsp.Hann.Coefficients(len(x))
 	wrfftS := measure(minDur, func() { dsp.WindowedRFFTTo(half, rx, hann) })
 	add("windowed_rfft_512", 1, wrfftS, true)
@@ -309,31 +302,6 @@ func runSnapshot(minDur time.Duration, seed int64, quick bool) Snapshot {
 		coldSize += 2
 	})
 	add("fft_cold_plan_build_~1k", 1, cold, false)
-
-	// Magnitude kernel delta: the historical cmplx.Abs formulation against
-	// the math.Hypot one dsp.Magnitude now uses. Same dst, same input; the
-	// difference is pure per-element cost.
-	mag := make([]float64, len(x))
-	abs := measure(minDur, func() {
-		for i, v := range x {
-			mag[i] = cmplx.Abs(v)
-		}
-	})
-	add("magnitude_512_cmplx_abs", 1, abs, true)
-	hyp := measure(minDur, func() { dsp.MagnitudeTo(mag, x) })
-	add("magnitude_512_hypot", 1, hyp, true)
-	snap.Speedups["magnitude_hypot"] = abs.ns / hyp.ns
-
-	// Batch FFT: 64 rows of 512, the shape of a multi-frame Doppler burst.
-	batch := make([][]complex128, 64)
-	for i := range batch {
-		batch[i] = synthSignal(512, seed+int64(i))
-	}
-	bseq := measure(minDur, func() { batchFFT(ctx, batch, 1) })
-	add("batch_fft_64x512_w1", 1, bseq, false)
-	bpar := measure(minDur, func() { batchFFT(ctx, batch, 0) })
-	add("batch_fft_64x512_wN", runtime.GOMAXPROCS(0), bpar, false)
-	snap.Speedups["batch_fft"] = bseq.ns / bpar.ns
 
 	// Pooled hot-path kernels, one row per stage of the steady-state frame
 	// path: background subtraction through a pooled Differencer, the
@@ -512,13 +480,6 @@ func synthFrame(ctx context.Context, p fmcw.Params, returns []fmcw.Return, at fl
 		fatal("synthesize", err)
 	}
 	return f
-}
-
-// batchFFT transforms every row of batch in place.
-func batchFFT(ctx context.Context, batch [][]complex128, workers int) {
-	if err := dsp.FFTEachCtx(ctx, batch, workers); err != nil {
-		fatal("batch-fft", err)
-	}
 }
 
 // synthReturns mirrors the mixed workload the fmcw benchmarks use.

@@ -15,62 +15,12 @@ func randComplexSeed(n int, seed int64) []complex128 {
 	return x
 }
 
-// The destination-passing variants must be bit-identical to their
-// allocating wrappers — the wrappers ARE the To-variants plus a make, so
-// this pins the contract against refactors.
-func TestToVariantsBitIdentical(t *testing.T) {
-	for _, n := range []int{1, 2, 8, 13, 64, 100, 512} {
-		x := randComplexSeed(n, int64(n))
-		dst := make([]complex128, n)
-		if got, want := FFTTo(dst, x), FFT(x); !equalC(got, want) {
-			t.Errorf("n=%d: FFTTo differs from FFT", n)
-		}
-		if got, want := IFFTTo(dst, x), IFFT(x); !equalC(got, want) {
-			t.Errorf("n=%d: IFFTTo differs from IFFT", n)
-		}
-		if got, want := FFTShiftTo(dst, x), FFTShift(x); !equalC(got, want) {
-			t.Errorf("n=%d: FFTShiftTo differs from FFTShift", n)
-		}
-		fdst := make([]float64, n)
-		if got, want := MagnitudeTo(fdst, x), Magnitude(x); !equalF(got, want) {
-			t.Errorf("n=%d: MagnitudeTo differs from Magnitude", n)
-		}
-		if got, want := PowerTo(fdst, x), Power(x); !equalF(got, want) {
-			t.Errorf("n=%d: PowerTo differs from Power", n)
-		}
-		if got, want := PowerDBTo(fdst, x, 1e-12), PowerDB(x, 1e-12); !equalF(got, want) {
-			t.Errorf("n=%d: PowerDBTo differs from PowerDB", n)
-		}
-	}
-}
-
-func equalC(a, b []complex128) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalF(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Magnitude switched from cmplx.Abs to math.Hypot; they are the same
-// kernel, so the values must match exactly.
+// Magnitude computes math.Hypot directly; cmplx.Abs wraps the same kernel,
+// so the values must match exactly.
 func TestMagnitudeMatchesCmplxAbs(t *testing.T) {
+	if m := Magnitude([]complex128{3 + 4i, 0}); m[0] != 5 || m[1] != 0 {
+		t.Fatalf("Magnitude = %v", m)
+	}
 	x := randComplexSeed(257, 7)
 	got := Magnitude(x)
 	for i, v := range x {
@@ -80,37 +30,32 @@ func TestMagnitudeMatchesCmplxAbs(t *testing.T) {
 	}
 }
 
-// FFTTo may alias its input (in-place transform); FFTShiftTo must not.
+// WindowedFFTTo gathers its input in permuted order while writing dst, so
+// an aliased destination must panic rather than corrupt the transform.
 func TestToVariantAliasing(t *testing.T) {
 	x := randComplexSeed(64, 3)
-	want := FFT(x)
-	got := append([]complex128(nil), x...)
-	FFTTo(got, got)
-	if !equalC(got, want) {
-		t.Fatal("FFTTo(x, x) differs from FFT(x)")
-	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("FFTShiftTo(x, x) did not panic")
+			t.Fatal("WindowedFFTTo(x, x, win) did not panic")
 		}
 	}()
-	FFTShiftTo(x, x)
+	WindowedFFTTo(x, x, Hann.Coefficients(len(x)))
 }
 
 func TestToVariantLengthPanics(t *testing.T) {
 	x := randComplexSeed(8, 1)
+	rx := make([]float64, 8)
+	win := Hann.Coefficients(8)
 	for name, fn := range map[string]func(){
-		"FFTTo":       func() { FFTTo(make([]complex128, 7), x) },
-		"IFFTTo":      func() { IFFTTo(make([]complex128, 7), x) },
-		"FFTShiftTo":  func() { FFTShiftTo(make([]complex128, 7), x) },
-		"MagnitudeTo": func() { MagnitudeTo(make([]float64, 7), x) },
-		"PowerTo":     func() { PowerTo(make([]float64, 7), x) },
-		"PowerDBTo":   func() { PowerDBTo(make([]float64, 7), x, 0) },
+		"WindowedFFTTo dst":  func() { WindowedFFTTo(make([]complex128, 7), x, win) },
+		"WindowedFFTTo win":  func() { WindowedFFTTo(make([]complex128, 8), x, win[:7]) },
+		"WindowedRFFTTo dst": func() { WindowedRFFTTo(make([]complex128, 3), rx, win) },
+		"WindowedRFFTTo win": func() { WindowedRFFTTo(make([]complex128, 5), rx, win[:7]) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s with short dst did not panic", name)
+					t.Errorf("%s with a short slice did not panic", name)
 				}
 			}()
 			fn()
@@ -119,23 +64,22 @@ func TestToVariantLengthPanics(t *testing.T) {
 }
 
 // After the plan (and, for Bluestein sizes, the pooled scratch) is warm,
-// destination-passing transforms allocate nothing — the foundation of the
+// the complex transforms allocate nothing — the foundation of the
 // zero-allocation steady state upstream.
 func TestFFTToZeroAllocsSteadyState(t *testing.T) {
 	for _, n := range []int{512, 100} { // radix-2 and Bluestein
 		x := randComplexSeed(n, int64(n))
+		win := Hann.Coefficients(n)
 		dst := make([]complex128, n)
-		FFTTo(dst, x) // warm plan + scratch pool
-		if allocs := testing.AllocsPerRun(100, func() { FFTTo(dst, x) }); allocs != 0 {
-			t.Errorf("n=%d: FFTTo allocates %v per op in steady state, want 0", n, allocs)
+		WindowedFFTTo(dst, x, win) // warm plan + scratch pool
+		if allocs := testing.AllocsPerRun(100, func() { FFTInPlace(dst) }); allocs != 0 {
+			t.Errorf("n=%d: FFTInPlace allocates %v per op in steady state, want 0", n, allocs)
 		}
-		if allocs := testing.AllocsPerRun(100, func() { IFFTTo(dst, x) }); allocs != 0 {
-			t.Errorf("n=%d: IFFTTo allocates %v per op in steady state, want 0", n, allocs)
+		if allocs := testing.AllocsPerRun(100, func() { IFFTInPlace(dst) }); allocs != 0 {
+			t.Errorf("n=%d: IFFTInPlace allocates %v per op in steady state, want 0", n, allocs)
 		}
-	}
-	x := randComplexSeed(512, 1)
-	fdst := make([]float64, 512)
-	if allocs := testing.AllocsPerRun(100, func() { MagnitudeTo(fdst, x) }); allocs != 0 {
-		t.Errorf("MagnitudeTo allocates %v per op, want 0", allocs)
+		if allocs := testing.AllocsPerRun(100, func() { WindowedFFTTo(dst, x, win) }); allocs != 0 {
+			t.Errorf("n=%d: WindowedFFTTo allocates %v per op in steady state, want 0", n, allocs)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package dsp
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 )
@@ -20,49 +19,6 @@ func NextPowerOfTwo(n int) int {
 		return n
 	}
 	return 1 << bits.Len(uint(n))
-}
-
-// FFT computes the in-place-free discrete Fourier transform of x and returns
-// a new slice. Power-of-two lengths use an iterative radix-2
-// Cooley–Tukey; all other lengths use Bluestein's algorithm, so any length
-// is supported. The zero-length input returns an empty slice. It is the
-// allocating wrapper over FFTTo.
-func FFT(x []complex128) []complex128 {
-	return FFTTo(make([]complex128, len(x)), x)
-}
-
-// FFTTo computes the DFT of x into dst and returns dst: the
-// destination-passing form of FFT for steady-state callers that reuse one
-// output buffer across transforms. dst must have the same length as x (the
-// call panics otherwise); dst may alias x, in which case the transform is
-// in place. After the per-size plan is cached (first transform of a size),
-// FFTTo performs no allocations for any length — Bluestein scratch is
-// pooled per plan. Output is bit-identical to FFT.
-func FFTTo(dst, x []complex128) []complex128 {
-	if len(dst) != len(x) {
-		panic("dsp: FFTTo with mismatched lengths")
-	}
-	copy(dst, x)
-	fftInPlace(dst, false)
-	return dst
-}
-
-// IFFT computes the inverse DFT of x (with 1/N normalization) and returns a
-// new slice. It is the allocating wrapper over IFFTTo.
-func IFFT(x []complex128) []complex128 {
-	return IFFTTo(make([]complex128, len(x)), x)
-}
-
-// IFFTTo computes the inverse DFT of x into dst (with 1/N normalization)
-// and returns dst, under the same length/aliasing/allocation contract as
-// FFTTo.
-func IFFTTo(dst, x []complex128) []complex128 {
-	if len(dst) != len(x) {
-		panic("dsp: IFFTTo with mismatched lengths")
-	}
-	copy(dst, x)
-	fftInPlace(dst, true)
-	return dst
 }
 
 // FFTInPlace transforms x in place. Non-power-of-two lengths draw their
@@ -107,9 +63,8 @@ func radix2(x []complex128, inverse bool) {
 
 // radix2Stages runs the butterfly stages of a planned radix-2 transform over
 // data that is already in bit-reversed order — the second half of radix2,
-// split out so fused front ends (WindowedFFTTo, the real-input pack loop)
-// can gather inputs straight into bit-reversed positions and skip the
-// separate permutation pass. Size 8 — the slow-time length of the Doppler
+// split out so WindowedFFTTo can gather inputs straight into bit-reversed
+// positions and skip the separate permutation pass. Size 8 — the slow-time length of the Doppler
 // window — dispatches to a fully unrolled kernel that performs the identical
 // butterflies on the identical twiddle tables, so the specialization changes
 // cost, never bits.
@@ -259,103 +214,13 @@ func bluestein(x []complex128, inverse bool) {
 	}
 }
 
-// FFTShift rotates the spectrum so the zero-frequency bin is centered,
-// returning a new slice (matching the conventional fftshift). It is the
-// allocating wrapper over FFTShiftTo.
-func FFTShift(x []complex128) []complex128 {
-	return FFTShiftTo(make([]complex128, len(x)), x)
-}
-
-// FFTShiftTo writes the fftshift of x into dst and returns dst. dst must
-// have the same length as x and must not overlap it (the rotation reads
-// every input after some outputs are written); both violations panic.
-func FFTShiftTo(dst, x []complex128) []complex128 {
-	n := len(x)
-	if len(dst) != n {
-		panic("dsp: FFTShiftTo with mismatched lengths")
-	}
-	if n == 0 {
-		return dst
-	}
-	if &dst[0] == &x[0] {
-		panic("dsp: FFTShiftTo with aliased dst")
-	}
-	half := (n + 1) / 2
-	copy(dst, x[half:])
-	copy(dst[n-half:], x[:half])
-	return dst
-}
-
-// Magnitude returns |x| element-wise. It is the allocating wrapper over
-// MagnitudeTo.
+// Magnitude returns |x| element-wise as a new slice. The magnitude is
+// computed with math.Hypot directly — the same overflow-safe kernel
+// cmplx.Abs wraps — which keeps the loop free of the extra call layer.
 func Magnitude(x []complex128) []float64 {
-	return MagnitudeTo(make([]float64, len(x)), x)
-}
-
-// MagnitudeTo writes |x| element-wise into dst and returns dst; dst must
-// have the same length as x. The magnitude is computed with math.Hypot
-// directly — the same overflow-safe kernel cmplx.Abs wraps — which keeps
-// the hot loop free of the extra call layer.
-func MagnitudeTo(dst []float64, x []complex128) []float64 {
-	if len(dst) != len(x) {
-		panic("dsp: MagnitudeTo with mismatched lengths")
-	}
+	dst := make([]float64, len(x))
 	for i, v := range x {
 		dst[i] = math.Hypot(real(v), imag(v))
 	}
 	return dst
-}
-
-// Power returns |x|^2 element-wise. It is the allocating wrapper over
-// PowerTo.
-func Power(x []complex128) []float64 {
-	return PowerTo(make([]float64, len(x)), x)
-}
-
-// PowerTo writes |x|^2 element-wise into dst and returns dst; dst must have
-// the same length as x.
-func PowerTo(dst []float64, x []complex128) []float64 {
-	if len(dst) != len(x) {
-		panic("dsp: PowerTo with mismatched lengths")
-	}
-	for i, v := range x {
-		dst[i] = real(v)*real(v) + imag(v)*imag(v)
-	}
-	return dst
-}
-
-// PowerDB returns 10*log10(|x|^2 + eps) element-wise. eps guards log(0). It
-// is the allocating wrapper over PowerDBTo.
-func PowerDB(x []complex128, eps float64) []float64 {
-	return PowerDBTo(make([]float64, len(x)), x, eps)
-}
-
-// PowerDBTo writes 10*log10(|x|^2 + eps) element-wise into dst and returns
-// dst; dst must have the same length as x.
-func PowerDBTo(dst []float64, x []complex128, eps float64) []float64 {
-	if len(dst) != len(x) {
-		panic("dsp: PowerDBTo with mismatched lengths")
-	}
-	for i, v := range x {
-		p := real(v)*real(v) + imag(v)*imag(v)
-		dst[i] = 10 * math.Log10(p+eps)
-	}
-	return dst
-}
-
-// BinFrequency returns the frequency (Hz) of FFT bin k for an N-point
-// transform at sample rate fs, mapping bins above N/2 to negative
-// frequencies.
-func BinFrequency(k, n int, fs float64) float64 {
-	if n <= 0 {
-		panic(fmt.Sprintf("dsp: BinFrequency with n=%d", n))
-	}
-	k %= n
-	if k < 0 {
-		k += n
-	}
-	if k <= n/2 {
-		return float64(k) * fs / float64(n)
-	}
-	return float64(k-n) * fs / float64(n)
 }

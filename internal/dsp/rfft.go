@@ -16,11 +16,6 @@ import (
 // Bluestein lengths fall back to widening the input into pooled complex
 // scratch and keeping the first half of the full transform.
 
-// RFFTLen returns the number of meaningful spectrum bins of a real-input
-// transform of length n: n/2 + 1 (the non-negative frequencies; the rest of
-// the spectrum is their conjugate mirror).
-func RFFTLen(n int) int { return n/2 + 1 }
-
 // rfftPlan caches the size-dependent pieces of one real-input transform
 // length: the unpack twiddles e^{-2πik/n} for the packed fast path, plus
 // recycled scratch (length n/2 packed buffers on the fast path, or
@@ -58,63 +53,30 @@ func newRFFTPlan(n int) *rfftPlan {
 	return p
 }
 
-// RFFT computes the DFT of the real signal x and returns the n/2+1
-// non-negative-frequency bins as a new slice. It is the allocating wrapper
-// over RFFTTo.
-func RFFT(x []float64) []complex128 {
-	return RFFTTo(make([]complex128, RFFTLen(len(x))), x)
-}
-
-// RFFTTo computes the DFT of the real signal x into dst and returns dst.
-// dst must have length RFFTLen(len(x)) = len(x)/2+1 (the call panics
-// otherwise). Each returned bin matches the corresponding bin of the
-// complex transform FFTTo applied to x widened to complex, up to
-// floating-point rounding: power-of-two lengths use the half-length packed
-// transform (different — cheaper — arithmetic, same spectrum), while other
-// lengths widen internally and are bit-identical to the complex path.
-// After the per-size plan is cached, RFFTTo performs no allocations.
-func RFFTTo(dst []complex128, x []float64) []complex128 {
-	if len(dst) != RFFTLen(len(x)) {
-		panic("dsp: RFFTTo with mismatched lengths")
-	}
-	return rfftTo(dst, x, nil)
-}
-
-// WindowedRFFT computes the DFT of the element-wise product x·win and
-// returns the half spectrum as a new slice. It is the allocating wrapper
-// over WindowedRFFTTo.
-func WindowedRFFT(x, win []float64) []complex128 {
-	return WindowedRFFTTo(make([]complex128, RFFTLen(len(x))), x, win)
-}
-
 // WindowedRFFTTo computes the DFT of the element-wise product x·win into
-// dst and returns dst, fusing the window multiply into the transform's pack
+// dst and returns dst: the n/2+1 non-negative-frequency bins of the real
+// signal's spectrum. The window multiply is fused into the transform's pack
 // (or widening) pass so the windowed samples are never materialized. win
-// must have the same length as x and dst must have length RFFTLen(len(x)).
+// must have the same length as x and dst must have length len(x)/2+1 (the
+// call panics otherwise). Power-of-two lengths use the half-length packed
+// transform, which matches the complex transform of the widened input up to
+// rounding; other lengths widen internally and are bit-identical to it.
+// After the per-size plan is cached, WindowedRFFTTo performs no
+// allocations.
 func WindowedRFFTTo(dst []complex128, x, win []float64) []complex128 {
 	if len(win) != len(x) {
 		panic("dsp: WindowedRFFTTo with mismatched window length")
 	}
-	if len(dst) != RFFTLen(len(x)) {
+	if len(dst) != len(x)/2+1 {
 		panic("dsp: WindowedRFFTTo with mismatched lengths")
 	}
-	return rfftTo(dst, x, win)
-}
-
-// rfftTo is the shared kernel behind RFFTTo and WindowedRFFTTo; a nil win
-// selects the unwindowed transform.
-func rfftTo(dst []complex128, x, win []float64) []complex128 {
 	n := len(x)
 	switch n {
 	case 0:
 		dst[0] = 0
 		return dst
 	case 1:
-		if win != nil {
-			dst[0] = complex(x[0]*win[0], 0)
-		} else {
-			dst[0] = complex(x[0], 0)
-		}
+		dst[0] = complex(x[0]*win[0], 0)
 		return dst
 	}
 	p := rfftPlanFor(n)
@@ -125,14 +87,8 @@ func rfftTo(dst []complex128, x, win []float64) []complex128 {
 	if p.tw == nil {
 		// Fallback (odd / Bluestein lengths): widen into the complex
 		// scratch, run the full transform, keep the half spectrum.
-		if win != nil {
-			for i, v := range x {
-				z[i] = complex(v*win[i], 0)
-			}
-		} else {
-			for i, v := range x {
-				z[i] = complex(v, 0)
-			}
+		for i, v := range x {
+			z[i] = complex(v*win[i], 0)
 		}
 		fftInPlace(z, false)
 		copy(dst, z[:n/2+1])
@@ -142,14 +98,8 @@ func rfftTo(dst []complex128, x, win []float64) []complex128 {
 
 	// Fast path: pack even/odd samples into one half-length complex signal.
 	n2 := n / 2
-	if win != nil {
-		for k := 0; k < n2; k++ {
-			z[k] = complex(x[2*k]*win[2*k], x[2*k+1]*win[2*k+1])
-		}
-	} else {
-		for k := 0; k < n2; k++ {
-			z[k] = complex(x[2*k], x[2*k+1])
-		}
+	for k := 0; k < n2; k++ {
+		z[k] = complex(x[2*k]*win[2*k], x[2*k+1]*win[2*k+1])
 	}
 	fftInPlace(z, false)
 
@@ -179,4 +129,34 @@ func rfftTo(dst []complex128, x, win []float64) []complex128 {
 	}
 	p.scratch.Put(z)
 	return dst
+}
+
+// DominantFrequency estimates the strongest nonzero frequency component of a
+// real series sampled at fs Hz, using a windowed real-input FFT with
+// quadratic peak interpolation. It returns 0 for series shorter than 4
+// samples.
+func DominantFrequency(x []float64, fs float64) float64 {
+	n := len(x)
+	if n < 4 {
+		return 0
+	}
+	// Remove the mean so the DC bin does not dominate.
+	m := Mean(x)
+	c := make([]float64, n)
+	for i, v := range x {
+		c[i] = v - m
+	}
+	spec := WindowedRFFTTo(make([]complex128, n/2+1), c, Hann.Coefficients(n))
+	mag := Magnitude(spec[:n/2])
+	best, bestVal := 0, 0.0
+	for i := 1; i < len(mag); i++ {
+		if mag[i] > bestVal {
+			best, bestVal = i, mag[i]
+		}
+	}
+	if best == 0 {
+		return 0
+	}
+	off := QuadraticInterp(mag, best)
+	return (float64(best) + off) * fs / float64(n)
 }

@@ -6,28 +6,25 @@ import (
 	"testing"
 )
 
-// realSpectrumRef computes the half spectrum through the complex path: widen
-// x (optionally windowed) to complex128 and keep the first n/2+1 bins of
-// FFTTo.
+// realSpectrumRef computes the half spectrum through the complex path:
+// widen the windowed x to complex128 and keep the first n/2+1 bins of
+// FFTInPlace.
 func realSpectrumRef(x, win []float64) []complex128 {
 	c := make([]complex128, len(x))
 	for i, v := range x {
-		if win != nil {
-			c[i] = complex(v*win[i], 0)
-		} else {
-			c[i] = complex(v, 0)
-		}
+		c[i] = complex(v*win[i], 0)
 	}
 	FFTInPlace(c)
-	return c[:RFFTLen(len(x))]
+	return c[:len(x)/2+1]
 }
 
-// TestRFFTToMatchesComplexHalfSpectrum is the property test of the tentpole:
-// for random real inputs, RFFTTo equals the half spectrum of the complex
-// transform — bit-identically on the widening fallback (odd / Bluestein
-// lengths run the very same operations), and up to rounding on the
-// power-of-two packed fast path (half-length transform + unpack is different
-// arithmetic for the same spectrum).
+// TestRFFTToMatchesComplexHalfSpectrum is the real-input transform's
+// property test: for random real inputs under an all-ones window (v*1 == v,
+// so the unwindowed transform bit for bit), WindowedRFFTTo equals the half
+// spectrum of the complex transform — bit-identically on the widening
+// fallback (odd / Bluestein lengths run the very same operations), and up
+// to rounding on the power-of-two packed fast path (half-length transform +
+// unpack is different arithmetic for the same spectrum).
 func TestRFFTToMatchesComplexHalfSpectrum(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	cases := []struct {
@@ -40,13 +37,14 @@ func TestRFFTToMatchesComplexHalfSpectrum(t *testing.T) {
 		{100, true}, {313, true},
 	}
 	for _, tc := range cases {
+		ones := Rectangular.Coefficients(tc.n)
 		for trial := 0; trial < 8; trial++ {
 			x := make([]float64, tc.n)
 			for i := range x {
 				x[i] = rng.NormFloat64()
 			}
-			got := RFFTTo(make([]complex128, RFFTLen(tc.n)), x)
-			want := realSpectrumRef(x, nil)
+			got := WindowedRFFTTo(make([]complex128, tc.n/2+1), x, ones)
+			want := realSpectrumRef(x, ones)
 			if len(got) != len(want) {
 				t.Fatalf("n=%d: got %d bins, want %d", tc.n, len(got), len(want))
 			}
@@ -83,8 +81,8 @@ func TestWindowedRFFTToBitIdenticalToPreWindowed(t *testing.T) {
 		for i := range x {
 			xw[i] = x[i] * win[i]
 		}
-		got := WindowedRFFTTo(make([]complex128, RFFTLen(n)), x, win)
-		want := RFFTTo(make([]complex128, RFFTLen(n)), xw)
+		got := WindowedRFFTTo(make([]complex128, n/2+1), x, win)
+		want := WindowedRFFTTo(make([]complex128, n/2+1), xw, Rectangular.Coefficients(n))
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("n=%d: fused windowed transform differs from pre-windowed", n)
 		}
@@ -156,17 +154,18 @@ func TestFFT8BitIdenticalToGenericStages(t *testing.T) {
 }
 
 func TestRFFTEdgeCases(t *testing.T) {
-	if got := RFFTTo(make([]complex128, 1), nil); got[0] != 0 {
+	if got := WindowedRFFTTo(make([]complex128, 1), nil, nil); got[0] != 0 {
 		t.Fatalf("empty input: got %v, want 0", got[0])
 	}
-	if got := RFFTTo(make([]complex128, 1), []float64{3.5}); got[0] != complex(3.5, 0) {
+	one := Rectangular.Coefficients(1)
+	if got := WindowedRFFTTo(make([]complex128, 1), []float64{3.5}, one); got[0] != complex(3.5, 0) {
 		t.Fatalf("n=1: got %v, want 3.5", got[0])
 	}
 	win := []float64{0.25}
 	if got := WindowedRFFTTo(make([]complex128, 1), []float64{8}, win); got[0] != complex(2, 0) {
 		t.Fatalf("windowed n=1: got %v, want 2", got[0])
 	}
-	if got := RFFT([]float64{1, 2}); len(got) != 2 ||
+	if got := WindowedRFFTTo(make([]complex128, 2), []float64{1, 2}, Rectangular.Coefficients(2)); len(got) != 2 ||
 		!almostEqualC(got[0], complex(3, 0), 1e-12) ||
 		!almostEqualC(got[1], complex(-1, 0), 1e-12) {
 		t.Fatalf("n=2: got %v", got)
@@ -176,7 +175,7 @@ func TestRFFTEdgeCases(t *testing.T) {
 			t.Fatal("expected panic on mismatched dst length")
 		}
 	}()
-	RFFTTo(make([]complex128, 3), make([]float64, 8))
+	WindowedRFFTTo(make([]complex128, 3), make([]float64, 8), Rectangular.Coefficients(8))
 }
 
 // TestRFFTZeroAllocsSteadyState pins the pooled-scratch contract for both
@@ -188,24 +187,11 @@ func TestRFFTZeroAllocsSteadyState(t *testing.T) {
 			x[i] = float64(i%7) - 3
 		}
 		win := Hann.Coefficients(n)
-		dst := make([]complex128, RFFTLen(n))
-		RFFTTo(dst, x) // warm the plan
-		if a := testing.AllocsPerRun(50, func() { RFFTTo(dst, x) }); a != 0 {
-			t.Fatalf("RFFTTo n=%d: %v allocs/op, want 0", n, a)
-		}
+		dst := make([]complex128, n/2+1)
+		WindowedRFFTTo(dst, x, win) // warm the plan
 		if a := testing.AllocsPerRun(50, func() { WindowedRFFTTo(dst, x, win) }); a != 0 {
 			t.Fatalf("WindowedRFFTTo n=%d: %v allocs/op, want 0", n, a)
 		}
-	}
-	cx := make([]complex128, 512)
-	for i := range cx {
-		cx[i] = complex(float64(i%5), float64(i%3))
-	}
-	cwin := Hann.Coefficients(512)
-	cdst := make([]complex128, 512)
-	WindowedFFTTo(cdst, cx, cwin)
-	if a := testing.AllocsPerRun(50, func() { WindowedFFTTo(cdst, cx, cwin) }); a != 0 {
-		t.Fatalf("WindowedFFTTo: %v allocs/op, want 0", a)
 	}
 }
 

@@ -59,22 +59,3 @@ func MedianFilter(x []float64, window int) []float64 {
 	}
 	return out
 }
-
-// ExponentialSmoothing returns the exponentially weighted series
-// y[0]=x[0], y[i]=alpha*x[i]+(1-alpha)*y[i-1]. alpha is clamped to (0, 1].
-func ExponentialSmoothing(x []float64, alpha float64) []float64 {
-	if alpha <= 0 {
-		alpha = 1e-9
-	} else if alpha > 1 {
-		alpha = 1
-	}
-	out := make([]float64, len(x))
-	if len(x) == 0 {
-		return out
-	}
-	out[0] = x[0]
-	for i := 1; i < len(x); i++ {
-		out[i] = alpha*x[i] + (1-alpha)*out[i-1]
-	}
-	return out
-}

@@ -84,21 +84,6 @@ func EmpiricalCDF(x []float64) []CDFPoint {
 	return out
 }
 
-// CDFAt evaluates the empirical CDF of x at value v: the fraction of samples
-// <= v.
-func CDFAt(x []float64, v float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	n := 0
-	for _, s := range x {
-		if s <= v {
-			n++
-		}
-	}
-	return float64(n) / float64(len(x))
-}
-
 // MeanVec returns the element-wise mean of a set of equal-length vectors.
 // It panics if the set is empty or ragged.
 func MeanVec(xs [][]float64) []float64 {

@@ -78,9 +78,6 @@ func TestEmpiricalCDF(t *testing.T) {
 	if !sort.SliceIsSorted(cdf, func(i, j int) bool { return cdf[i].P < cdf[j].P }) {
 		t.Fatal("CDF P not monotone")
 	}
-	if p := CDFAt([]float64{1, 2, 3, 4}, 2.5); p != 0.5 {
-		t.Fatalf("CDFAt = %v", p)
-	}
 }
 
 func TestMovingAverageConstant(t *testing.T) {
@@ -106,56 +103,6 @@ func TestMedianFilterRejectsSpike(t *testing.T) {
 	y := MedianFilter(x, 3)
 	if y[2] != 1 {
 		t.Fatalf("spike survived: %v", y)
-	}
-}
-
-func TestExponentialSmoothing(t *testing.T) {
-	x := []float64{0, 1, 1, 1}
-	y := ExponentialSmoothing(x, 0.5)
-	want := []float64{0, 0.5, 0.75, 0.875}
-	for i := range want {
-		if math.Abs(y[i]-want[i]) > 1e-12 {
-			t.Fatalf("y = %v want %v", y, want)
-		}
-	}
-	// alpha=1 is identity.
-	z := ExponentialSmoothing(x, 1)
-	for i := range x {
-		if z[i] != x[i] {
-			t.Fatal("alpha=1 should be identity")
-		}
-	}
-}
-
-func TestUnwrapLinearPhase(t *testing.T) {
-	// A linearly increasing phase wrapped to (-pi, pi] must unwrap back to a line.
-	n := 100
-	truth := make([]float64, n)
-	wrapped := make([]float64, n)
-	for i := range truth {
-		truth[i] = 0.4 * float64(i)
-		wrapped[i] = WrapAngle(truth[i])
-	}
-	un := Unwrap(wrapped)
-	for i := range un {
-		if math.Abs(un[i]-truth[i]) > 1e-9 {
-			t.Fatalf("index %d: got %v want %v", i, un[i], truth[i])
-		}
-	}
-}
-
-func TestWrapAngle(t *testing.T) {
-	cases := []struct{ in, want float64 }{
-		{0, 0},
-		{math.Pi, math.Pi},
-		{-math.Pi, math.Pi},
-		{3 * math.Pi, math.Pi},
-		{2 * math.Pi, 0},
-	}
-	for _, c := range cases {
-		if got := WrapAngle(c.in); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("WrapAngle(%v) = %v want %v", c.in, got, c.want)
-		}
 	}
 }
 

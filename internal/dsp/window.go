@@ -59,13 +59,3 @@ func (w Window) Coefficients(n int) []float64 {
 	}
 	return out
 }
-
-// Apply multiplies x element-wise by the window in place and returns x.
-// It panics if lengths differ from the window length implied by x.
-func (w Window) Apply(x []complex128) []complex128 {
-	c := w.Coefficients(len(x))
-	for i := range x {
-		x[i] *= complex(c[i], 0)
-	}
-	return x
-}

@@ -3,7 +3,7 @@
 package radar
 
 // useBeamAVX is always false off amd64: the beamforming sweep runs the
-// portable scalar kernels.
+// portable scalar kernel, beamRowScalar.
 var useBeamAVX = false
 
 // beamSweepAVX is unreachable off amd64 (useBeamAVX is never set); the stub

@@ -39,9 +39,9 @@ func (b BreathingExtractor) PhaseSeries(frames []*fmcw.Frame, distance float64) 
 // PhaseStream is the streaming form of PhaseSeries: feed it frames one at a
 // time and it extracts and unwraps the phase at its range bin incrementally,
 // holding only one sample of unwrap state per step (the accumulated series
-// is the output, not working memory). The incremental unwrap applies the
-// same ±2π offset recurrence as dsp.Unwrap, so the series is bit-identical
-// to the batch extraction.
+// is the output, not working memory). The unwrap is the classic ±2π offset
+// recurrence: a jump of more than π between successive wrapped samples
+// shifts every later sample by ∓2π.
 type PhaseStream struct {
 	bin    int
 	ant    int

@@ -173,6 +173,48 @@ func TestDetectEmptyProfile(t *testing.T) {
 	}
 }
 
+// TestOverflowingFrameYieldsOnlyFiniteOutput feeds the front end samples
+// that are finite but large enough to overflow the range FFT and the
+// beamforming sum, leaving Inf and NaN in the profile and the Doppler map.
+// DetectInto must skip every peak whose power, range or angle is not
+// finite, and PeakVelocityAtRange must report no velocity rather than a
+// NaN one.
+func TestOverflowingFrameYieldsOnlyFiniteOutput(t *testing.T) {
+	p := quietParams()
+	hot := fmcw.NewFrame(p, 0)
+	for _, row := range hot.Data {
+		for j := range row {
+			row[j] = complex(1e160*float64(j%3), 0)
+		}
+	}
+	pl := PlanFrontEnd(DefaultConfig(), p)
+	prof := rangeAngle(t, pl, hot)
+	overflowed := false
+	for _, v := range prof.Power {
+		overflowed = overflowed || !finite(v)
+	}
+	if !overflowed {
+		t.Fatal("the profile stayed finite; the test proves nothing")
+	}
+	array := fmcw.Array{Position: geom.Point{}, Facing: 1}
+	for _, d := range pl.DetectInto(nil, prof, array) {
+		if !finite(d.Power) || !finite(d.Range) || !finite(d.AoA) || !finite(d.Pos.X) || !finite(d.Pos.Y) {
+			t.Fatalf("non-finite detection %+v", d)
+		}
+	}
+
+	chirps := make([]*fmcw.Frame, 8)
+	for k := range chirps {
+		chirps[k] = hot
+	}
+	m := rangeDoppler(t, pl, chirps, 0, 1/p.FrameRate)
+	for r := 0; r < m.RangeBins; r++ {
+		if v, pw, ok := m.PeakVelocityAtRange(m.RangeOfBin(float64(r)), 1); ok && (!finite(v) || !finite(pw)) {
+			t.Fatalf("range bin %d: velocity %v, power %v reported ok", r, v, pw)
+		}
+	}
+}
+
 func TestCDFOfTrackErrors(t *testing.T) {
 	// Integration of dsp CDF with tracker output types (regression guard).
 	errs := []float64{0.1, 0.2, 0.3}

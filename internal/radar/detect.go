@@ -2,6 +2,7 @@ package radar
 
 import (
 	"context"
+	"math"
 
 	"rfprotect/internal/dsp"
 	"rfprotect/internal/fmcw"
@@ -20,11 +21,12 @@ type Detection struct {
 // DetectInto extracts target detections from a range–angle profile into
 // dst[:0] and returns the result: 2-D local maxima above the power
 // thresholds, refined with quadratic interpolation in both range and angle,
-// then mapped to world coordinates through the array. The interpolation
-// column and peak-finder scratch come from the plan's free list, so a
-// warmed-up call allocates nothing beyond growing dst the first time. The
-// profile must describe the plan's compiled shape (any profile produced by
-// the plan's RangeAngleInto does).
+// then mapped to world coordinates through the array. Peaks whose power,
+// range or angle is not finite are skipped before the MaxTargets cap. The
+// interpolation column and peak-finder scratch come from the plan's free
+// list, so a warmed-up call allocates nothing beyond growing dst the first
+// time. The profile must describe the plan's compiled shape (any profile
+// produced by the plan's RangeAngleInto does).
 //
 //rfvet:allocfree
 func (pl *FrontEndPlan) DetectInto(dst []Detection, prof *Profile, array fmcw.Array) []Detection {
@@ -53,11 +55,11 @@ func (pl *FrontEndPlan) DetectInto(dst []Detection, prof *Profile, array fmcw.Ar
 		e = newDetExec()
 	}
 	peaks := e.finder.Find(prof.Power, prof.RangeBins, prof.AngleBins, thresh, sep)
-	if len(peaks) > pl.cfg.MaxTargets {
-		peaks = peaks[:pl.cfg.MaxTargets]
-	}
 	col := e.rangeCol(prof.RangeBins)
 	for _, pk := range peaks {
+		if len(dst) == pl.cfg.MaxTargets {
+			break
+		}
 		// Sub-bin refinement along range (column fixed) and angle (row fixed).
 		rowSlice := prof.Power[pk.Row*prof.AngleBins : (pk.Row+1)*prof.AngleBins]
 		aOff := dsp.QuadraticInterp(rowSlice, pk.Col)
@@ -67,6 +69,13 @@ func (pl *FrontEndPlan) DetectInto(dst []Detection, prof *Profile, array fmcw.Ar
 		rOff := dsp.QuadraticInterp(col, pk.Row)
 		rng := prof.RangeOfBin(float64(pk.Row) + rOff)
 		aoa := prof.AngleOfBin(float64(pk.Col) + aOff)
+		if !finite(pk.Value) || !finite(rng) || !finite(aoa) {
+			// Samples large enough to overflow the range FFT or the
+			// beamforming sum leave Inf/NaN in the profile; a peak built
+			// from them locates nothing, and downstream it would poison a
+			// Kalman track or an event's JSON encoding.
+			continue
+		}
 		dst = append(dst, Detection{
 			Range: rng,
 			AoA:   aoa,
@@ -123,3 +132,6 @@ func (pl *FrontEndPlan) ProcessFrames(ctx context.Context, frames []*fmcw.Frame,
 	}
 	return out, nil
 }
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

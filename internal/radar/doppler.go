@@ -69,8 +69,9 @@ func (m *RangeDopplerMap) MaxUnambiguousVelocity() float64 {
 // PeakVelocityAtRange extracts the dominant Doppler peak in the range rows
 // within ±search bins of the given range and returns its sub-bin
 // interpolated radial velocity and power. It reports ok == false when the
-// range falls outside the map or the searched rows hold no power — the
-// per-track velocity primitive behind Tracker.AttachVelocities.
+// range falls outside the map, the searched rows hold no power, or the
+// velocity or power is not finite (samples that overflow the transforms) —
+// the per-track velocity primitive behind Tracker.AttachVelocities.
 func (m *RangeDopplerMap) PeakVelocityAtRange(rangeM float64, search int) (velocity, power float64, ok bool) {
 	if m.RangeBins == 0 || m.DopplerBins == 0 {
 		return 0, 0, false
@@ -99,7 +100,11 @@ func (m *RangeDopplerMap) PeakVelocityAtRange(rangeM float64, search int) (veloc
 	}
 	row := m.Power[bestR*m.DopplerBins : (bestR+1)*m.DopplerBins]
 	dOff := dsp.QuadraticInterp(row, bestD)
-	return m.VelocityOfBin(float64(bestD) + dOff), bestP, true
+	v := m.VelocityOfBin(float64(bestD) + dOff)
+	if !finite(v) || !finite(bestP) {
+		return 0, 0, false
+	}
+	return v, bestP, true
 }
 
 // RejectStatic zeroes the zero-Doppler ridge (±guard bins) in place,

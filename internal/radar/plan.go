@@ -46,7 +46,7 @@ const beamBatch = 16
 
 // beamMaxAVXAnt caps the antenna count the AVX sweep handles: its packed
 // (re, im) input lives in a fixed-size stack array so concurrently-swept
-// rows never share scratch. Larger arrays fall back to the scalar kernels.
+// rows never share scratch. Larger arrays fall back to the scalar kernel.
 const beamMaxAVXAnt = 32
 
 // FrontEndPlan is the compiled front end for one radar shape. Fetch the
@@ -206,15 +206,16 @@ func (pl *FrontEndPlan) newRAExec() *raExec {
 }
 
 // beamSweep runs Eq. 2 beamforming over range bins [r0, r1). For each bin
-// it computes, per angle, the same complex sum the scalar kernel did —
-// Σ_k spectra[k][r]·steering[a][k], products and additions in the same
-// k order — with the accumulator split into real/imaginary registers and
-// the antenna sum unrolled for the common array sizes, so successive angle
-// bins are independent instruction chains instead of one long dependent
-// complex-add chain. Two facts make the restructure bit-safe: amd64
-// performs no FMA contraction on float64 expressions, so the split-plane
-// products round exactly like the complex-multiply lowering; and dropping
-// the scalar kernel's 0+first-term seed can only flip the sign of a zero
+// it computes, per angle, the complex sum Σ_k spectra[k][r]·steering[a][k]
+// — products and additions in ascending k order — with the accumulator
+// split into real/imaginary registers. The AVX sweep runs four angle bins
+// at a time; without AVX, for fewer than four angle bins, or above
+// beamMaxAVXAnt antennas, beamRowScalar runs the identical sequence one
+// angle at a time. Two facts make the split-plane form bit-safe against the
+// complex-multiply definition: amd64 performs no FMA contraction on float64
+// expressions, so the split-plane products round exactly like the complex
+// multiply; and seeding from antenna 0 (whose steering weight is exp(0) =
+// 1 at every angle) instead of from zero can only flip the sign of a zero
 // accumulator, which the final squaring maps to +0 either way.
 func (e *raExec) beamSweep(r0, r1 int) {
 	pl := e.pl
@@ -224,17 +225,8 @@ func (e *raExec) beamSweep(r0, r1 int) {
 		row := e.prof.Power[r*bins : (r+1)*bins : (r+1)*bins]
 		if vector {
 			e.beamRowAVX(row, r)
-			continue
-		}
-		switch pl.nAnt {
-		case 7:
-			e.beamRow7(row, r)
-		case 4:
-			e.beamRow4(row, r)
-		case 2:
-			e.beamRow2(row, r)
-		default:
-			e.beamRowN(row, r)
+		} else {
+			e.beamRowScalar(row, r, 0)
 		}
 	}
 }
@@ -242,10 +234,9 @@ func (e *raExec) beamSweep(r0, r1 int) {
 // beamRowAVX runs the row kernel four angle bins at a time through the
 // hand-written AVX sweep, with a scalar tail for the last len(row)%4 bins.
 // Vectorizing across angle bins is bit-safe by construction: each lane
-// performs exactly the scalar kernel's multiply/add sequence for its own
-// angle (VMULPD/VADDPD/VSUBPD are lanewise IEEE-754 double ops, and amd64
-// never contracts to FMA), so every lane rounds identically to the scalar
-// path.
+// performs exactly beamRowScalar's multiply/add sequence for its own angle
+// (VMULPD/VADDPD/VSUBPD are lanewise IEEE-754 double ops, and amd64 never
+// contracts to FMA), so every lane rounds identically to the scalar path.
 func (e *raExec) beamRowAVX(row []float64, r int) {
 	pl := e.pl
 	// Pack the per-bin spectra on the stack: at Workers > 1 the rows of one
@@ -261,15 +252,17 @@ func (e *raExec) beamRowAVX(row []float64, r int) {
 	n4 := len(row) &^ 3
 	beamSweepAVX(&row[0], n4, pl.nAnt, &s[0], &pl.steerReFlat[0], &pl.steerImFlat[0], pl.cfg.AngleBins)
 	if n4 < len(row) {
-		e.beamRowTail(row, r, n4)
+		e.beamRowScalar(row, r, n4)
 	}
 }
 
-// beamRowTail computes angle bins [a0, len(row)) with the scalar expression
-// the AVX lanes execute: antenna-0 seed, then ascending-k accumulation in
-// split real/imaginary planes — the same order (and therefore the same bits)
-// as the unrolled row kernels.
-func (e *raExec) beamRowTail(row []float64, r, a0 int) {
+// beamRowScalar computes angle bins [a0, len(row)) of range bin r: an
+// antenna-0 seed, then ascending-k accumulation in split real/imaginary
+// planes — the sequence every AVX lane executes. It is the whole row when
+// the AVX sweep is off and the tail bins when it is on. Angle-outer loops
+// with register accumulators leave no shared scratch for concurrently swept
+// rows of one raExec to race on.
+func (e *raExec) beamRowScalar(row []float64, r, a0 int) {
 	pl := e.pl
 	s0 := e.spectra[0][r]
 	for a := a0; a < len(row); a++ {
@@ -281,116 +274,6 @@ func (e *raExec) beamRowTail(row []float64, r, a0 int) {
 			wi := pl.steerIm[k][a]
 			re += skr*wr - ski*wi
 			im += skr*wi + ski*wr
-		}
-		row[a] = re*re + im*im
-	}
-}
-
-// beamRow7 is the row kernel for the paper's 7-element array — the shape
-// every evaluation scene runs, so it gets the full unroll. See beamRow4 for
-// the bounds-check and antenna-0 notes.
-func (e *raExec) beamRow7(row []float64, r int) {
-	pl := e.pl
-	bins := len(row)
-	s0 := e.spectra[0][r]
-	s1 := e.spectra[1][r]
-	s2 := e.spectra[2][r]
-	s3 := e.spectra[3][r]
-	s4 := e.spectra[4][r]
-	s5 := e.spectra[5][r]
-	s6 := e.spectra[6][r]
-	s0r, s0i := real(s0), imag(s0)
-	s1r, s1i := real(s1), imag(s1)
-	s2r, s2i := real(s2), imag(s2)
-	s3r, s3i := real(s3), imag(s3)
-	s4r, s4i := real(s4), imag(s4)
-	s5r, s5i := real(s5), imag(s5)
-	s6r, s6i := real(s6), imag(s6)
-	w1r, w1i := pl.steerRe[1][:bins], pl.steerIm[1][:bins]
-	w2r, w2i := pl.steerRe[2][:bins], pl.steerIm[2][:bins]
-	w3r, w3i := pl.steerRe[3][:bins], pl.steerIm[3][:bins]
-	w4r, w4i := pl.steerRe[4][:bins], pl.steerIm[4][:bins]
-	w5r, w5i := pl.steerRe[5][:bins], pl.steerIm[5][:bins]
-	w6r, w6i := pl.steerRe[6][:bins], pl.steerIm[6][:bins]
-	for a := 0; a < bins; a++ {
-		re := s0r + (s1r*w1r[a] - s1i*w1i[a])
-		im := s0i + (s1r*w1i[a] + s1i*w1r[a])
-		re += s2r*w2r[a] - s2i*w2i[a]
-		im += s2r*w2i[a] + s2i*w2r[a]
-		re += s3r*w3r[a] - s3i*w3i[a]
-		im += s3r*w3i[a] + s3i*w3r[a]
-		re += s4r*w4r[a] - s4i*w4i[a]
-		im += s4r*w4i[a] + s4i*w4r[a]
-		re += s5r*w5r[a] - s5i*w5i[a]
-		im += s5r*w5i[a] + s5i*w5r[a]
-		re += s6r*w6r[a] - s6i*w6i[a]
-		im += s6r*w6i[a] + s6i*w6r[a]
-		row[a] = re*re + im*im
-	}
-}
-
-// beamRow4 is the 4-antenna beamforming row kernel. Reslicing every table
-// to the row's length lets the compiler drop all bounds checks from the
-// angle loop, and antenna 0 — whose steering weight is exp(0) = 1 at every
-// angle — seeds the accumulators directly: the multiply by one it skips can
-// only change the sign of a zero, which the squaring at the end erases.
-func (e *raExec) beamRow4(row []float64, r int) {
-	pl := e.pl
-	bins := len(row)
-	s0 := e.spectra[0][r]
-	s1 := e.spectra[1][r]
-	s2 := e.spectra[2][r]
-	s3 := e.spectra[3][r]
-	s0r, s0i := real(s0), imag(s0)
-	s1r, s1i := real(s1), imag(s1)
-	s2r, s2i := real(s2), imag(s2)
-	s3r, s3i := real(s3), imag(s3)
-	w1r, w1i := pl.steerRe[1][:bins], pl.steerIm[1][:bins]
-	w2r, w2i := pl.steerRe[2][:bins], pl.steerIm[2][:bins]
-	w3r, w3i := pl.steerRe[3][:bins], pl.steerIm[3][:bins]
-	for a := 0; a < bins; a++ {
-		re := s0r + (s1r*w1r[a] - s1i*w1i[a])
-		im := s0i + (s1r*w1i[a] + s1i*w1r[a])
-		re += s2r*w2r[a] - s2i*w2i[a]
-		im += s2r*w2i[a] + s2i*w2r[a]
-		re += s3r*w3r[a] - s3i*w3i[a]
-		im += s3r*w3i[a] + s3i*w3r[a]
-		row[a] = re*re + im*im
-	}
-}
-
-// beamRow2 is the 2-antenna row kernel, with the same antenna-0 seeding as
-// beamRow4.
-func (e *raExec) beamRow2(row []float64, r int) {
-	pl := e.pl
-	bins := len(row)
-	s0 := e.spectra[0][r]
-	s1 := e.spectra[1][r]
-	s0r, s0i := real(s0), imag(s0)
-	s1r, s1i := real(s1), imag(s1)
-	w1r, w1i := pl.steerRe[1][:bins], pl.steerIm[1][:bins]
-	for a := 0; a < bins; a++ {
-		re := s0r + (s1r*w1r[a] - s1i*w1i[a])
-		im := s0i + (s1r*w1i[a] + s1i*w1r[a])
-		row[a] = re*re + im*im
-	}
-}
-
-// beamRowN is the any-antenna-count fallback. It loops angle-outer with
-// register accumulators — per angle the adds land in the same ascending-k
-// order as ever, so the bits don't change, and there is no shared scratch
-// for concurrently-swept rows of one raExec to race on.
-func (e *raExec) beamRowN(row []float64, r int) {
-	pl := e.pl
-	for a := range row {
-		var re, im float64
-		for k := 0; k < pl.nAnt; k++ {
-			s := e.spectra[k][r]
-			sr, si := real(s), imag(s)
-			wr := pl.steerRe[k][a]
-			wi := pl.steerIm[k][a]
-			re += sr*wr - si*wi
-			im += sr*wi + si*wr
 		}
 		row[a] = re*re + im*im
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
@@ -292,6 +293,39 @@ func TestBreathingPhaseExtraction(t *testing.T) {
 	}
 	if got := hi - lo; got < 0.5*want || got > 2*want {
 		t.Fatalf("phase swing %v, want ~%v", got, want)
+	}
+}
+
+// TestPhaseStreamUnwrapsLinearRamp feeds PhaseStream frames whose
+// monitored antenna carries a pure tone on the monitored range bin with a
+// carrier phase advancing 0.4 rad per frame. The windowed bin then holds
+// e^{i·0.4t} times the window's (real, positive) sum, so its wrapped phase
+// crosses ±π several times over the run; the unwrapped series must follow
+// the ramp.
+func TestPhaseStreamUnwrapsLinearRamp(t *testing.T) {
+	p := smallParams()
+	n := p.SamplesPerChirp()
+	const bin, step, frames = 5, 0.4, 100
+	dist := p.DistanceForBeat(float64(bin) * p.SampleRate / float64(n))
+	ps := BreathingExtractor{Antenna: 1}.NewStream(p, dist)
+	for i := 0; i < frames; i++ {
+		f := fmcw.NewFrame(p, float64(i)/p.FrameRate)
+		for j := range f.Data[1] {
+			f.Data[1][j] = cmplx.Exp(complex(0, 2*math.Pi*bin*float64(j)/float64(n)+step*float64(i)))
+		}
+		ps.Step(f)
+	}
+	times, phase := ps.Series()
+	if len(times) != frames || len(phase) != frames {
+		t.Fatalf("series length %d/%d, want %d", len(times), len(phase), frames)
+	}
+	if phase[frames-1] < 4*2*math.Pi {
+		t.Fatalf("ramp ends at %v rad: too few wraps to exercise the unwrap", phase[frames-1])
+	}
+	for i, v := range phase {
+		if want := step * float64(i); math.Abs(v-want) > 1e-9 {
+			t.Fatalf("frame %d: unwrapped phase %v, want %v", i, v, want)
+		}
 	}
 }
 

@@ -536,6 +536,74 @@ func TestIngestHTTPBitIdentical(t *testing.T) {
 	}
 }
 
+// TestStreamSurvivesOverflowingFrame ingests one frame of huge but finite
+// samples between all-zero ones. The decoder accepts every value, but the
+// range FFT and beamforming overflow on them; no detection or velocity built
+// from that overflow may reach an event, because a NaN or Inf in an Event
+// fails its JSON encoding and would end the subscriber's stream. With and
+// without a Doppler stage, the stream must carry all four frames' events
+// and then the final line.
+func TestStreamSurvivesOverflowingFrame(t *testing.T) {
+	p := fmcw.DefaultParams()
+	var body []byte
+	for i := 0; i < 4; i++ {
+		f := fmcw.NewFrame(p, float64(i)/p.FrameRate)
+		if i == 1 {
+			for _, row := range f.Data {
+				for j := range row {
+					row[j] = complex(1e160*float64(j%3), 0)
+				}
+			}
+		}
+		body = append(encodeFrame(body, f, frameStyle{fmt: 'g'}), '\n')
+	}
+	for _, window := range []int{0, 8} {
+		t.Run(fmt.Sprintf("doppler_window=%d", window), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			m := NewManager(ctx, 1)
+			srv := httptest.NewServer(m.Handler())
+			defer srv.Close()
+			if _, err := m.CreateRoom(RoomConfig{ID: "hot", DopplerWindow: window, QueueDepth: 8}); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Get(srv.URL + "/v1/rooms/hot/stream")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if got := postFrames(t, srv, "hot", body); got != 4 {
+				t.Fatalf("ingested %d frames, want 4", got)
+			}
+			if _, err := m.CloseRoom(context.Background(), "hot"); err != nil {
+				t.Fatal(err)
+			}
+			var frames []int
+			final := false
+			dec := json.NewDecoder(resp.Body)
+			for {
+				var ev Event
+				if err := dec.Decode(&ev); err == io.EOF {
+					break
+				} else if err != nil {
+					t.Fatal(err)
+				}
+				if ev.Final {
+					final = true
+					continue
+				}
+				frames = append(frames, ev.Frame)
+			}
+			if len(frames) != 4 || !final {
+				t.Fatalf("stream carried events for frames %v (final line: %v), want frames [0 1 2 3] and a final line", frames, final)
+			}
+			if err := m.Drain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestProgramGhostConcurrentIndices POSTs ghosts to one ingest room from
 // many goroutines at once: each response must carry its own record's
 // index, so the indices are exactly 0..n-1.
