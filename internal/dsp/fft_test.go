@@ -151,6 +151,23 @@ func TestNextPowerOfTwo(t *testing.T) {
 	}
 }
 
+// Magnitude is the one spectrum detector kept here; power is the squared
+// magnitude and is formed inline by its callers.
+func TestMagnitudePowerDB(t *testing.T) {
+	x := []complex128{3 + 4i, 0}
+	if m := Magnitude(x); m[0] != 5 || m[1] != 0 {
+		t.Fatalf("Magnitude = %v", m)
+	}
+	// math.Hypot scales before squaring, so a magnitude that is finite
+	// stays finite where re²+im² would overflow.
+	if m := Magnitude([]complex128{complex(3e200, 4e200)}); math.Abs(m[0]-5e200) > 1e-15*5e200 {
+		t.Fatalf("Magnitude(3e200+4e200i) = %v, want 5e200", m[0])
+	}
+	if m := Magnitude(nil); len(m) != 0 {
+		t.Fatalf("Magnitude(nil) = %v, want empty", m)
+	}
+}
+
 func BenchmarkFFT1024(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	x := randComplex(rng, 1024)

@@ -3,11 +3,9 @@ package radar
 import (
 	"context"
 	"math"
-	"math/cmplx"
 	"math/rand"
 	"testing"
 
-	"rfprotect/internal/dsp"
 	"rfprotect/internal/fmcw"
 	"rfprotect/internal/geom"
 	"rfprotect/internal/reflector"
@@ -158,54 +156,6 @@ func TestRangeDopplerEmptyBurst(t *testing.T) {
 	rd := rangeDoppler(t, PlanFrontEnd(DefaultConfig(), fmcw.DefaultParams()), nil, 0, 1e-3)
 	if rd.DetectMoving(0.5, 4) != nil {
 		t.Fatal("empty burst should detect nothing")
-	}
-}
-
-// TestRangeDopplerIntoMatchesNaiveSlowTimeDFT checks the plan's fused
-// slow-time transform against its definition: per range bin, Hann-window
-// the chirps' range spectra, take the O(nd²) DFT across chirps at signed
-// Doppler index d − nd/2 (the fftshift order, zero velocity at bin nd/2),
-// and detect power. Power-of-two (radix-2, including the unrolled size 8)
-// and Bluestein burst lengths, even and odd, all run.
-func TestRangeDopplerIntoMatchesNaiveSlowTimeDFT(t *testing.T) {
-	p := smallParams()
-	cfg := DefaultConfig()
-	cfg.Workers = 1
-	pl := CompileFrontEndPlan(cfg, p)
-	rng := rand.New(rand.NewSource(3))
-	for _, nd := range []int{8, 7, 16, 1} {
-		rows := make([][]complex128, nd)
-		spec := make([][]complex128, nd)
-		for k := range rows {
-			rows[k] = make([]complex128, pl.n)
-			for j := range rows[k] {
-				rows[k][j] = complex(rng.NormFloat64(), rng.NormFloat64())
-			}
-			spec[k] = dsp.WindowedFFTTo(make([]complex128, pl.n), rows[k], pl.win)
-		}
-		m := &RangeDopplerMap{}
-		if err := pl.RangeDopplerInto(context.Background(), m, rows, p, 0.01); err != nil {
-			t.Fatal(err)
-		}
-		if m.RangeBins != pl.maxBin || m.DopplerBins != nd || len(m.Power) != pl.maxBin*nd {
-			t.Fatalf("nd=%d: map shape %d×%d (%d values), want %d×%d",
-				nd, m.RangeBins, m.DopplerBins, len(m.Power), pl.maxBin, nd)
-		}
-		dwin := dsp.Hann.Coefficients(nd)
-		for r := 0; r < pl.maxBin; r++ {
-			for d := 0; d < nd; d++ {
-				f := float64(d - nd/2)
-				var sum complex128
-				for k := 0; k < nd; k++ {
-					w := cmplx.Exp(complex(0, -2*math.Pi*f*float64(k)/float64(nd)))
-					sum += spec[k][r] * complex(dwin[k], 0) * w
-				}
-				want := real(sum)*real(sum) + imag(sum)*imag(sum)
-				if got := m.At(r, d); math.Abs(got-want) > 1e-9*(1+want) {
-					t.Fatalf("nd=%d range %d Doppler %d: got %g, naive DFT gives %g", nd, r, d, got, want)
-				}
-			}
-		}
 	}
 }
 
