@@ -89,11 +89,16 @@ cover:
 	done
 
 # Bounded fuzz exploration of the stage-composition state space, the
-# spoof-detector input space, and the ingest frame decoder against its
+# spoof-detector input space, the scorer's stored verdicts against an
+# uncached recompute, and the ingest frame decoder against its
 # encoding/json oracle; the seed corpora alone run on every plain `go test`.
+# FuzzScoreMemo runs a whole tracker stream per input (about a millisecond),
+# so the default 60 s minimization of each new-coverage input would eat the
+# whole budget; -fuzzminimizetime caps it.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStageComposition -fuzztime 10s ./internal/pipeline
 	$(GO) test -run '^$$' -fuzz FuzzDetect -fuzztime 10s ./internal/detect
+	$(GO) test -run '^$$' -fuzz FuzzScoreMemo -fuzztime 10s -fuzzminimizetime 100x ./internal/detect
 	$(GO) test -run '^$$' -fuzz FuzzIngestFrame -fuzztime 10s ./internal/service
 
 # Daemon smoke: build rfprotectd, then drive the full lifecycle under the

@@ -120,7 +120,8 @@ type TrackScore struct {
 	// Kin carries the underlying kinematic statistics.
 	Kin KinematicStats
 	// Suspicion is the combined score: the maximum of each detector's score
-	// over its threshold, so >= 1 means at least one detector fired.
+	// over its threshold, so >= 1 means at least one detector fired. It
+	// saturates at the same ceiling as every other score.
 	Suspicion float64
 }
 
@@ -128,28 +129,61 @@ type TrackScore struct {
 func (s TrackScore) Flagged() bool { return s.Suspicion >= 1 }
 
 // TrackScorer accumulates per-frame harmonic evidence against live tracks
-// and renders combined verdicts. It is deterministic and single-threaded;
-// callers streaming frames concurrently must serialize Observe and Score
-// calls with the same lock that guards the tracker (the service room uses
-// its emit-stage mutex).
+// and renders combined verdicts. It is deterministic and single-threaded:
+// both Observe and Score write to it (Score stores the verdicts of retired
+// tracks), so callers streaming frames concurrently must serialize every
+// Observe and Score call with the same lock that guards the tracker (the
+// service room uses its emit-stage mutex).
 type TrackScorer struct {
 	cfg   Config
 	array fmcw.Array
 	// vmax is the unambiguous velocity band of the most recent map, used to
 	// fold trajectory velocities for the Doppler-mismatch check.
 	vmax float64
-	// harm accumulates per-frame harmonic scores by track ID.
-	harm map[int][]float64
+	// recs holds one evidence record per track struct. Keying by pointer
+	// bounds the map by the tracker's allocated tracks: a recycled struct
+	// (new ID) resets its record in place instead of adding one per ID.
+	recs map[*radar.Track]*trackRecord
+}
+
+// trackRecord is the scorer's state for one *radar.Track.
+type trackRecord struct {
+	// id is the track ID the record belongs to; a struct the tracker
+	// recycled under a new ID no longer matches it.
+	id int
+	// harm accumulates the per-frame harmonic scores.
+	harm []float64
+	// final is the stored verdict of a retired track, valid when hasFinal
+	// is set and vmax still holds the bits it was computed at. A retired
+	// track never changes and never gains evidence, so only a new map
+	// band can change its score.
+	final    TrackScore
+	vmax     uint64
+	hasFinal bool
 }
 
 // NewTrackScorer returns a scorer for tracks observed through the given
 // array geometry; zero-valued config fields take defaults.
 func NewTrackScorer(cfg Config, array fmcw.Array) *TrackScorer {
-	return &TrackScorer{cfg: cfg.withDefaults(), array: array, harm: make(map[int][]float64)}
+	return &TrackScorer{cfg: cfg.withDefaults(), array: array, recs: make(map[*radar.Track]*trackRecord)}
+}
+
+// record returns t's record, creating it on first sight and resetting it
+// (keeping the evidence slice's capacity) when the tracker has recycled
+// the struct under a new ID.
+func (s *TrackScorer) record(t *radar.Track) *trackRecord {
+	rec := s.recs[t]
+	if rec == nil {
+		rec = &trackRecord{id: t.ID}
+		s.recs[t] = rec
+	} else if rec.id != t.ID {
+		*rec = trackRecord{id: t.ID, harm: rec.harm[:0]}
+	}
+	return rec
 }
 
 // Observe scores every active track of the tracker against one
-// range–Doppler frame, accumulating the evidence by track ID. Nil maps are
+// range–Doppler frame, accumulating the evidence per track. Nil maps are
 // ignored.
 func (s *TrackScorer) Observe(m *radar.RangeDopplerMap, tr *radar.Tracker) {
 	if m == nil || tr == nil {
@@ -161,22 +195,40 @@ func (s *TrackScorer) Observe(m *radar.RangeDopplerMap, tr *radar.Tracker) {
 			return
 		}
 		r := s.array.DistanceOf(t.Points[len(t.Points)-1].Pos)
-		s.harm[t.ID] = append(s.harm[t.ID], HarmonicScore(m, r, s.cfg.Harmonic))
+		rec := s.record(t)
+		rec.harm = append(rec.harm, HarmonicScore(m, r, s.cfg.Harmonic))
 	})
 }
 
 // Score renders the combined verdict for one track from the accumulated
-// harmonic evidence and the track's own kinematics.
+// harmonic evidence and the track's own kinematics. The verdict of a
+// retired track (radar.Track.Retired) is final, so Score stores it and
+// returns the stored copy until a map with a different velocity band
+// arrives; that write is why Score needs the same lock as Observe.
 func (s *TrackScorer) Score(t *radar.Track) TrackScore {
+	rec := s.record(t)
+	vmax := math.Float64bits(s.vmax)
+	if rec.hasFinal && rec.vmax == vmax {
+		return rec.final
+	}
+	out := s.score(t, rec.harm)
+	if t.Retired() {
+		rec.final, rec.vmax, rec.hasFinal = out, vmax, true
+	}
+	return out
+}
+
+// score computes t's verdict from its harmonic evidence.
+func (s *TrackScorer) score(t *radar.Track, harm []float64) TrackScore {
 	out := TrackScore{TrackID: t.ID}
-	if scores := s.harm[t.ID]; len(scores) > 0 {
-		out.Frames = len(scores)
-		out.Harmonic = finiteOrHuge(dsp.Percentile(scores, s.cfg.Harmonic.Percentile))
+	if len(harm) > 0 {
+		out.Frames = len(harm)
+		out.Harmonic = finiteOrHuge(dsp.Percentile(harm, s.cfg.Harmonic.Percentile))
 	}
 	out.Kin = AnalyzeKinematics(t.Points, t.VelHist, s.array, s.vmax, s.cfg.Bounds)
 	out.Kinematic = s.cfg.Bounds.Score(out.Kin)
 	th := s.cfg.Thresholds
-	out.Suspicion = math.Max(out.Harmonic/th.Harmonic, out.Kinematic/th.Kinematic)
+	out.Suspicion = finiteOrHuge(math.Max(out.Harmonic/th.Harmonic, out.Kinematic/th.Kinematic))
 	return out
 }
 

@@ -178,3 +178,71 @@ func TestTrackScorerWorkerCountBitIdentical(t *testing.T) {
 		t.Errorf("walking human flagged: %+v", base)
 	}
 }
+
+// retiredWalker walks one track past the radar for 30 frames under maps of
+// chirp interval pri, whose only power sits in Doppler column 0 (an aliased
+// velocity far from the walk's), then lets it vanish until the tracker
+// archives it. It returns the retired track.
+func retiredWalker(t *testing.T, tr *radar.Tracker, sc *TrackScorer, pri float64) *radar.Track {
+	t.Helper()
+	m := synthMap(48, 8, pri, 0)
+	for r := 0; r < m.RangeBins; r++ {
+		m.Power[r*m.DopplerBins] = 1
+	}
+	frame := func(i int, dets []radar.Detection) {
+		tr.Observe(float64(i)*0.05, dets)
+		tr.AttachVelocities(m, testArray())
+		sc.Observe(m, tr)
+	}
+	for i := 0; i < 30; i++ {
+		ts := float64(i) * 0.05
+		pos := geom.Point{X: 1 + 0.05*ts, Y: 3 - 0.8*ts}
+		frame(i, []radar.Detection{{Pos: pos, Time: ts}})
+	}
+	for i := 30; i < 40; i++ {
+		frame(i, nil)
+	}
+	ts := tr.Tracks()
+	if len(ts) != 1 || !ts[0].Retired() {
+		t.Fatalf("want one retired track, got %d", len(ts))
+	}
+	return ts[0]
+}
+
+// TestTrackScorerStoredScoreFollowsVmax pins the stored-verdict key: a
+// retired track's score is served from the store (no recompute, so no
+// allocation) while the velocity band holds, a map with a different chirp
+// interval invalidates it, and returning to the first band restores the
+// first verdict bit for bit.
+func TestTrackScorerStoredScoreFollowsVmax(t *testing.T) {
+	tr := radar.NewTracker(radar.TrackerConfig{KeepVelocityHistory: true})
+	sc := NewTrackScorer(Config{}, testArray())
+	trk := retiredWalker(t, tr, sc, 1e-3)
+
+	first := sc.Score(trk)
+	if first.Kin.VelSamples == 0 || first.Frames == 0 {
+		t.Fatalf("walker carries no Doppler evidence: %+v", first)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { sc.Score(trk) }); allocs != 0 {
+		t.Errorf("stored Score allocates %v, want 0 (recomputed?)", allocs)
+	}
+	if again := sc.Score(trk); !sameScore(again, first) {
+		t.Fatalf("stored score %+v differs from first %+v", again, first)
+	}
+
+	// A 20 ms chirp interval shrinks the band to ~0.6 m/s, which folds the
+	// aliased velocity stamps onto the walk's: the mismatch must drop.
+	sc.Observe(synthMap(48, 8, 2e-2, 0), tr)
+	folded := sc.Score(trk)
+	if want := sc.score(trk, sc.recs[trk].harm); !sameScore(folded, want) {
+		t.Fatalf("after band change Score = %+v, recompute %+v", folded, want)
+	}
+	if folded.Kin.DopplerMismatch >= first.Kin.DopplerMismatch {
+		t.Fatalf("band change kept the stored mismatch %v (now %v)", first.Kin.DopplerMismatch, folded.Kin.DopplerMismatch)
+	}
+
+	sc.Observe(synthMap(48, 8, 1e-3, 0), tr)
+	if back := sc.Score(trk); !sameScore(back, first) {
+		t.Fatalf("back on the first band Score = %+v, want %+v", back, first)
+	}
+}

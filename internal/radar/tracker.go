@@ -51,7 +51,17 @@ type Track struct {
 	hits     int
 	misses   int
 	lastTime float64
+	// retired marks a track archived in the tracker's done list; see
+	// Retired.
+	retired bool
 }
+
+// Retired reports whether the tracker has archived t: it left the active
+// set confirmed and long enough to report. A retired track is final — the
+// tracker never appends to its Points or VelHist again, never restamps its
+// velocity, and never recycles its storage — so anything derived from it
+// alone can be computed once (detect.TrackScorer stores such verdicts).
+func (t *Track) Retired() bool { return t.retired }
 
 // Trajectory returns the track's positions as a geom.Trajectory.
 func (t *Track) Trajectory() geom.Trajectory {
@@ -255,6 +265,7 @@ func (tr *Tracker) Observe(t float64, detections []Detection) {
 		case trk.misses <= tr.cfg.MaxMisses:
 			alive = append(alive, trk)
 		case trk.Confirmed && len(trk.Points) >= tr.cfg.MinTrackPoints:
+			trk.retired = true
 			tr.done = append(tr.done, trk)
 		default:
 			tr.spare = append(tr.spare, trk)
@@ -293,6 +304,7 @@ func (tr *Tracker) newTrack() *Track {
 		trk.RadialVelocity = 0
 		trk.HasVelocity = false
 		trk.misses = 0
+		trk.retired = false
 		return trk
 	}
 	return &Track{}

@@ -1,8 +1,11 @@
 package radar
 
 import (
+	"math"
+	"slices"
 	"testing"
 
+	"rfprotect/internal/fmcw"
 	"rfprotect/internal/geom"
 )
 
@@ -88,5 +91,99 @@ func TestTrackerRecyclingInvisible(t *testing.T) {
 	// even when reusing recycled storage.
 	if len(seen) < frames {
 		t.Fatalf("saw %d distinct track IDs across the run, want >= %d (fresh ID per spawn)", len(seen), frames)
+	}
+}
+
+// TestTrackRetired pins the immutability that detect.TrackScorer's stored
+// verdicts rely on. Retired is true exactly for the tracks archived in done,
+// never for active tracks or recycled ones, and a retired track's history
+// and velocity never change again over further Observe and
+// AttachVelocities calls. The workload is the churn stream plus walkers
+// that each walk for 40 frames and then vanish long enough to be archived,
+// under a range–Doppler map whose peak moves every frame, so any restamp of
+// a retired track would show.
+func TestTrackRetired(t *testing.T) {
+	tr := NewTracker(TrackerConfig{KeepVelocityHistory: true})
+	const rangeBins, dopplerBins = 40, 8
+	m := &RangeDopplerMap{
+		Params: fmcw.DefaultParams(), PRI: 1e-3,
+		RangeBins: rangeBins, DopplerBins: dopplerBins,
+		Power: make([]float64, rangeBins*dopplerBins),
+	}
+	type frozen struct {
+		points      []TimedPoint
+		velHist     []TimedVelocity
+		radialBits  uint64
+		hasVelocity bool
+	}
+	retired := make(map[*Track]frozen)
+	respawned := 0
+	seen := make(map[*Track]int) // struct -> ID it last carried
+	const frames = 420
+	for i := 0; i < frames; i++ {
+		ts := float64(i) * 0.05
+		dets := []Detection{churnDetection(i)}
+		if phase := i % 60; phase < 40 {
+			pos := geom.Point{X: 0.5 + 0.03*float64(phase), Y: 2 + 0.3*float64(i/60)}
+			dets = append(dets, Detection{Pos: pos, Time: ts})
+		}
+		tr.Observe(ts, dets)
+		for j := range m.Power {
+			m.Power[j] = float64((i*7+j*3)%11) + 1
+		}
+		tr.AttachVelocities(m, fmcw.Array{})
+
+		for _, trk := range tr.done {
+			if !trk.Retired() {
+				t.Fatalf("frame %d: archived track %d not Retired", i, trk.ID)
+			}
+			f, ok := retired[trk]
+			if !ok {
+				retired[trk] = frozen{
+					points:      slices.Clone(trk.Points),
+					velHist:     slices.Clone(trk.VelHist),
+					radialBits:  math.Float64bits(trk.RadialVelocity),
+					hasVelocity: trk.HasVelocity,
+				}
+				continue
+			}
+			if !slices.Equal(trk.Points, f.points) || !slices.Equal(trk.VelHist, f.velHist) ||
+				math.Float64bits(trk.RadialVelocity) != f.radialBits || trk.HasVelocity != f.hasVelocity {
+				t.Fatalf("frame %d: retired track %d changed after archiving", i, trk.ID)
+			}
+		}
+		for _, trk := range tr.active {
+			if trk.Retired() {
+				t.Fatalf("frame %d: active track %d reports Retired", i, trk.ID)
+			}
+			if id, ok := seen[trk]; ok && id != trk.ID {
+				respawned++
+			}
+			seen[trk] = trk.ID
+		}
+		for _, trk := range tr.spare {
+			if trk.Retired() {
+				t.Fatalf("frame %d: recycled track %d reports Retired", i, trk.ID)
+			}
+		}
+	}
+	// The walkers retire (one per 60-frame cycle but the last), with the
+	// velocity history the immutability check is about; the churn keeps
+	// recycling structs under fresh IDs.
+	if len(retired) < frames/60-1 {
+		t.Fatalf("%d tracks retired, want >= %d", len(retired), frames/60-1)
+	}
+	for trk, f := range retired {
+		if !f.hasVelocity || len(f.velHist) == 0 {
+			t.Fatalf("retired track %d has no velocity history to pin", trk.ID)
+		}
+	}
+	if respawned == 0 {
+		t.Fatal("no track struct was recycled under a new ID")
+	}
+	for _, trk := range tr.Tracks() {
+		if _, ok := retired[trk]; ok != trk.Retired() {
+			t.Fatalf("Tracks() entry %d: Retired = %v, archived = %v", trk.ID, trk.Retired(), ok)
+		}
 	}
 }

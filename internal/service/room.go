@@ -415,13 +415,14 @@ func (r *Room) TrackDumps() []TrackDump {
 func (r *Room) SuspectTracks() int {
 	r.trkMu.Lock()
 	defer r.trkMu.Unlock()
-	return r.suspectTracksLocked()
+	return r.suspectTracksLocked(r.trk.Tracks())
 }
 
-// suspectTracksLocked is SuspectTracks without the lock (caller holds trkMu).
-func (r *Room) suspectTracksLocked() int {
+// suspectTracksLocked counts the flagged tracks of trs, a Tracks() result
+// the caller took under trkMu and still holds it for.
+func (r *Room) suspectTracksLocked(trs []*radar.Track) int {
 	n := 0
-	for _, tr := range r.trk.Tracks() {
+	for _, tr := range trs {
 		if r.det.Score(tr).Flagged() {
 			n++
 		}
@@ -475,8 +476,9 @@ func (r *Room) Status() RoomStatus {
 		Error:      errStr,
 	}
 	r.trkMu.Lock()
-	st.Tracks = len(r.trk.Tracks())
-	st.Suspects = r.suspectTracksLocked()
+	trs := r.trk.Tracks()
+	st.Tracks = len(trs)
+	st.Suspects = r.suspectTracksLocked(trs)
 	r.trkMu.Unlock()
 	return st
 }
