@@ -105,11 +105,14 @@ fuzz:
 # race detector — 8 concurrent rooms × 64 frames whose exported tracks are
 # bit-identical to the library path, an ingest drain that loses no accepted
 # frame, HTTP-ingested frames whose tracks are bit-identical to pushed ones,
-# and start → SIGTERM → drain → clean exit with zero leaked goroutines.
+# a stream whose live entries and retirement records rebuild the final
+# event's track set bit for bit, a panicking room that fails alone next to
+# a healthy one, and start → SIGTERM → drain → clean exit with zero leaked
+# goroutines.
 daemon-smoke:
 	$(GO) build -o /dev/null ./cmd/rfprotectd
 	$(GO) test -race -count=1 \
-		-run 'TestSmokeConcurrentRoomsBitIdentical|TestIngestDrainNoFrameLoss|TestIngestHTTPBitIdentical|TestDaemonSIGTERMDrain' \
+		-run 'TestSmokeConcurrentRoomsBitIdentical|TestIngestDrainNoFrameLoss|TestIngestHTTPBitIdentical|TestStreamRebuildsFinalTracks|TestRoomPanicFailsOnlyItsRoom|TestDaemonSIGTERMDrain' \
 		./internal/service ./cmd/rfprotectd
 
 # The end-to-end benchmark harness is a module of its own (cmd/rfbench/go.mod,

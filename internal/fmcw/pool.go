@@ -41,22 +41,31 @@ func (fp *FramePool) Get(at float64) *Frame {
 	return f
 }
 
+// Fits reports whether f is non-nil and has the shape of the pool's frames:
+// NumAntennas rows of SamplesPerChirp samples each.
+func (fp *FramePool) Fits(f *Frame) bool {
+	if f == nil || len(f.Data) != fp.params.NumAntennas {
+		return false
+	}
+	n := fp.params.SamplesPerChirp()
+	for _, row := range f.Data {
+		if len(row) != n {
+			return false
+		}
+	}
+	return true
+}
+
 // Put recycles a frame into the pool, zeroing it first so the next Get
-// honors Get's zeroed-frame contract. Put(nil) is a no-op; a frame whose
-// shape does not match the pool's parameters panics (recycling it would
-// hand a wrong-size frame to a later Get).
+// honors Get's zeroed-frame contract. Put(nil) is a no-op; a frame that
+// does not fit the pool panics (recycling it would hand a wrong-size frame
+// to a later Get).
 func (fp *FramePool) Put(f *Frame) {
 	if f == nil {
 		return
 	}
-	n := fp.params.SamplesPerChirp()
-	if len(f.Data) != fp.params.NumAntennas {
-		panic("fmcw: FramePool.Put with mismatched antenna count")
-	}
-	for k := range f.Data {
-		if len(f.Data[k]) != n {
-			panic("fmcw: FramePool.Put with mismatched sample count")
-		}
+	if !fp.Fits(f) {
+		panic("fmcw: FramePool.Put with mismatched frame shape")
 	}
 	f.Reset()
 	fp.free.Put(f)

@@ -264,7 +264,7 @@ func (tr *Tracker) Observe(t float64, detections []Detection) {
 		switch {
 		case trk.misses <= tr.cfg.MaxMisses:
 			alive = append(alive, trk)
-		case trk.Confirmed && len(trk.Points) >= tr.cfg.MinTrackPoints:
+		case tr.Reportable(trk):
 			trk.retired = true
 			tr.done = append(tr.done, trk)
 		default:
@@ -351,12 +351,25 @@ func (tr *Tracker) ForEachActive(fn func(*Track)) {
 	}
 }
 
-// Tracks returns all confirmed tracks (finished and active) with at least
-// MinTrackPoints points, ordered by ID.
+// Reportable reports whether t is long enough to report: confirmed, with
+// at least MinTrackPoints points. Once true it stays true, and a reportable
+// track that leaves the active set is archived in Done rather than
+// recycled. Tracks returns exactly the reportable tracks.
+func (tr *Tracker) Reportable(t *Track) bool {
+	return t.Confirmed && len(t.Points) >= tr.cfg.MinTrackPoints
+}
+
+// Done returns the archive of retired tracks in the order they retired. The
+// archive is append-only: a caller that remembers its length after one
+// Observe finds the tracks retired by the next Observe past that index.
+// The slice is the tracker's own; callers must not modify it.
+func (tr *Tracker) Done() []*Track { return tr.done }
+
+// Tracks returns all reportable tracks (retired and active), ordered by ID.
 func (tr *Tracker) Tracks() []*Track {
-	var out []*Track
-	for _, t := range append(append([]*Track{}, tr.done...), tr.active...) {
-		if t.Confirmed && len(t.Points) >= tr.cfg.MinTrackPoints {
+	out := append([]*Track(nil), tr.done...) // every archived track is reportable
+	for _, t := range tr.active {
+		if tr.Reportable(t) {
 			out = append(out, t)
 		}
 	}

@@ -40,11 +40,21 @@
 // # Output
 //
 // Each processed frame is broadcast to the room's subscribers as one NDJSON
-// Event (detections plus the post-frame track snapshot). Subscriber buffers
-// are bounded; a slow stream consumer sheds events (counted per shard)
-// rather than stalling the room. /metrics exposes rooms, summed ingest
-// queue depth, and processed/dropped counters per shard, plus global
-// frames/sec and allocations/frame between scrapes.
+// Event: the frame's detections, the confirmed tracks still live, and one
+// last record, marked retired, of each track that retired on that frame.
+// A consumer that applies every event's entries rebuilds the full set the
+// final event carries (every confirmed track, retired and live), so a
+// per-frame event's size tracks the room's occupants rather than its age.
+// Subscriber buffers are bounded; a slow stream consumer sheds events
+// (counted per shard) rather than stalling the room. /metrics exposes
+// rooms, summed ingest queue depth, and processed/dropped counters per
+// shard, plus global frames/sec and allocations/frame between scrapes.
+//
+// # Failure
+//
+// A panic in a room's stages fails that room alone: its runner recovers,
+// the room's state becomes failed with the panic as its error, and its
+// subscribers receive a final event carrying that error.
 //
 // DESIGN.md ("Service architecture") documents the invariants; API.md
 // documents every endpoint with examples.

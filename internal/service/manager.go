@@ -29,6 +29,18 @@ type shard struct {
 	eventsDropped atomic.Int64 // stream events shed by slow consumers
 }
 
+// appendRooms appends the shard's rooms to dst under the shard lock and
+// returns it. Callers read the rooms after the lock is released, so no
+// per-room work ever runs under sh.mu.
+func (sh *shard) appendRooms(dst []*Room) []*Room {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for _, r := range sh.rooms {
+		dst = append(dst, r)
+	}
+	return dst
+}
+
 // Manager hosts many concurrent rooms behind a sharded table. It owns every
 // runner goroutine (one per room, joined through wg) and the drain
 // protocol; the HTTP layer in this package is a thin translation onto it.
@@ -135,11 +147,7 @@ func (m *Manager) Room(id string) (*Room, error) {
 func (m *Manager) Rooms() []RoomStatus {
 	var rooms []*Room
 	for _, sh := range m.shards {
-		sh.mu.Lock()
-		for _, r := range sh.rooms {
-			rooms = append(rooms, r)
-		}
-		sh.mu.Unlock()
+		rooms = sh.appendRooms(rooms)
 	}
 	out := make([]RoomStatus, len(rooms))
 	for i, r := range rooms {
@@ -178,16 +186,12 @@ func (m *Manager) CloseRoom(ctx context.Context, id string) (RoomStatus, error) 
 // ctx.Err() — no goroutine outlives the call either way.
 func (m *Manager) Drain(ctx context.Context) error {
 	m.draining.Store(true)
+	var rooms []*Room
 	for _, sh := range m.shards {
-		sh.mu.Lock()
-		rooms := make([]*Room, 0, len(sh.rooms))
-		for _, r := range sh.rooms {
-			rooms = append(rooms, r)
-		}
-		sh.mu.Unlock()
-		for _, r := range rooms {
-			r.beginDrain()
-		}
+		rooms = sh.appendRooms(rooms)
+	}
+	for _, r := range rooms {
+		r.beginDrain()
 	}
 	done := make(chan struct{})
 	//rfvet:allow goroleak -- joined on both return paths via the done receive below

@@ -31,14 +31,18 @@ func (m *Manager) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		rooms, depth, suspects int
 	}
 	rows := make([]shardRow, len(m.shards))
+	var rooms []*Room
 	for i, sh := range m.shards {
-		sh.mu.Lock()
-		rows[i].rooms = len(sh.rooms)
-		for _, r := range sh.rooms {
+		// Snapshot the shard's rooms and read them after unlocking:
+		// scoring a room waits on its tracker lock, and holding sh.mu
+		// meanwhile would stall every lookup, create and close on the
+		// shard.
+		rooms = sh.appendRooms(rooms[:0])
+		rows[i].rooms = len(rooms)
+		for _, r := range rooms {
 			rows[i].depth += r.QueueDepth()
 			rows[i].suspects += r.SuspectTracks()
 		}
-		sh.mu.Unlock()
 	}
 	for i, row := range rows {
 		fmt.Fprintf(w, "rfprotect_rooms{shard=\"%d\"} %d\n", i, row.rooms)

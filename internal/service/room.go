@@ -1,9 +1,12 @@
 package service
 
 import (
+	"cmp"
 	"context"
+	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -68,6 +71,13 @@ type Room struct {
 
 	framesDone atomic.Int64
 	dropped    atomic.Int64
+
+	// Runner-owned event state, touched only by the emit stage on the
+	// runner goroutine. retiredSeen is a cursor into the tracker's
+	// append-only Done archive: the tracks past it retired on the frame
+	// being emitted. eventTracks is the per-frame selection scratch.
+	retiredSeen int
+	eventTracks []*radar.Track
 
 	// trkMu guards the tracker: the emit stage mutates it on the runner
 	// goroutine while status/track handlers read it from HTTP goroutines.
@@ -168,10 +178,28 @@ func (r *Room) Mode() string {
 }
 
 // run drives the room's pipeline to completion. It is the runner
-// goroutine's body; the Manager joins it through its WaitGroup.
+// goroutine's body; the Manager joins it through its WaitGroup. A failed
+// room stops its intake, so a blocked or later Push returns ErrDraining
+// instead of waiting on a queue nobody drains.
 func (r *Room) run(ctx context.Context) {
-	_, err := r.pipe.Run(ctx)
+	err := r.runPipeline(ctx)
+	if err != nil {
+		r.beginDrain()
+	}
 	r.finish(err)
+}
+
+// runPipeline runs the room's pipeline on the calling goroutine and turns
+// a panic in any of its stages into the room's error, so a broken frame or
+// stage fails its own room rather than the whole process.
+func (r *Room) runPipeline(ctx context.Context) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("service: room %s panicked: %v", r.ID, p)
+		}
+	}()
+	_, err = r.pipe.Run(ctx)
+	return err
 }
 
 // drainSource ends a synthetic stream at the next frame boundary once the
@@ -221,10 +249,14 @@ func (r *Room) signalSpace() {
 // should recycle it). The full-queue policy is the room's: block until
 // space frees (backpressure, the default) or fail fast with ErrBacklogged
 // (load-shedding, Shed: true). Pushing to a synthetic room returns
-// ErrNotIngest; pushing after a drain began returns ErrDraining.
+// ErrNotIngest; pushing after a drain began returns ErrDraining; a nil
+// frame or one whose shape differs from the room's returns ErrFrameShape.
 func (r *Room) Push(ctx context.Context, f *fmcw.Frame) error {
 	if r.q == nil {
 		return ErrNotIngest
+	}
+	if !r.pools.Frames.Fits(f) {
+		return ErrFrameShape
 	}
 	for {
 		r.qMu.RLock()
@@ -277,42 +309,89 @@ func (r *Room) beginDrain() {
 
 // emitStage is the room's sink stage: it advances the tracker and the spoof
 // scorer under trkMu (HTTP handlers read the same tracker and scorer),
-// counts the frame, and broadcasts the post-frame snapshot to every
-// subscriber.
+// counts the frame, and broadcasts the frame's event to every subscriber.
 type emitStage struct{ r *Room }
 
 func (s *emitStage) Name() string { return "track-emit" }
 
 func (s *emitStage) Process(ctx context.Context, it *pipeline.Item) error {
 	r := s.r
-	r.trkMu.Lock()
-	err := r.trk.Process(ctx, it)
-	if err == nil && it.RangeDoppler != nil {
-		r.det.Observe(it.RangeDoppler, r.trk.Tracker())
-	}
-	r.trkMu.Unlock()
+	r.mu.Lock()
+	listening := len(r.subs) > 0
+	r.mu.Unlock()
+	tracks, err := r.step(ctx, it, listening)
 	if err != nil {
 		return err
 	}
-	r.observe(it)
+	r.observe(it, listening, tracks)
 	return nil
 }
 
-// observe builds and broadcasts the per-frame event. Runs on the runner
-// goroutine only.
-func (r *Room) observe(it *pipeline.Item) {
+// step advances the tracker and the scorer by one frame and moves the
+// retirement cursor past the tracks retired on it. When the room has
+// subscribers it also returns the frame's event tracks: the reportable
+// live tracks plus the newly retired ones, scored and ordered by ID. Only
+// those few tracks are read; the archive is never walked. trkMu is released
+// by defer so a panicking stage cannot leave it held for the handlers that
+// read the failed room.
+func (r *Room) step(ctx context.Context, it *pipeline.Item, listening bool) ([]TrackSpec, error) {
+	r.trkMu.Lock()
+	defer r.trkMu.Unlock()
+	if err := r.trk.Process(ctx, it); err != nil {
+		return nil, err
+	}
+	tr := r.trk.Tracker()
+	if it.RangeDoppler != nil {
+		r.det.Observe(it.RangeDoppler, tr)
+	}
+	done := tr.Done()
+	retired := done[r.retiredSeen:]
+	r.retiredSeen = len(done)
+	if !listening {
+		return nil, nil
+	}
+	sel := append(r.eventTracks[:0], retired...)
+	tr.ForEachActive(func(t *radar.Track) {
+		if tr.Reportable(t) {
+			sel = append(sel, t)
+		}
+	})
+	r.eventTracks = sel
+	if len(sel) == 0 {
+		return nil, nil
+	}
+	slices.SortFunc(sel, func(a, b *radar.Track) int { return cmp.Compare(a.ID, b.ID) })
+	out := make([]TrackSpec, len(sel))
+	for i, t := range sel {
+		out[i] = trackSpec(t, r.det.Score(t))
+	}
+	return out, nil
+}
+
+// observe counts the frame and, when the room has subscribers, builds the
+// frame's event from its detections and event tracks and offers it to each.
+// Runs on the runner goroutine only.
+func (r *Room) observe(it *pipeline.Item, listening bool, tracks []TrackSpec) {
 	r.framesDone.Add(1)
 	r.sh.frames.Add(1)
-	ev := Event{Room: r.ID, Frame: it.Index, Time: it.Frame.Time}
-	if it.HasDets {
-		ev.Detections = make([]DetectionSpec, len(it.Detections))
-		for i, d := range it.Detections {
-			ev.Detections[i] = DetectionSpec{Range: d.Range, AoA: d.AoA, Power: d.Power, X: d.Pos.X, Y: d.Pos.Y}
+	var ev Event
+	if listening {
+		ev = Event{Room: r.ID, Frame: it.Index, Time: it.Frame.Time, Tracks: tracks}
+		if it.HasDets {
+			ev.Detections = make([]DetectionSpec, len(it.Detections))
+			for i, d := range it.Detections {
+				ev.Detections[i] = DetectionSpec{Range: d.Range, AoA: d.AoA, Power: d.Power, X: d.Pos.X, Y: d.Pos.Y}
+			}
 		}
 	}
-	ev.Tracks = r.trackSpecs()
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.lastTime = it.Frame.Time
+	if !listening {
+		// No event was built; a subscriber that joined mid-frame starts
+		// with the next one.
+		return
+	}
 	for sub := range r.subs {
 		select {
 		case sub.ch <- ev:
@@ -323,7 +402,6 @@ func (r *Room) observe(it *pipeline.Item) {
 			r.sh.eventsDropped.Add(1)
 		}
 	}
-	r.mu.Unlock()
 }
 
 // finish records the terminal state and closes every subscriber stream.
@@ -382,8 +460,8 @@ func (r *Room) Unsubscribe(sub *subscriber) {
 	r.mu.Unlock()
 }
 
-// trackSpecs snapshots the confirmed tracks' latest points with their live
-// spoof-suspicion scores.
+// trackSpecs snapshots every reportable track, retired and live, with its
+// latest point and spoof-suspicion score: the final event's full set.
 func (r *Room) trackSpecs() []TrackSpec {
 	r.trkMu.Lock()
 	defer r.trkMu.Unlock()

@@ -27,6 +27,9 @@ var (
 	// ErrBusy rejects an operation that would race the room's running
 	// capture, e.g. programming a ghost on a running synthetic room (409).
 	ErrBusy = errors.New("service: room is busy; retry once it finishes")
+	// ErrFrameShape rejects a nil frame or one whose antenna or sample
+	// count differs from the room's (400).
+	ErrFrameShape = errors.New("service: frame shape does not match the room's")
 )
 
 // RoomConfig is the create-room request body: one tenant session to host.
@@ -187,7 +190,11 @@ type Event struct {
 	// Detections holds this frame's extracted peaks (omitted for frames
 	// before the background history is seeded).
 	Detections []DetectionSpec `json:"detections,omitempty"`
-	// Tracks is the latest position of every confirmed track.
+	// Tracks holds, ordered by ID, the latest point of every confirmed track
+	// that is still live, plus one last record (Retired set, final verdict)
+	// for each track that retired on this frame. Retired tracks do not
+	// appear in later events. The final event alone carries the full set:
+	// every confirmed track of the room's life, retired and live.
 	Tracks []TrackSpec `json:"tracks,omitempty"`
 	// Final marks the room's last event: the pipeline has finished
 	// (completed, drained, or failed) and the stream will close.
@@ -221,9 +228,12 @@ type TrackSpec struct {
 	// some detector crossed its default threshold and the track is flagged.
 	Suspicion float64 `json:"suspicion,omitempty"`
 	Suspect   bool    `json:"suspect,omitempty"`
+	// Retired marks a track the tracker has ended: its point and verdict
+	// are final.
+	Retired bool `json:"retired,omitempty"`
 }
 
-// trackSpec snapshots a live track's latest point.
+// trackSpec snapshots a track's latest point.
 func trackSpec(tr *radar.Track, sc detect.TrackScore) TrackSpec {
 	ts := TrackSpec{
 		ID:             tr.ID,
@@ -233,6 +243,7 @@ func trackSpec(tr *radar.Track, sc detect.TrackScore) TrackSpec {
 		HasVelocity:    tr.HasVelocity,
 		Suspicion:      sc.Suspicion,
 		Suspect:        sc.Flagged(),
+		Retired:        tr.Retired(),
 	}
 	if n := len(tr.Points); n > 0 {
 		ts.Time = tr.Points[n-1].Time
