@@ -54,7 +54,8 @@
 //
 // A panic in a room's stages fails that room alone: its runner recovers,
 // the room's state becomes failed with the panic as its error, and its
-// subscribers receive a final event carrying that error.
+// subscribers receive a final event carrying that error. The panic's stack
+// goes to the process log (package log).
 //
 // DESIGN.md ("Service architecture") documents the invariants; API.md
 // documents every endpoint with examples.

@@ -5,7 +5,9 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log"
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -191,11 +193,13 @@ func (r *Room) run(ctx context.Context) {
 
 // runPipeline runs the room's pipeline on the calling goroutine and turns
 // a panic in any of its stages into the room's error, so a broken frame or
-// stage fails its own room rather than the whole process.
+// stage fails its own room rather than the whole process. The error clients
+// see is one line; the panic's stack goes to the process log.
 func (r *Room) runPipeline(ctx context.Context) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("service: room %s panicked: %v", r.ID, p)
+			log.Printf("%v\n%s", err, debug.Stack())
 		}
 	}()
 	_, err = r.pipe.Run(ctx)
@@ -315,26 +319,21 @@ type emitStage struct{ r *Room }
 func (s *emitStage) Name() string { return "track-emit" }
 
 func (s *emitStage) Process(ctx context.Context, it *pipeline.Item) error {
-	r := s.r
-	r.mu.Lock()
-	listening := len(r.subs) > 0
-	r.mu.Unlock()
-	tracks, err := r.step(ctx, it, listening)
+	tracks, err := s.r.step(ctx, it)
 	if err != nil {
 		return err
 	}
-	r.observe(it, listening, tracks)
+	s.r.observe(it, tracks)
 	return nil
 }
 
-// step advances the tracker and the scorer by one frame and moves the
-// retirement cursor past the tracks retired on it. When the room has
-// subscribers it also returns the frame's event tracks: the reportable
-// live tracks plus the newly retired ones, scored and ordered by ID. Only
-// those few tracks are read; the archive is never walked. trkMu is released
-// by defer so a panicking stage cannot leave it held for the handlers that
-// read the failed room.
-func (r *Room) step(ctx context.Context, it *pipeline.Item, listening bool) ([]TrackSpec, error) {
+// step advances the tracker and the scorer by one frame, moves the
+// retirement cursor past the tracks retired on it, and returns the frame's
+// event tracks: the reportable live tracks plus the newly retired ones,
+// scored and ordered by ID. Only those few tracks are read; the archive is
+// never walked. trkMu is released by defer so a panicking stage cannot
+// leave it held for the handlers that read the failed room.
+func (r *Room) step(ctx context.Context, it *pipeline.Item) ([]TrackSpec, error) {
 	r.trkMu.Lock()
 	defer r.trkMu.Unlock()
 	if err := r.trk.Process(ctx, it); err != nil {
@@ -345,12 +344,8 @@ func (r *Room) step(ctx context.Context, it *pipeline.Item, listening bool) ([]T
 		r.det.Observe(it.RangeDoppler, tr)
 	}
 	done := tr.Done()
-	retired := done[r.retiredSeen:]
+	sel := append(r.eventTracks[:0], done[r.retiredSeen:]...)
 	r.retiredSeen = len(done)
-	if !listening {
-		return nil, nil
-	}
-	sel := append(r.eventTracks[:0], retired...)
 	tr.ForEachActive(func(t *radar.Track) {
 		if tr.Reportable(t) {
 			sel = append(sel, t)
@@ -368,30 +363,22 @@ func (r *Room) step(ctx context.Context, it *pipeline.Item, listening bool) ([]T
 	return out, nil
 }
 
-// observe counts the frame and, when the room has subscribers, builds the
-// frame's event from its detections and event tracks and offers it to each.
-// Runs on the runner goroutine only.
-func (r *Room) observe(it *pipeline.Item, listening bool, tracks []TrackSpec) {
+// observe counts the frame, builds its event from its detections and event
+// tracks, and offers it to each subscriber. Runs on the runner goroutine
+// only.
+func (r *Room) observe(it *pipeline.Item, tracks []TrackSpec) {
 	r.framesDone.Add(1)
 	r.sh.frames.Add(1)
-	var ev Event
-	if listening {
-		ev = Event{Room: r.ID, Frame: it.Index, Time: it.Frame.Time, Tracks: tracks}
-		if it.HasDets {
-			ev.Detections = make([]DetectionSpec, len(it.Detections))
-			for i, d := range it.Detections {
-				ev.Detections[i] = DetectionSpec{Range: d.Range, AoA: d.AoA, Power: d.Power, X: d.Pos.X, Y: d.Pos.Y}
-			}
+	ev := Event{Room: r.ID, Frame: it.Index, Time: it.Frame.Time, Tracks: tracks}
+	if it.HasDets {
+		ev.Detections = make([]DetectionSpec, len(it.Detections))
+		for i, d := range it.Detections {
+			ev.Detections[i] = DetectionSpec{Range: d.Range, AoA: d.AoA, Power: d.Power, X: d.Pos.X, Y: d.Pos.Y}
 		}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.lastTime = it.Frame.Time
-	if !listening {
-		// No event was built; a subscriber that joined mid-frame starts
-		// with the next one.
-		return
-	}
 	for sub := range r.subs {
 		select {
 		case sub.ch <- ev:

@@ -3,9 +3,11 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"log"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -223,85 +225,130 @@ func TestPushRejectsWrongShape(t *testing.T) {
 	}
 }
 
-// TestRoomPanicFailsOnlyItsRoom sends a wrong-shape frame straight into one
-// ingest room's queue, past Push's check, so a stage panics on the runner.
-// That room fails, with the panic as its error and on its final event; its
-// subscriber closes, its intake refuses frames, and its handlers still
-// answer. The healthy room on the same manager processes every frame, and
-// Drain joins both runners with no goroutine left behind.
+// TestRoomPanicFailsOnlyItsRoom makes one ingest room's runner panic, once
+// in the front end (a wrong-shape frame sent straight into the queue, past
+// Push's check) and once inside step with trkMu held. That room fails, with
+// the one-line panic as its error and on its final event, and the panic's
+// stack in the process log; its subscriber closes, its intake refuses
+// frames, and its handlers still answer. The healthy room on the same
+// manager processes every frame, and Drain joins both runners with no
+// goroutine left behind.
 func TestRoomPanicFailsOnlyItsRoom(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	m := NewManager(ctx, 1)
-	bad, err := m.CreateRoom(RoomConfig{ID: "bad"})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		// poison makes the room's runner panic and returns a function that
+		// undoes whatever it changed on the room once the runner is done.
+		poison func(t *testing.T, r *Room) (undo func())
+		// frame is a function of the panicking goroutine's stack.
+		frame string
+	}{
+		{
+			// A frame of the wrong shape, sent past Push's check, panics in
+			// the front end before the emit stage takes trkMu.
+			name: "front-end",
+			poison: func(t *testing.T, r *Room) func() {
+				if err := r.Push(context.Background(), r.pools.Frames.Get(0)); err != nil {
+					t.Fatal(err)
+				}
+				p := fmcw.DefaultParams()
+				p.NumAntennas = 2
+				r.q <- fmcw.NewFrame(p, 0.05)
+				return func() {}
+			},
+			frame: "fmcw.(*Differencer).Step",
+		},
+		{
+			// A track stage without a tracker panics inside step with trkMu
+			// held; the handlers must still get the lock afterwards. The
+			// swap happens before the push that hands the runner its first
+			// frame, and the undo after the runner is done, so neither races
+			// the runner.
+			name: "under-trkMu",
+			poison: func(t *testing.T, r *Room) func() {
+				orig := r.trk
+				r.trk = &pipeline.TrackStage{}
+				if err := r.Push(context.Background(), r.pools.Frames.Get(0)); err != nil {
+					t.Fatal(err)
+				}
+				return func() { r.trk = orig }
+			},
+			frame: "service.(*Room).step",
+		},
 	}
-	good, err := m.CreateRoom(RoomConfig{ID: "good"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := bad.Subscribe(4)
-	if err := bad.Push(context.Background(), bad.pools.Frames.Get(0)); err != nil {
-		t.Fatal(err)
-	}
-	p := fmcw.DefaultParams()
-	p.NumAntennas = 2
-	bad.q <- fmcw.NewFrame(p, 0.05)
-	select {
-	case <-bad.done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("the panicking room never finished")
-	}
-	for range sub.ch {
-	}
-	st := bad.Status()
-	if st.State != stateFailed || !strings.Contains(st.Error, "panicked") {
-		t.Fatalf("bad room: state %q error %q, want failed with the panic", st.State, st.Error)
-	}
-	if fe := bad.FinalEvent(); !fe.Final || fe.Error != st.Error {
-		t.Fatalf("final event %+v, want final with error %q", fe, st.Error)
-	}
-	dumped := make(chan struct{})
-	go func() {
-		bad.TrackDumps()
-		close(dumped)
-	}()
-	select {
-	case <-dumped:
-	case <-time.After(5 * time.Second):
-		t.Fatal("TrackDumps blocked on the failed room")
-	}
-	f := bad.pools.Frames.Get(0)
-	if err := bad.Push(context.Background(), f); err != ErrDraining {
-		t.Fatalf("push into the failed room: err %v, want ErrDraining", err)
-	}
-	bad.pools.Frames.Put(f)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var logged strings.Builder
+			log.SetOutput(&logged)
+			defer log.SetOutput(os.Stderr)
+			baseline := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			m := NewManager(ctx, 1)
+			bad, err := m.CreateRoom(RoomConfig{ID: "bad"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			good, err := m.CreateRoom(RoomConfig{ID: "good"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sub := bad.Subscribe(4)
+			undo := tc.poison(t, bad)
+			select {
+			case <-bad.done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the panicking room never finished")
+			}
+			undo()
+			for range sub.ch {
+			}
+			if !strings.Contains(logged.String(), tc.frame) {
+				t.Fatalf("log %q lacks the panic's stack (want a %s frame)", logged.String(), tc.frame)
+			}
+			dumped := make(chan struct{})
+			go func() {
+				bad.TrackDumps()
+				close(dumped)
+			}()
+			select {
+			case <-dumped:
+			case <-time.After(5 * time.Second):
+				t.Fatal("TrackDumps blocked on the failed room")
+			}
+			st := bad.Status()
+			if st.State != stateFailed || !strings.Contains(st.Error, "panicked") || strings.Contains(st.Error, "\n") {
+				t.Fatalf("bad room: state %q error %q, want failed with the one-line panic", st.State, st.Error)
+			}
+			if fe := bad.FinalEvent(); !fe.Final || fe.Error != st.Error {
+				t.Fatalf("final event %+v, want final with error %q", fe, st.Error)
+			}
+			f := bad.pools.Frames.Get(0)
+			if err := bad.Push(context.Background(), f); err != ErrDraining {
+				t.Fatalf("push into the failed room: err %v, want ErrDraining", err)
+			}
+			bad.pools.Frames.Put(f)
 
-	const n = 8
-	for i := 0; i < n; i++ {
-		if err := good.Push(context.Background(), good.pools.Frames.Get(float64(i)*0.05)); err != nil {
-			t.Fatal(err)
-		}
+			const n = 8
+			for i := 0; i < n; i++ {
+				if err := good.Push(context.Background(), good.pools.Frames.Get(float64(i)*0.05)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			gst, err := m.CloseRoom(context.Background(), "good")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gst.State != stateDone || gst.Frames != n {
+				t.Fatalf("healthy room: state %q frames %d, want done/%d", gst.State, gst.Frames, n)
+			}
+			if err := m.Drain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			waitLeakFree(t, baseline)
+		})
 	}
-	gst, err := m.CloseRoom(context.Background(), "good")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gst.State != stateDone || gst.Frames != n {
-		t.Fatalf("healthy room: state %q frames %d, want done/%d", gst.State, gst.Frames, n)
-	}
-	if err := m.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	waitLeakFree(t, baseline)
 }
 
-// TestMetricsScrapeDoesNotHoldShardLock holds one room's tracker lock, so a
-// /metrics scrape blocks scoring that room, and checks that lookups of
-// another room on the same shard still return promptly: the scrape must
-// not hold the shard lock while it reads rooms.
 func TestMetricsScrapeDoesNotHoldShardLock(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
