@@ -60,9 +60,11 @@ bench:
 
 bench-json: bench
 
-# The go-test benchmark suite (paper figures + pipeline micro-benches).
+# The go-test pipeline micro-benches (frame synthesis, range FFT, streaming
+# capture+track and cancellation, Doppler stage) plus the fmcw and dsp
+# kernel benches.
 bench-go:
-	$(GO) test -bench=Pipeline -benchmem -run='^$$' .
+	$(GO) test -bench='Pipeline|Streaming|Doppler' -benchmem -run='^$$' .
 	$(GO) test -bench=. -benchmem -run='^$$' ./internal/fmcw ./internal/dsp
 
 # Kernel regression gate: re-measure the kernel rows with short windows and

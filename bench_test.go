@@ -292,23 +292,6 @@ func BenchmarkStreamingCaptureTrack(b *testing.B) {
 			radar.TrackDetections(radar.TrackerConfig{}, dets)
 		}
 	})
-	// Stage-overlapped scheduler over the same chain: each stage in its own
-	// goroutine, bounded channels of the given depth, output bit-identical
-	// to the sequential run.
-	for _, depth := range []int{1, 4} {
-		b.Run(fmt.Sprintf("concurrent-depth-%d", depth), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				plan := radar.CompileFrontEndPlan(radar.DefaultConfig(), sc.Params)
-				trk := pipeline.NewTrack(radar.TrackerConfig{})
-				stages := append(pipeline.FrontEndStagesPlanned(plan, sc.Radar, pipeline.NewPools(sc.Params)), trk)
-				rng := rand.New(rand.NewSource(1))
-				p := pipeline.New(sc.Stream(0, nFrames, rng), stages...)
-				if _, err := p.RunConcurrent(context.Background(), depth); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkDopplerStage measures the steady-state per-frame cost of the

@@ -349,11 +349,11 @@ func runSnapshot(minDur time.Duration, seed int64, quick bool) Snapshot {
 	})
 	add("doppler_win8_specialized", 1, rdS, true)
 
-	// The pipeline's own per-frame machinery — source pull, Item checkout
-	// from the free list, stage dispatch, recycle, Item return — over a
-	// replayed frame and a counting no-op stage, so nothing but the
-	// machinery itself runs. One warm-up run materializes the steady-state
-	// Item; after that a 16-frame Run must allocate exactly nothing.
+	// The pipeline's own per-frame machinery — source pull, Item reset,
+	// stage dispatch, recycle — over a replayed frame and a counting no-op
+	// stage, so nothing but the machinery itself runs. One warm-up run
+	// sizes the reused Item; after that a 16-frame Run must allocate
+	// exactly nothing.
 	bsrc := &replaySource{f: frameA, n: 16}
 	bp := pipeline.New(bsrc, &countStage{})
 	if _, err := bp.Run(ctx); err != nil {

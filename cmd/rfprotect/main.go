@@ -28,8 +28,6 @@ func main() {
 	ganSteps := flag.Int("gansteps", 120, "cGAN training steps (ignored with -model)")
 	model := flag.String("model", "", "pre-trained cGAN weights (from gantrain)")
 	seed := flag.Int64("seed", 1, "random seed")
-	concurrent := flag.Bool("concurrent", false,
-		"run the capture through the stage-overlapped concurrent scheduler (bit-identical output)")
 	flag.Parse()
 
 	sess, err := core.NewSession(core.SessionConfig{Room: scene.HomeRoom()})
@@ -92,14 +90,7 @@ func main() {
 	stages := append(pipeline.FrontEndStagesPlanned(plan, sc.Radar, pools), trk)
 	src := sc.Stream(0, n, rng).UsePool(pools.Frames)
 	p := pipeline.New(src, stages...).UsePools(pools)
-	if *concurrent {
-		// Opt-in stage overlap: each stage in its own goroutine, delivery
-		// order and tracks bit-identical to the sequential run.
-		_, err = p.RunConcurrent(context.Background(), 2)
-	} else {
-		_, err = p.Run(context.Background())
-	}
-	if err != nil {
+	if _, err := p.Run(context.Background()); err != nil {
 		fatal(err)
 	}
 	tracks := radar.FilterHumanTracks(trk.Tracks(), params.FrameRate)

@@ -6,7 +6,6 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"math/rand"
 
@@ -19,10 +18,6 @@ import (
 )
 
 func main() {
-	concurrent := flag.Bool("concurrent", false,
-		"overlap the pipeline stages across goroutines (same tracks, same order)")
-	flag.Parse()
-
 	// 1. A home with an eavesdropper radar on the bottom wall and an
 	//    RF-Protect tag deployed broadside to it.
 	sess, err := core.NewSession(core.SessionConfig{Room: scene.HomeRoom()})
@@ -56,8 +51,6 @@ func main() {
 	//    each frame is synthesized, processed, and dropped before the next —
 	//    memory stays flat no matter how long it listens, and the tracks are
 	//    bit-identical to a batch CaptureCtx + ProcessFrames + TrackDetections.
-	//    With -concurrent, each stage runs in its own goroutine connected by
-	//    bounded channels — the output is bit-identical either way.
 	nFrames := int(3 * sc.Params.FrameRate)
 	rng := rand.New(rand.NewSource(42))
 	plan := radar.CompileFrontEndPlan(radar.DefaultConfig(), sc.Params)
@@ -66,12 +59,7 @@ func main() {
 	stages := append(pipeline.FrontEndStagesPlanned(plan, sc.Radar, pools), trk)
 	src := sc.Stream(0, nFrames, rng).UsePool(pools.Frames)
 	p := pipeline.New(src, stages...).UsePools(pools)
-	if *concurrent {
-		_, err = p.RunConcurrent(context.Background(), 2)
-	} else {
-		_, err = p.Run(context.Background())
-	}
-	if err != nil {
+	if _, err := p.Run(context.Background()); err != nil {
 		panic(err)
 	}
 	tracks := trk.Tracks()

@@ -9,7 +9,7 @@ import (
 
 // PoolCheck enforces the buffer-ownership contract from DESIGN.md: a
 // checkout from a free list (FramePool.Get, ProfilePool.Get,
-// parallel.FreeList.Get, the pipeline Item list) must, inside the acquiring
+// parallel.FreeList.Get) must, inside the acquiring
 // function, either reach a matching Put on every non-error path or be
 // handed off through a documented ownership-transfer point (returned,
 // stored into a struct field, passed to another function, sent on a
@@ -230,17 +230,13 @@ func (pc *poolChecker) emptyCheckout(blk *cfgBlock) *types.Var {
 }
 
 // isAcquireCall reports whether the call checks a buffer out of a
-// first-party free list: a Get* method on a *Pool or *FreeList type, or the
-// pipeline's getItem.
+// first-party free list: a Get* method on a *Pool or *FreeList type.
 func (pc *poolChecker) isAcquireCall(call *ast.CallExpr) bool {
 	fn := calleeFunc(pc.pass.TypesInfo, call)
 	if !firstParty(fn, pc.pass.ModulePath) {
 		return false
 	}
 	name := fn.Name()
-	if name == "getItem" {
-		return true
-	}
 	recv := funcSig(fn).Recv()
 	if recv == nil {
 		return false

@@ -24,7 +24,8 @@
 // which is what makes nested ForEachCtx calls from inside pool workers
 // deadlock-free by construction. Wake tokens are sent non-blocking: helpers
 // are strictly opportunistic, and a full queue just means the caller covers
-// the indices itself.
+// the indices itself. A panic in fn, on whichever goroutine it happens, is
+// re-raised on the fan-out's caller as a *Panic once the batch has joined.
 //
 // # Contexts
 //

@@ -2,6 +2,8 @@ package parallel
 
 import (
 	"context"
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -26,10 +28,10 @@ import (
 // goroutine and nested ForEachCtx calls cannot deadlock the pool no matter how
 // many rooms or stages share it.
 //
-// One process-wide pool (see Default) backs the package-level helpers; the
-// daemon in internal/service shares it across every room, which is the
-// point: thousands of sessions schedule onto one fixed set of workers
-// instead of each spawning its own fan-out goroutines per frame.
+// One process-wide pool backs the package-level helpers; the daemon in
+// internal/service shares it across every room, which is the point:
+// thousands of sessions schedule onto one fixed set of workers instead of
+// each spawning its own fan-out goroutines per frame.
 type Pool struct {
 	workers int
 	tasks   chan *batch
@@ -54,19 +56,41 @@ type batch struct {
 	pending atomic.Int64
 	joined  chan struct{}
 
-	// one, set by Submit, marks a detached single task: the goroutine that
-	// consumes it runs the function and closes done instead of joining a
-	// claim loop.
-	one  func()
-	done chan struct{}
+	// panicked holds the first panic raised by fn on any participant; once
+	// set, no participant claims another index.
+	panicked atomic.Pointer[Panic]
 }
+
+// Panic is the value Pool.ForEachCtx (and the package-level ForEachCtx)
+// re-panics with on the calling goroutine when fn panicked during a fan-out:
+// the first panic's value and the stack of the goroutine it was raised on,
+// which may be a pool helper. A panic that already is a *Panic (from a
+// nested fan-out) passes through unchanged.
+type Panic struct {
+	Value any
+	Stack []byte
+}
+
+// Error is the panic value alone, on one line; the stack stays in Stack.
+func (p *Panic) Error() string { return fmt.Sprint(p.Value) }
 
 // run claims indices until the batch is exhausted (or its context is done)
 // — the same loop the spawning fan-out used, shared by the caller and every
-// helper.
+// helper. A panic in fn is recorded on the batch rather than unwinding the
+// participant, so a helper's panic reaches the caller and a caller helping
+// another batch while it waits does not unwind out of its own join.
 func (b *batch) run() {
+	defer func() {
+		if r := recover(); r != nil {
+			pe, ok := r.(*Panic)
+			if !ok {
+				pe = &Panic{Value: r, Stack: debug.Stack()}
+			}
+			b.panicked.CompareAndSwap(nil, pe)
+		}
+	}()
 	for {
-		if b.ctx.Err() != nil {
+		if b.ctx.Err() != nil || b.panicked.Load() != nil {
 			return
 		}
 		i := int(b.next.Add(1)) - 1
@@ -107,17 +131,10 @@ func (p *Pool) worker() {
 	}
 }
 
-// consume processes one received wake token: run a detached Submit task, or
-// join a fan-out batch's claim loop and report the token consumed. It is
-// shared by the pool workers and by callers helping while they wait.
+// consume processes one received wake token: join the batch's claim loop
+// and report the token consumed. It is shared by the pool workers and by
+// callers helping while they wait.
 func (p *Pool) consume(b *batch) {
-	if b.one != nil {
-		fn, done := b.one, b.done
-		p.putBatch(b) // Submit batches carry no join state; recycle first
-		fn()
-		close(done)
-		return
-	}
 	b.run()
 	if b.pending.Add(-1) == 0 {
 		select {
@@ -130,17 +147,16 @@ func (p *Pool) consume(b *batch) {
 // Workers returns the pool's fixed worker count.
 func (p *Pool) Workers() int { return p.workers }
 
-// Close shuts the pool down: no further Submit/ForEachCtx calls may be made,
-// and Close returns once every worker has exited. The process-wide Default
-// pool is never closed.
+// Close shuts the pool down: no further ForEachCtx calls may be made, and
+// Close returns once every worker has exited. The process-wide pool behind
+// the package-level ForEachCtx is never closed.
 func (p *Pool) Close() {
 	close(p.tasks)
 	p.wg.Wait()
 }
 
 // getBatch pops a recycled batch descriptor or builds a fresh one; putBatch
-// returns one after its join completed (or, for Submit, before the detached
-// task runs — those carry no further batch state).
+// returns one after its join completed.
 func (p *Pool) getBatch() *batch {
 	b, ok := p.free.Get()
 	if !ok {
@@ -150,8 +166,9 @@ func (p *Pool) getBatch() *batch {
 }
 
 func (p *Pool) putBatch(b *batch) {
-	b.n, b.fn, b.ctx, b.one, b.done = 0, nil, nil, nil, nil
+	b.n, b.fn, b.ctx = 0, nil, nil
 	b.next.Store(0)
+	b.panicked.Store(nil)
 	// Drain any stale join signal so a recycled batch starts clean. A
 	// signal racing in after this drain only causes a spurious wake on the
 	// next use, and waiters re-check pending.
@@ -169,6 +186,12 @@ func (p *Pool) putBatch(b *batch) {
 // every call has completed, bit-identical results for any width under the
 // disjoint-write contract; participants stop claiming new indices once ctx
 // is done, and the call returns ctx.Err().
+//
+// If fn panics on any participant, the others stop claiming, the call still
+// joins every in-flight index and recycles the batch, and then panics on the
+// calling goroutine with a *Panic holding the first panic's value and the
+// stack it was raised on. With an effective width of one, fn runs inline
+// and its panic unwinds the caller directly.
 func (p *Pool) ForEachCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -193,7 +216,11 @@ func (p *Pool) ForEachCtx(ctx context.Context, n, workers int, fn func(i int)) e
 	b.n, b.fn, b.ctx = n, fn, ctx
 	p.runBatch(b, w-1)
 	err := ctx.Err()
+	pe := b.panicked.Load()
 	p.putBatch(b)
+	if pe != nil {
+		panic(pe)
+	}
 	return err
 }
 
@@ -229,26 +256,7 @@ func (p *Pool) runBatch(b *batch, helpers int) {
 	}
 }
 
-// Submit schedules fn as one detached task on a pool worker and returns a
-// channel closed when fn has finished — the heterogeneous-task entry point
-// for callers that want the pool's fixed goroutines instead of spawning
-// their own (Group covers bounded fan-out with error capture; Submit is a
-// single task). The send blocks while the pool's wake queue is full, so
-// Submit provides backpressure rather than unbounded queueing; do not call
-// it from inside a pool task. fn runs exactly once.
-func (p *Pool) Submit(fn func()) <-chan struct{} {
-	b := p.getBatch()
-	b.one = fn
-	b.done = make(chan struct{})
-	done := b.done
-	p.tasks <- b
-	return done
-}
-
-// Default returns the process-wide pool backing the package-level
-// ForEachCtx. It is created at package init with Workers(0)
-// goroutines — before any test baseline or leak check can observe the
-// spawn — and is never closed.
-func Default() *Pool { return defaultPool }
-
+// defaultPool backs the package-level ForEachCtx. It is created at package
+// init with Workers(0) goroutines — before any test baseline or leak check
+// can observe the spawn — and is never closed.
 var defaultPool = NewPool(0)

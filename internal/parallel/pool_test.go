@@ -2,7 +2,10 @@ package parallel
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -169,28 +172,127 @@ func TestPoolNestedForEachNoDeadlock(t *testing.T) {
 	}
 }
 
-// TestPoolSubmitRunsDetachedTask covers the Submit path: the task runs
-// exactly once on a pool goroutine and the returned channel closes after it
-// finishes.
-func TestPoolSubmitRunsDetachedTask(t *testing.T) {
+// TestPoolHelperPanicReachesCaller makes a fan-out's two indices rendezvous,
+// so one of them runs on a pool helper, and panic there. The panic must
+// come back to the ForEachCtx caller as a *Panic carrying the stack it was
+// raised on, and leave the pool whole: the same workers still cover every
+// index of the next fan-out, and no goroutine is lost.
+func TestPoolHelperPanicReachesCaller(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
-	var ran atomic.Int64
-	done := p.Submit(func() { ran.Add(1) })
+	ctx := context.Background()
+	p.ForEachCtx(ctx, 64, 2, func(i int) {}) // warm the batch free list
+	before := runtime.NumGoroutine()
+
+	var arrived atomic.Int32
+	both := make(chan struct{})
+	fn := func(i int) {
+		if arrived.Add(1) == 2 {
+			close(both)
+		}
+		select {
+		case <-both:
+		case <-time.After(5 * time.Second):
+		}
+		panic(fmt.Sprintf("boom %d", i))
+	}
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		p.ForEachCtx(ctx, 2, 2, fn)
+	}()
+	if arrived.Load() != 2 {
+		t.Fatalf("%d of 2 indices ran: no helper joined the fan-out", arrived.Load())
+	}
+	pe, ok := got.(*Panic)
+	if !ok {
+		t.Fatalf("ForEachCtx panicked with %#v, want a *Panic", got)
+	}
+	if msg := pe.Error(); msg != "boom 0" && msg != "boom 1" {
+		t.Fatalf("panic value %q, want one of the indices' panics", msg)
+	}
+	if !strings.Contains(string(pe.Stack), "TestPoolHelperPanicReachesCaller") {
+		t.Fatalf("panic stack lacks the panicking fn:\n%s", pe.Stack)
+	}
+
+	counts := make([]int32, 300)
+	if err := p.ForEachCtx(ctx, len(counts), 2, func(i int) { atomic.AddInt32(&counts[i], 1) }); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range counts {
+		if c != 1 {
+			t.Fatalf("after the panic, index %d ran %d times", i, c)
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() != before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("goroutines %d before the panicking fan-out, %d after", before, after)
+	}
+}
+
+// TestPoolHelpingCallerRecordsOthersPanic pins where a panic lands when the
+// goroutine that raises it is another caller helping while it waits. Caller
+// A's fan-out parks the pool's only worker, so A sits in its join; caller
+// B's two indices then rendezvous, so one of them runs on A, and panic. B
+// must re-panic with it, and A must finish its own fan-out normally.
+func TestPoolHelpingCallerRecordsOthersPanic(t *testing.T) {
+	p := NewPool(1)
+	defer p.Close()
+	ctx := context.Background()
+	onWorker := func() bool { return strings.Contains(string(debug.Stack()), "(*Pool).worker") }
+	wait := func(ch <-chan struct{}, what string) {
+		select {
+		case <-ch:
+		case <-time.After(5 * time.Second):
+			t.Errorf("timed out waiting for %s", what)
+		}
+	}
+
+	workerIn, gate := make(chan struct{}), make(chan struct{})
+	aDone := make(chan any, 1)
+	go func() {
+		defer func() { aDone <- recover() }()
+		err := p.ForEachCtx(ctx, 2, 2, func(i int) {
+			if onWorker() {
+				close(workerIn)
+				<-gate
+				return
+			}
+			wait(workerIn, "the worker to take A's other index")
+		})
+		if err != nil {
+			panic(err)
+		}
+	}()
+	wait(workerIn, "the worker to take A's other index")
+
+	var arrived atomic.Int32
+	both := make(chan struct{})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		p.ForEachCtx(ctx, 2, 2, func(i int) {
+			if arrived.Add(1) == 2 {
+				close(both)
+			}
+			wait(both, "B's indices to rendezvous")
+			panic("boom")
+		})
+	}()
+	close(gate)
+	if pe, ok := got.(*Panic); !ok || pe.Value != "boom" {
+		t.Fatalf("B's ForEachCtx panicked with %#v, want a *Panic of \"boom\"", got)
+	}
 	select {
-	case <-done:
+	case r := <-aDone:
+		if r != nil {
+			t.Fatalf("caller A unwound with %v while helping B", r)
+		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Submit task never completed")
-	}
-	if ran.Load() != 1 {
-		t.Fatalf("Submit ran task %d times", ran.Load())
-	}
-	// Submitted tasks and fan-outs share the pool without interference.
-	var hits atomic.Int64
-	done2 := p.Submit(func() { p.ForEachCtx(context.Background(), 32, 2, func(i int) { hits.Add(1) }) })
-	<-done2
-	if hits.Load() != 32 {
-		t.Fatalf("Submit+ForEach composition ran %d of 32 indices", hits.Load())
+		t.Fatal("caller A never finished its fan-out")
 	}
 }
 

@@ -20,22 +20,20 @@
 // ("Streaming pipeline") documents the stage graph and cancellation
 // semantics.
 //
-// # Execution modes
+// # Execution
 //
-// Run drives the chain sequentially on the caller's goroutine;
-// RunConcurrent gives every stage its own goroutine connected by bounded
-// channels, overlapping stage N of frame i with stage 1 of frame i+k while
-// preserving bit-identical output and delivery order. Both share the same
-// error and cancellation semantics.
+// Run drives the chain on the caller's goroutine, one frame at a time:
+// every stage finishes frame i before the source is asked for frame i+1.
+// Parallelism lives inside the stages' kernels (parallel.ForEachCtx over
+// antennas and range bins), not between stages.
 //
 // # Steady-state allocation
 //
 // With the source drawing from the same pools (scene.FrameStream.UsePool)
 // and Pipeline.UsePools, every buffer (frames, diffs, profiles, detection
-// slices, Doppler maps) is recycled, and the pipeline recycles its
-// per-frame Item records through an internal free list, so the
-// steady-state frame path of Run allocates exactly nothing (enforced by an
-// AllocsPerRun test). Buffer ownership follows DESIGN.md "Buffer ownership
+// slices, Doppler maps) is recycled, and the pipeline resets one Item per
+// frame instead of allocating one, so the steady-state frame path of Run
+// allocates exactly nothing (enforced by an AllocsPerRun test). Buffer ownership follows DESIGN.md "Buffer ownership
 // & pooling": the pipeline recycles at the sink, error-path buffers fall to
 // the GC, and collectors copy what they keep. Without UsePools the same
 // stages still work; their pools are never refilled, so each buffer is a

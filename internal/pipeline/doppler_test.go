@@ -35,6 +35,22 @@ func scattererFrames(p fmcw.Params, nFrames int, r0, v float64) []*fmcw.Frame {
 	return frames
 }
 
+// dopplerCollector keeps the last range–Doppler map seen (maps are
+// recomputed every frame once the window fills; the last one summarizes the
+// capture for equivalence checks).
+type dopplerCollector struct {
+	last *radar.RangeDopplerMap
+}
+
+func (c *dopplerCollector) Name() string { return "collect-doppler" }
+
+func (c *dopplerCollector) Process(ctx context.Context, it *Item) error {
+	if it.RangeDoppler != nil {
+		c.last = it.RangeDoppler
+	}
+	return nil
+}
+
 // lastDopplerMap pushes the frames through a DopplerStage and returns the
 // sliding-window map ending at the last frame.
 func lastDopplerMap(t *testing.T, frames []*fmcw.Frame, window int) *radar.RangeDopplerMap {

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"context"
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -72,9 +71,12 @@ func fuzzStages(order []byte, array fmcw.Array) []Stage {
 }
 
 // FuzzStageComposition drives random stage orderings and frame counts
-// through both schedulers: any composition must complete without panics or
-// deadlocks, deliver every frame, and produce identical detection
-// sequences sequentially and concurrently. Run with
+// through Run: any composition must complete without panics or deadlocks,
+// deliver every frame, and produce the detection sequence of a hand-driven
+// oracle that gives every stage a fresh Item per frame — which proves that
+// the Item Run reuses carries no state from one frame into the next. A
+// second run, canceled after frame cut mod nFrames, must return.
+// Run with
 //
 //	go test -fuzz FuzzStageComposition -fuzztime 10s ./internal/pipeline
 //
@@ -87,72 +89,70 @@ func FuzzStageComposition(f *testing.F) {
 	f.Add(uint8(9), uint8(3), []byte{4, 4, 0, 5})
 	f.Add(uint8(12), uint8(4), []byte{2, 1, 0, 3, 6})    // out-of-order front end
 	f.Add(uint8(3), uint8(2), []byte{5, 5, 5})           // duplicate stateful stages
-	f.Add(uint8(16), uint8(8), []byte{0, 1, 6, 2, 3, 4}) // deep buffers
+	f.Add(uint8(16), uint8(8), []byte{0, 1, 6, 2, 3, 4}) // full chain
 	f.Add(uint8(0), uint8(1), []byte{0, 1, 2})           // zero frames
 	f.Add(uint8(4), uint8(2), []byte{})                  // zero stages
-	f.Add(uint8(20), uint8(1), []byte{7, 0, 1, 2, 4, 5}) // velocity chain, depth 1
-	f.Fuzz(func(t *testing.T, nFrames, depth uint8, order []byte) {
+	f.Add(uint8(20), uint8(1), []byte{7, 0, 1, 2, 4, 5}) // velocity chain
+	f.Add(uint8(6), uint8(3), []byte{0, 2, 1})           // peak-extract ahead of its profile
+	f.Fuzz(func(t *testing.T, nFrames, cut uint8, order []byte) {
 		n := int(nFrames) % 21
-		d := int(depth)%8 + 1
 		array := fmcw.Array{}
 		frames := fuzzFrames(n)
+		ctx := context.Background()
 
-		run := func(concurrent bool) (int, [][]radar.Detection, error) {
-			stages := fuzzStages(order, array)
-			dets := NewCollectDetections()
-			stages = append(stages, dets)
-			p := New(FromFrames(frames), stages...)
-			var got int
-			var err error
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				if concurrent {
-					got, err = p.RunConcurrent(context.Background(), d)
-				} else {
-					got, err = p.Run(context.Background())
+		// Oracle: every stage sees a fresh &Item{Index: i, Frame: f}.
+		oracle := NewCollectDetections()
+		stages := append(fuzzStages(order, array), oracle)
+		for i, fr := range frames {
+			it := &Item{Index: i, Frame: fr}
+			for _, st := range stages {
+				if err := st.Process(ctx, it); err != nil {
+					t.Fatalf("oracle: stage %s errored on frame %d: %v", st.Name(), i, err)
 				}
-			}()
-			select {
-			case <-done:
-			case <-time.After(30 * time.Second):
-				t.Fatalf("pipeline deadlocked (concurrent=%v, frames=%d, depth=%d, order=%v)",
-					concurrent, n, d, order)
 			}
-			return got, dets.Detections(), err
 		}
 
-		seqN, seqDets, seqErr := run(false)
-		conN, conDets, conErr := run(true)
-		if seqErr != nil || conErr != nil {
-			t.Fatalf("pipeline errored: sequential %v, concurrent %v", seqErr, conErr)
+		dets := NewCollectDetections()
+		p := New(FromFrames(frames), append(fuzzStages(order, array), dets)...)
+		var got int
+		var err error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			got, err = p.Run(ctx)
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("pipeline deadlocked (frames=%d, order=%v)", n, order)
 		}
-		if seqN != n || conN != n {
-			t.Fatalf("dropped frames: sequential %d, concurrent %d, want %d", seqN, conN, n)
+		if err != nil {
+			t.Fatalf("pipeline errored: %v", err)
 		}
-		if !reflect.DeepEqual(seqDets, conDets) {
-			t.Fatalf("concurrent detections diverge from sequential (frames=%d, depth=%d, order=%v)",
-				n, d, order)
+		if got != n {
+			t.Fatalf("dropped frames: ran %d, want %d", got, n)
+		}
+		if !reflect.DeepEqual(dets.Detections(), oracle.Detections()) {
+			t.Fatalf("Run detections diverge from the fresh-Item oracle (frames=%d, order=%v)", n, order)
 		}
 
 		// Mid-capture cancellation must also never deadlock or leak: cancel
-		// at a pseudo-random frame derived from the inputs.
+		// after frame cut mod n.
 		if n > 0 {
-			stages := fuzzStages(order, array)
-			ctx, cancel := context.WithCancel(context.Background())
+			ctx, cancel := context.WithCancel(ctx)
 			defer cancel()
-			after := rand.New(rand.NewSource(int64(n*31+d))).Intn(n) + 1
-			stages = append(stages, &cancelAfter{n: after, cancel: cancel})
+			after := int(cut)%n + 1
+			stages := append(fuzzStages(order, array), &cancelAfter{n: after, cancel: cancel})
 			p := New(FromFrames(frames), stages...)
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				p.RunConcurrent(ctx, d) //nolint:errcheck // any ctx/nil outcome is fine; liveness is the property
+				p.Run(ctx) //nolint:errcheck // any ctx/nil outcome is fine; liveness is the property
 			}()
 			select {
 			case <-done:
 			case <-time.After(30 * time.Second):
-				t.Fatalf("canceled pipeline deadlocked (frames=%d, depth=%d, order=%v)", n, d, order)
+				t.Fatalf("canceled pipeline deadlocked (frames=%d, after=%d, order=%v)", n, after, order)
 			}
 		}
 	})

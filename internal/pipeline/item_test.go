@@ -38,15 +38,15 @@ func (s *nopStage) Process(ctx context.Context, it *Item) error {
 	return nil
 }
 
-// TestRunItemFreeListAllocsPerRun pins the Item free list's contract: after
-// warm-up, Run's per-frame machinery — source pull, Item checkout, stage
-// dispatch, recycle, Item return — allocates exactly nothing. Before the
-// free list, every frame allocated one Item; this test is the regression
-// guard that keeps the steady-state frame path allocation-free end to end.
+// TestRunItemFreeListAllocsPerRun pins the reused Item's contract: after
+// warm-up, Run's per-frame machinery — source pull, Item reset, stage
+// dispatch, recycle — allocates exactly nothing. A per-frame &Item{} would
+// cost one allocation a frame; this test is the regression guard that keeps
+// the steady-state frame path allocation-free end to end.
 func TestRunItemFreeListAllocsPerRun(t *testing.T) {
 	src := &loopSource{f: fmcw.NewFrame(fmcw.DefaultParams(), 0), n: 16}
 	p := New(src, &nopStage{})
-	// Warm-up: materialize the one steady-state Item.
+	// Warm-up: one full run before measuring.
 	if _, err := p.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -57,30 +57,5 @@ func TestRunItemFreeListAllocsPerRun(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("steady-state Run allocates %.1f objects per 16-frame run, want exactly 0", allocs)
-	}
-}
-
-// TestRunConcurrentReusesItems asserts the free list actually feeds
-// RunConcurrent too: across repeated runs the pipeline's checkout count
-// stays bounded by the in-flight window instead of growing with frames.
-func TestRunConcurrentReusesItems(t *testing.T) {
-	src := &loopSource{f: fmcw.NewFrame(fmcw.DefaultParams(), 0), n: 64}
-	st := &nopStage{}
-	p := New(src, st)
-	for run := 0; run < 3; run++ {
-		src.reset()
-		if _, err := p.RunConcurrent(context.Background(), 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st.frames != 3*64 {
-		t.Fatalf("stage saw %d frames, want %d", st.frames, 3*64)
-	}
-	free := p.items.Len()
-	// Window bound: stages+1 channels of depth 2, plus one per goroutine in
-	// flight. With 1 stage and depth 2 the hard ceiling is a handful; 64
-	// would mean the free list isn't being reused.
-	if free == 0 || free > 8 {
-		t.Fatalf("free list holds %d items after 3 runs of 64 frames; want a small in-flight window (1..8)", free)
 	}
 }

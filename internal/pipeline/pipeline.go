@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"rfprotect/internal/fmcw"
-	"rfprotect/internal/parallel"
 	"rfprotect/internal/radar"
 )
 
@@ -52,34 +51,14 @@ type Pipeline struct {
 	stages []Stage
 	pools  *Pools
 
-	// items recycles the per-frame Item records: an item goes back on the
-	// list once its last stage has run (and its pooled buffers have been
-	// recycled), so the steady state of Run and RunConcurrent holds exactly
-	// one live Item per in-flight frame and allocates none. Safe under the
-	// Stage contract — stages must not retain the Item or its buffers
-	// beyond Process.
-	items parallel.FreeList[*Item]
+	// item is the one per-frame record: Run processes one frame at a time,
+	// so it resets this Item for every frame instead of allocating one.
+	// Every field starts zero except the Detections backing array, which
+	// survives (emptied) so the peak-extract stage appends into it without
+	// allocating. Safe under the Stage contract — stages must not retain
+	// the Item or its buffers beyond Process.
+	item Item
 }
-
-// getItem pops a recycled Item (or allocates the first few) and stamps it
-// as frame i carrying f. Every field starts zero like the &Item{...} literal
-// it replaces, except that the Detections backing array survives (emptied)
-// so the peak-extract stage appends into it without allocating.
-func (p *Pipeline) getItem(i int, f *fmcw.Frame) *Item {
-	it, ok := p.items.Get()
-	if !ok {
-		return &Item{Index: i, Frame: f}
-	}
-	dets := it.Detections
-	*it = Item{Index: i, Frame: f}
-	it.Detections = dets[:0]
-	return it
-}
-
-// putItem returns an item whose stage chain has completed. Items on the
-// error/abort path are never put back — like half-processed buffers, they
-// simply drop to the GC.
-func (p *Pipeline) putItem(it *Item) { p.items.Put(it) }
 
 // New assembles a pipeline. Stages run in the given order for every frame.
 func New(src Source, stages ...Stage) *Pipeline {
@@ -153,7 +132,8 @@ func (p *Pipeline) Run(ctx context.Context) (frames int, err error) {
 		if err != nil {
 			return i, err
 		}
-		it := p.getItem(i, f)
+		it := &p.item
+		*it = Item{Index: i, Frame: f, Detections: it.Detections[:0]}
 		for _, st := range p.stages {
 			if err := st.Process(ctx, it); err != nil {
 				// The failed item's buffers are NOT recycled — on the error
@@ -163,7 +143,6 @@ func (p *Pipeline) Run(ctx context.Context) (frames int, err error) {
 			}
 		}
 		p.recycle(it)
-		p.putItem(it)
 	}
 }
 

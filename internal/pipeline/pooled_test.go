@@ -23,9 +23,8 @@ type chainResult struct {
 
 // runGoldenChain runs the full eavesdropper chain (background-subtract →
 // range-angle → peak-extract → doppler → track-with-velocity) over nFrames
-// at the given worker count, sequentially (depth 0) or concurrently, with or
-// without buffer recycling.
-func runGoldenChain(t *testing.T, sc *scene.Scene, nFrames int, seed int64, workers, depth int, pooled bool) chainResult {
+// at the given worker count, with or without buffer recycling.
+func runGoldenChain(t *testing.T, sc *scene.Scene, nFrames int, seed int64, workers int, pooled bool) chainResult {
 	t.Helper()
 	cfg := radar.DefaultConfig()
 	cfg.Workers = workers
@@ -41,13 +40,7 @@ func runGoldenChain(t *testing.T, sc *scene.Scene, nFrames int, seed int64, work
 		src.UsePool(pools.Frames)
 		p.UsePools(pools)
 	}
-	var n int
-	var err error
-	if depth > 0 {
-		n, err = p.RunConcurrent(context.Background(), depth)
-	} else {
-		n, err = p.Run(context.Background())
-	}
+	n, err := p.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,9 +48,8 @@ func runGoldenChain(t *testing.T, sc *scene.Scene, nFrames int, seed int64, work
 }
 
 // TestChainEquivalentToBatch is the golden contract of the one front-end
-// chain: for every worker count, for the sequential and the concurrent
-// runner, and with and without UsePools, it produces the detections and
-// tracks of the batch reference — FrontEndPlan.ProcessFrames +
+// chain: for every worker count, with and without UsePools, it produces the
+// detections and tracks of the batch reference — FrontEndPlan.ProcessFrames +
 // radar.TrackDetections over Scene.CaptureCtx — frame for frame and point for
 // point.
 func TestChainEquivalentToBatch(t *testing.T) {
@@ -68,24 +60,22 @@ func TestChainEquivalentToBatch(t *testing.T) {
 	wantDets := processFrames(t, frames, sc.Radar)
 	wantTracks := radar.TrackDetections(radar.TrackerConfig{}, wantDets)
 	for _, workers := range []int{1, 2, 0} {
-		for _, depth := range []int{0, 1, 4} { // 0 = sequential Run
-			for _, pooled := range []bool{false, true} {
-				name := fmt.Sprintf("workers=%d depth=%d pooled=%v", workers, depth, pooled)
-				got := runGoldenChain(t, sc, nFrames, seed, workers, depth, pooled)
-				if got.frames != nFrames {
-					t.Fatalf("%s: %d frames, want %d", name, got.frames, nFrames)
-				}
-				if !reflect.DeepEqual(got.dets, wantDets) {
-					t.Fatalf("%s: detections differ from the batch reference", name)
-				}
-				if len(got.tracks) != len(wantTracks) {
-					t.Fatalf("%s: %d tracks, want %d", name, len(got.tracks), len(wantTracks))
-				}
-				for i, w := range wantTracks {
-					g := got.tracks[i]
-					if g.ID != w.ID || g.Confirmed != w.Confirmed || !reflect.DeepEqual(g.Points, w.Points) {
-						t.Fatalf("%s: track %d differs from the batch reference", name, i)
-					}
+		for _, pooled := range []bool{false, true} {
+			name := fmt.Sprintf("workers=%d pooled=%v", workers, pooled)
+			got := runGoldenChain(t, sc, nFrames, seed, workers, pooled)
+			if got.frames != nFrames {
+				t.Fatalf("%s: %d frames, want %d", name, got.frames, nFrames)
+			}
+			if !reflect.DeepEqual(got.dets, wantDets) {
+				t.Fatalf("%s: detections differ from the batch reference", name)
+			}
+			if len(got.tracks) != len(wantTracks) {
+				t.Fatalf("%s: %d tracks, want %d", name, len(got.tracks), len(wantTracks))
+			}
+			for i, w := range wantTracks {
+				g := got.tracks[i]
+				if g.ID != w.ID || g.Confirmed != w.Confirmed || !reflect.DeepEqual(g.Points, w.Points) {
+					t.Fatalf("%s: track %d differs from the batch reference", name, i)
 				}
 			}
 		}
@@ -93,7 +83,7 @@ func TestChainEquivalentToBatch(t *testing.T) {
 }
 
 // TestPooledEquivalentToUnpooled pins what recycling must not change: for
-// every worker count and runner, the chain run with UsePools leaves the same
+// every worker count, the chain run with UsePools leaves the same
 // detections and tracks as the same chain run without it — including the
 // Doppler radial velocities, which the batch reference does not compute, so
 // a pooled range–Doppler map recycled too early would show up here.
@@ -102,25 +92,22 @@ func TestPooledEquivalentToUnpooled(t *testing.T) {
 	const seed = 11
 	sc := testSession(t).Scene
 	for _, workers := range []int{1, 2, 0} {
-		for _, depth := range []int{0, 1, 4} { // 0 = sequential Run
-			name := fmt.Sprintf("workers=%d depth=%d", workers, depth)
-			want := runGoldenChain(t, sc, nFrames, seed, workers, depth, false)
-			got := runGoldenChain(t, sc, nFrames, seed, workers, depth, true)
-			if got.frames != want.frames {
-				t.Fatalf("%s: %d frames, want %d", name, got.frames, want.frames)
-			}
-			if !reflect.DeepEqual(got.dets, want.dets) {
-				t.Fatalf("%s: pooled detections differ from unpooled", name)
-			}
-			if len(got.tracks) != len(want.tracks) {
-				t.Fatalf("%s: %d tracks, want %d", name, len(got.tracks), len(want.tracks))
-			}
-			for i, w := range want.tracks {
-				g := got.tracks[i]
-				if g.ID != w.ID || g.Confirmed != w.Confirmed || !reflect.DeepEqual(g.Points, w.Points) ||
-					g.HasVelocity != w.HasVelocity || g.RadialVelocity != w.RadialVelocity {
-					t.Fatalf("%s: track %d differs", name, i)
-				}
+		want := runGoldenChain(t, sc, nFrames, seed, workers, false)
+		got := runGoldenChain(t, sc, nFrames, seed, workers, true)
+		if got.frames != want.frames {
+			t.Fatalf("workers=%d: %d frames, want %d", workers, got.frames, want.frames)
+		}
+		if !reflect.DeepEqual(got.dets, want.dets) {
+			t.Fatalf("workers=%d: pooled detections differ from unpooled", workers)
+		}
+		if len(got.tracks) != len(want.tracks) {
+			t.Fatalf("workers=%d: %d tracks, want %d", workers, len(got.tracks), len(want.tracks))
+		}
+		for i, w := range want.tracks {
+			g := got.tracks[i]
+			if g.ID != w.ID || g.Confirmed != w.Confirmed || !reflect.DeepEqual(g.Points, w.Points) ||
+				g.HasVelocity != w.HasVelocity || g.RadialVelocity != w.RadialVelocity {
+				t.Fatalf("workers=%d: track %d differs", workers, i)
 			}
 		}
 	}
@@ -142,9 +129,9 @@ func (c *dopplerMapsCollector) Process(ctx context.Context, it *Item) error {
 }
 
 // TestPlannedEquivalentToUnpooled checks the planned Doppler stage against
-// the plain kernel call: with pooled maps, sequentially and concurrently,
-// every sliding-window map the chain emits equals RangeDopplerInto into a
-// fresh map over the same window of source frames.
+// the plain kernel call: with pooled maps, every sliding-window map the chain
+// emits equals RangeDopplerInto into a fresh map over the same window of
+// source frames.
 func TestPlannedEquivalentToUnpooled(t *testing.T) {
 	const nFrames = 14
 	const window = 6
@@ -166,32 +153,23 @@ func TestPlannedEquivalentToUnpooled(t *testing.T) {
 		want = append(want, m)
 	}
 
-	for _, depth := range []int{0, 4} { // 0 = sequential Run
-		cfg := radar.DefaultConfig()
-		cfg.Workers = 1
-		plan := radar.CompileFrontEndPlan(cfg, sc.Params)
-		pools := NewPools(sc.Params)
-		mapsC := &dopplerMapsCollector{}
-		stages := append(FrontEndStagesPlanned(plan, sc.Radar, pools),
-			NewDopplerPlanned(plan, window, 0, pools.Doppler), mapsC)
-		src := sc.Stream(0, nFrames, rand.New(rand.NewSource(seed))).UsePool(pools.Frames)
-		p := New(src, stages...).UsePools(pools)
-		var err error
-		if depth > 0 {
-			_, err = p.RunConcurrent(context.Background(), depth)
-		} else {
-			_, err = p.Run(context.Background())
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(mapsC.maps) != len(want) {
-			t.Fatalf("depth=%d: %d range–Doppler maps, want %d", depth, len(mapsC.maps), len(want))
-		}
-		for i, w := range want {
-			if !reflect.DeepEqual(mapsC.maps[i], w) {
-				t.Fatalf("depth=%d: map %d differs from RangeDopplerInto", depth, i)
-			}
+	cfg := radar.DefaultConfig()
+	cfg.Workers = 1
+	plan := radar.CompileFrontEndPlan(cfg, sc.Params)
+	pools := NewPools(sc.Params)
+	mapsC := &dopplerMapsCollector{}
+	stages := append(FrontEndStagesPlanned(plan, sc.Radar, pools),
+		NewDopplerPlanned(plan, window, 0, pools.Doppler), mapsC)
+	src := sc.Stream(0, nFrames, rand.New(rand.NewSource(seed))).UsePool(pools.Frames)
+	if _, err := New(src, stages...).UsePools(pools).Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if len(mapsC.maps) != len(want) {
+		t.Fatalf("%d range–Doppler maps, want %d", len(mapsC.maps), len(want))
+	}
+	for i, w := range want {
+		if !reflect.DeepEqual(mapsC.maps[i], w) {
+			t.Fatalf("map %d differs from RangeDopplerInto", i)
 		}
 	}
 }
@@ -355,7 +333,7 @@ func TestPlannedChainZeroAllocsSteadyState(t *testing.T) {
 		f := pools.Frames.Get(float64(i) / p.FrameRate)
 		f.CopyFrom(templates[i%len(templates)])
 		it = Item{Index: i, Frame: f}
-		it.Detections = detBuf[:0] // what getItem's recycling preserves
+		it.Detections = detBuf[:0] // what Run's reused Item preserves
 		for _, st := range stages {
 			if err := st.Process(ctx, &it); err != nil {
 				t.Fatal(err)

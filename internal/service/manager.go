@@ -98,26 +98,34 @@ func (m *Manager) CreateRoom(cfg RoomConfig) (*Room, error) {
 		cfg.ID = fmt.Sprintf("room-%d", m.nextID.Add(1))
 	}
 	si := m.shardOf(cfg.ID)
-	sh := m.shards[si]
-	r, err := newRoom(cfg, si, sh)
+	r, err := newRoom(cfg, si, m.shards[si])
 	if err != nil {
 		return nil, err
 	}
-	sh.mu.Lock()
-	if _, ok := sh.rooms[cfg.ID]; ok {
-		sh.mu.Unlock()
-		return nil, ErrRoomExists
+	if err := m.start(r); err != nil {
+		return nil, err
 	}
-	sh.rooms[cfg.ID] = r
+	return r, nil
+}
+
+// start publishes a newly built room on its shard and starts its runner.
+func (m *Manager) start(r *Room) error {
+	sh := r.sh
+	sh.mu.Lock()
+	if _, ok := sh.rooms[r.ID]; ok {
+		sh.mu.Unlock()
+		return ErrRoomExists
+	}
+	sh.rooms[r.ID] = r
 	sh.mu.Unlock()
 	// Re-check after publishing: if a drain started between the first check
 	// and the insert, its room sweep may have missed this room, so withdraw
 	// rather than start a runner the drain will never join.
 	if m.draining.Load() {
 		sh.mu.Lock()
-		delete(sh.rooms, cfg.ID)
+		delete(sh.rooms, r.ID)
 		sh.mu.Unlock()
-		return nil, ErrDraining
+		return ErrDraining
 	}
 	rctx, rcancel := context.WithCancel(m.baseCtx)
 	r.cancel = rcancel
@@ -128,7 +136,7 @@ func (m *Manager) CreateRoom(cfg RoomConfig) (*Room, error) {
 		defer rcancel()
 		r.run(rctx)
 	}()
-	return r, nil
+	return nil
 }
 
 // Room looks up a live (or finished but not yet deleted) room.

@@ -15,6 +15,7 @@ import (
 	"rfprotect/internal/core"
 	"rfprotect/internal/detect"
 	"rfprotect/internal/fmcw"
+	"rfprotect/internal/parallel"
 	"rfprotect/internal/pipeline"
 	"rfprotect/internal/radar"
 	"rfprotect/internal/scene"
@@ -193,13 +194,20 @@ func (r *Room) run(ctx context.Context) {
 
 // runPipeline runs the room's pipeline on the calling goroutine and turns
 // a panic in any of its stages into the room's error, so a broken frame or
-// stage fails its own room rather than the whole process. The error clients
-// see is one line; the panic's stack goes to the process log.
+// stage fails its own room rather than the whole process. That includes a
+// panic raised on a pool helper inside a stage's fan-out, which
+// parallel.ForEachCtx re-raises here as a *parallel.Panic. The error clients
+// see is one line; the panic's stack goes to the process log, followed by
+// the stack of the goroutine a fan-out panic was raised on.
 func (r *Room) runPipeline(ctx context.Context) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("service: room %s panicked: %v", r.ID, p)
-			log.Printf("%v\n%s", err, debug.Stack())
+			stack := debug.Stack()
+			if pe, ok := p.(*parallel.Panic); ok {
+				stack = fmt.Appendf(stack, "raised in a fan-out on:\n%s", pe.Stack)
+			}
+			log.Printf("%v\n%s", err, stack)
 		}
 	}()
 	_, err = r.pipe.Run(ctx)

@@ -10,12 +10,14 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"rfprotect/internal/core"
 	"rfprotect/internal/detect"
 	"rfprotect/internal/fmcw"
+	"rfprotect/internal/parallel"
 	"rfprotect/internal/pipeline"
 	"rfprotect/internal/radar"
 	"rfprotect/internal/scene"
@@ -225,17 +227,42 @@ func TestPushRejectsWrongShape(t *testing.T) {
 	}
 }
 
-// TestRoomPanicFailsOnlyItsRoom makes one ingest room's runner panic, once
-// in the front end (a wrong-shape frame sent straight into the queue, past
-// Push's check) and once inside step with trkMu held. That room fails, with
-// the one-line panic as its error and on its final event, and the panic's
-// stack in the process log; its subscriber closes, its intake refuses
-// frames, and its handlers still answer. The healthy room on the same
-// manager processes every frame, and Drain joins both runners with no
-// goroutine left behind.
+// fanOutPanicStage panics inside a fan-out of width 2 whose two indices
+// rendezvous first, so the panic is raised on a pool helper as well as on
+// the runner.
+type fanOutPanicStage struct{}
+
+func (fanOutPanicStage) Name() string { return "fan-out-panic" }
+
+func (fanOutPanicStage) Process(ctx context.Context, it *pipeline.Item) error {
+	var arrived atomic.Int32
+	both := make(chan struct{})
+	return parallel.ForEachCtx(ctx, 2, 2, func(i int) {
+		if arrived.Add(1) == 2 {
+			close(both)
+		}
+		select {
+		case <-both:
+		case <-time.After(5 * time.Second):
+		}
+		panic("fan-out index failed")
+	})
+}
+
+// TestRoomPanicFailsOnlyItsRoom makes one ingest room's runner panic: in
+// the front end (a wrong-shape frame sent straight into the queue, past
+// Push's check), inside step with trkMu held, and inside a stage's fan-out,
+// where the panic is raised on a pool helper. That room fails, with the
+// one-line panic as its error and on its final event, and the panic's stack
+// in the process log; its subscriber closes, its intake refuses frames, and
+// its handlers still answer. The healthy room on the same manager processes
+// every frame, and Drain joins both runners with no goroutine left behind.
 func TestRoomPanicFailsOnlyItsRoom(t *testing.T) {
 	cases := []struct {
 		name string
+		// stage, if set, replaces the bad room's stage chain (ahead of its
+		// emit stage) before its runner starts.
+		stage pipeline.Stage
 		// poison makes the room's runner panic and returns a function that
 		// undoes whatever it changed on the room once the runner is done.
 		poison func(t *testing.T, r *Room) (undo func())
@@ -274,6 +301,19 @@ func TestRoomPanicFailsOnlyItsRoom(t *testing.T) {
 			},
 			frame: "service.(*Room).step",
 		},
+		{
+			// The fan-out's fn frame is only on the stack the panic was
+			// raised on, so finding it in the log shows that stack is kept.
+			name:  "in-fan-out",
+			stage: fanOutPanicStage{},
+			poison: func(t *testing.T, r *Room) func() {
+				if err := r.Push(context.Background(), r.pools.Frames.Get(0)); err != nil {
+					t.Fatal(err)
+				}
+				return func() {}
+			},
+			frame: "service.fanOutPanicStage.Process.func1",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -284,8 +324,14 @@ func TestRoomPanicFailsOnlyItsRoom(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			m := NewManager(ctx, 1)
-			bad, err := m.CreateRoom(RoomConfig{ID: "bad"})
+			bad, err := newRoom(RoomConfig{ID: "bad", QueueDepth: 64}, 0, m.shards[0])
 			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.stage != nil {
+				bad.pipe = pipeline.New(&queueSource{r: bad}, tc.stage, &emitStage{r: bad}).UsePools(bad.pools)
+			}
+			if err := m.start(bad); err != nil {
 				t.Fatal(err)
 			}
 			good, err := m.CreateRoom(RoomConfig{ID: "good"})
