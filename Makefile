@@ -92,8 +92,9 @@ cover:
 
 # Bounded fuzz exploration of the stage-composition state space, the
 # spoof-detector input space, the scorer's stored verdicts against an
-# uncached recompute, and the ingest frame decoder against its
-# encoding/json oracle; the seed corpora alone run on every plain `go test`.
+# uncached recompute, the ingest frame decoder against its encoding/json
+# oracle, and the row-pruned peak finder against the full scan; the seed
+# corpora alone run on every plain `go test`.
 # FuzzScoreMemo runs a whole tracker stream per input (about a millisecond),
 # so the default 60 s minimization of each new-coverage input would eat the
 # whole budget; -fuzzminimizetime caps it.
@@ -102,6 +103,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDetect -fuzztime 10s ./internal/detect
 	$(GO) test -run '^$$' -fuzz FuzzScoreMemo -fuzztime 10s -fuzzminimizetime 100x ./internal/detect
 	$(GO) test -run '^$$' -fuzz FuzzIngestFrame -fuzztime 10s ./internal/service
+	$(GO) test -run '^$$' -fuzz FuzzPeakRows -fuzztime 10s ./internal/dsp
 
 # Daemon smoke: build rfprotectd, then drive the full lifecycle under the
 # race detector — 8 concurrent rooms × 64 frames whose exported tracks are

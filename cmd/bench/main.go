@@ -270,6 +270,22 @@ func runSnapshot(minDur time.Duration, seed int64, quick bool) Snapshot {
 	add("frame_synthesis_planned", 1, planned, true)
 	snap.Speedups["synth_plan"] = legacy.ns / planned.ns
 
+	// One antenna's noise: a one-antenna frame with no returns, so the op
+	// is the base draw, one reseed of the antenna's noise stream and the
+	// 1,024 normals of its 512-sample row.
+	noiseParams := params
+	noiseParams.NumAntennas = 1
+	noisePool := fmcw.NewFramePool(noiseParams)
+	nplan := fmcw.PlanSynth(noiseParams)
+	noiseS := measure(minDur, func() {
+		f := noisePool.Get(0)
+		if err := nplan.SynthesizeInto(ctx, f, nil, rng, 1); err != nil {
+			fatal("synthesize-noise", err)
+		}
+		noisePool.Put(f)
+	})
+	add("noise_row_512", 1, noiseS, true)
+
 	// Single 512-point FFT, cached plan (steady state of the radar
 	// pipeline), in place over a copy. Allocation-free once the plan is
 	// cached.
@@ -305,9 +321,10 @@ func runSnapshot(minDur time.Duration, seed int64, quick bool) Snapshot {
 
 	// Pooled hot-path kernels, one row per stage of the steady-state frame
 	// path: background subtraction through a pooled Differencer, the
-	// range-FFT + beamform kernel into a reused Profile, and the Doppler
-	// burst kernel into a reused map. All three are single-worker pooled
-	// steady states — the allocation count must be exactly zero.
+	// range-FFT + beamform kernel into a reused Profile, peak extraction
+	// from that profile, and the Doppler burst kernel into a reused map.
+	// All four are single-worker pooled steady states — the allocation
+	// count must be exactly zero.
 	frameA := synthFrame(ctx, params, returns, 0, rand.New(rand.NewSource(seed)), 1)
 	frameB := synthFrame(ctx, params, returns[:len(returns)/2], 1/params.FrameRate, rand.New(rand.NewSource(parallel.SplitSeed(seed, 1))), 1)
 	var dif fmcw.Differencer
@@ -336,6 +353,14 @@ func runSnapshot(minDur time.Duration, seed int64, quick bool) Snapshot {
 		}
 	})
 	add("range_angle_plan_pooled", 1, raS, true)
+
+	// Peak extraction on that profile: threshold from the row maxima, the
+	// row-pruned 3×3 local-max scan, sub-bin refinement, into a reused
+	// detection slice.
+	array := fmcw.Array{Facing: 1}
+	var dets []radar.Detection
+	detS := measure(minDur, func() { dets = plan.DetectInto(dets, prof, array) })
+	add("detect_plan_pooled", 1, detS, true)
 
 	rows := make([][]complex128, 8) // antenna 0 of each chirp
 	for i := range rows {

@@ -107,11 +107,27 @@ func (f *Peak2DFinder) Less(i, j int) bool {
 // returned slice aliases the finder and is valid until the next Find call;
 // callers that keep peaks across calls must copy them out.
 func (f *Peak2DFinder) Find(g []float64, rows, cols int, minValue float64, minDistance int) []Peak2D {
+	return f.FindRows(g, rows, cols, nil, nil, minValue, minDistance)
+}
+
+// FindRows is Find with a per-row summary of g that lets it skip the rows
+// that cannot hold a candidate: rowMax[r] must be at least every non-NaN
+// cell of row r, and rowNaN[r] must be set when row r holds a NaN. Row r is
+// skipped when rowMax[r] < minValue and it holds no NaN — then every cell
+// fails the candidate test v >= minValue, and a NaN cell (which the test
+// keeps: NaN < minValue is false) cannot hide there. Skipped rows are still
+// read as neighbours of the rows around them, and candidates are collected
+// in the same row-major order, so the result is exactly Find's. nil
+// summaries scan every row.
+func (f *Peak2DFinder) FindRows(g []float64, rows, cols int, rowMax []float64, rowNaN []bool, minValue float64, minDistance int) []Peak2D {
 	if minDistance < 1 {
 		minDistance = 1
 	}
 	cands := f.cands[:0]
 	for r := 0; r < rows; r++ {
+		if rowMax != nil && rowMax[r] < minValue && !rowNaN[r] {
+			continue
+		}
 		for c := 0; c < cols; c++ {
 			v := g[r*cols+c]
 			if v < minValue {
@@ -176,7 +192,15 @@ func QuadraticInterp(x []float64, i int) float64 {
 	if i <= 0 || i >= len(x)-1 {
 		return 0
 	}
-	a, b, c := x[i-1], x[i], x[i+1]
+	return QuadraticOffset(x[i-1], x[i], x[i+1])
+}
+
+// QuadraticOffset is QuadraticInterp's core on the three samples around an
+// interior peak: the vertex offset of the parabola through (-1, a), (0, b),
+// (1, c), clamped to [-0.5, 0.5], or 0 for a flat triple. Callers that read
+// a strided series (a grid column) apply QuadraticInterp's boundary rule
+// themselves and pass the three cells.
+func QuadraticOffset(a, b, c float64) float64 {
 	den := a - 2*b + c
 	if den == 0 {
 		return 0

@@ -134,15 +134,18 @@ var synthJobs parallel.FreeList[*synthJob]
 
 // noiseRngs recycles the per-antenna noise generators so steady-state
 // synthesis stops allocating a rand.Rand (and its ~5 KiB source state) per
-// antenna per frame. Reseeding a recycled source with Seed(s) reproduces
-// exactly the state rand.New(rand.NewSource(s)) would have, so the noise
-// bits are unchanged; the stream still depends only on (base, antenna).
+// antenna per frame. Each wraps a noiseSource, math/rand's v1 source with
+// an O(1)-per-word Seed: reseeding a recycled generator with Seed(s)
+// reproduces exactly the state rand.New(rand.NewSource(s)) would have, so
+// the noise bits are those of the stdlib source; the stream still depends
+// only on (base, antenna). Both synthesis kernels draw from here, so the
+// synth_plan gate compares them on the same generator.
 var noiseRngs parallel.FreeList[*rand.Rand]
 
 func getNoiseRng() *rand.Rand {
 	r, ok := noiseRngs.Get()
 	if !ok {
-		r = rand.New(rand.NewSource(0))
+		r = rand.New(new(noiseSource))
 	}
 	return r
 }

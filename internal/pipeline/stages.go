@@ -286,9 +286,7 @@ func (s *ProfilesCollector) Name() string { return "collect-profiles" }
 
 func (s *ProfilesCollector) Process(ctx context.Context, it *Item) error {
 	if it.Profile != nil {
-		cp := *it.Profile
-		cp.Power = append([]float64(nil), it.Profile.Power...)
-		s.profs = append(s.profs, &cp)
+		s.profs = append(s.profs, it.Profile.Clone())
 	}
 	return nil
 }

@@ -17,7 +17,9 @@ func cpuHasAVX() bool
 // (re, im) pairs and wre/wim point at the flat antenna-major steering planes
 // (row k at element offset k*stride). n must be a multiple of four and the
 // slices behind the pointers must cover n elements per steering row; the
-// caller handles the tail bins in Go. Implemented in beam_amd64.s.
+// caller handles the tail bins in Go. It returns the summary of the n bins
+// it wrote: rowMax is the fold m = 0; if v > m { m = v } (NaN never passes)
+// and rowNaN reports whether any bin is NaN. Implemented in beam_amd64.s.
 //
 //go:noescape
-func beamSweepAVX(row *float64, n, nAnt int, s, wre, wim *float64, stride int)
+func beamSweepAVX(row *float64, n, nAnt int, s, wre, wim *float64, stride int) (rowMax float64, rowNaN bool)

@@ -5,7 +5,7 @@
 
 #include "textflag.h"
 
-// func beamSweepAVX(row *float64, n, nAnt int, s, wre, wim *float64, stride int)
+// func beamSweepAVX(row *float64, n, nAnt int, s, wre, wim *float64, stride int) (rowMax float64, rowNaN bool)
 //
 // For each angle quad a in [0, n) step 4 (n is a multiple of 4):
 //
@@ -14,8 +14,19 @@
 //	    wr = wre[k*stride + a .. +4]; wi = wim[k*stride + a .. +4]
 //	    re += s[2k]*wr - s[2k+1]*wi
 //	    im += s[2k]*wi + s[2k+1]*wr
-//	row[a .. +4] = re*re + im*im
-TEXT ·beamSweepAVX(SB), NOSPLIT, $0-56
+//	v = re*re + im*im
+//	row[a .. +4] = v
+//	mx = max(v, mx)                            // per lane; NaN v keeps mx
+//	un |= unordered(v, v)                      // per lane NaN mask
+//
+// then rowMax = the max of mx's four lanes and rowNaN = any lane of un.
+// MAXPD returns its second source when either source is NaN or they
+// compare equal, so with the accumulator as the second source (Intel
+// order; it is the first operand in Go's reversed order) a NaN power
+// leaves it unchanged — the scalar kernel's "if v > m { m = v }". The
+// accumulator starts at +0 and never holds a NaN, so the lane reduction
+// order does not matter.
+TEXT ·beamSweepAVX(SB), NOSPLIT, $0-65
 	MOVQ row+0(FP), DI
 	MOVQ n+8(FP), DX
 	MOVQ nAnt+16(FP), AX
@@ -28,6 +39,8 @@ TEXT ·beamSweepAVX(SB), NOSPLIT, $0-56
 	SHLQ $3, R10        // steering row stride in bytes
 	DECQ AX             // antennas beyond the seed
 	XORQ CX, CX         // quad index, in bytes
+	VXORPD Y8, Y8, Y8   // row max accumulator, per lane
+	VXORPD Y9, Y9, Y9   // row NaN mask, per lane
 
 	TESTQ DX, DX
 	JE    done
@@ -67,11 +80,22 @@ square:
 	VMULPD  Y1, Y1, Y3
 	VADDPD  Y3, Y2, Y2           // re*re + im*im
 	VMOVUPD Y2, (DI)(CX*1)
+	VMAXPD  Y8, Y2, Y8           // mx = v > mx ? v : mx
+	VCMPPD  $3, Y2, Y2, Y3       // UNORD_Q: all ones where v is NaN
+	VORPD   Y3, Y9, Y9
 	ADDQ $32, CX
 	CMPQ CX, DX
 	JLT  quad
 
 done:
+	VEXTRACTF128 $1, Y8, X3
+	VMAXPD       X3, X8, X8
+	VPERMILPD    $1, X8, X3
+	VMAXPD       X3, X8, X8
+	VMOVSD       X8, rowMax+56(FP)
+	VMOVMSKPD    Y9, AX
+	TESTL        AX, AX
+	SETNE        rowNaN+64(FP)
 	VZEROUPPER
 	RET
 

@@ -1,7 +1,9 @@
 package radar
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"rfprotect/internal/dsp"
@@ -178,15 +180,12 @@ func TestDetectEmptyProfile(t *testing.T) {
 // beamforming sum, leaving Inf and NaN in the profile and the Doppler map.
 // DetectInto must skip every peak whose power, range or angle is not
 // finite, and PeakVelocityAtRange must report no velocity rather than a
-// NaN one.
+// NaN one. Nothing of the poisoned frame may survive it: the next clean
+// frame, through the same plan and into the same profile and detection
+// slice, must detect exactly what a fresh plan detects.
 func TestOverflowingFrameYieldsOnlyFiniteOutput(t *testing.T) {
 	p := quietParams()
-	hot := fmcw.NewFrame(p, 0)
-	for _, row := range hot.Data {
-		for j := range row {
-			row[j] = complex(1e160*float64(j%3), 0)
-		}
-	}
+	hot := overflowingFrame(p)
 	pl := PlanFrontEnd(DefaultConfig(), p)
 	prof := rangeAngle(t, pl, hot)
 	overflowed := false
@@ -197,10 +196,25 @@ func TestOverflowingFrameYieldsOnlyFiniteOutput(t *testing.T) {
 		t.Fatal("the profile stayed finite; the test proves nothing")
 	}
 	array := fmcw.Array{Position: geom.Point{}, Facing: 1}
-	for _, d := range pl.DetectInto(nil, prof, array) {
+	dets := pl.DetectInto(nil, prof, array)
+	for _, d := range dets {
 		if !finite(d.Power) || !finite(d.Range) || !finite(d.AoA) || !finite(d.Pos.X) || !finite(d.Pos.Y) {
 			t.Fatalf("non-finite detection %+v", d)
 		}
+	}
+
+	clean := scratchFrame(p, 9, 0.05)
+	if err := pl.RangeAngleInto(context.Background(), clean, prof); err != nil {
+		t.Fatal(err)
+	}
+	dets = pl.DetectInto(dets, prof, array)
+	fresh := CompileFrontEndPlan(DefaultConfig(), p)
+	want := fresh.DetectInto(nil, rangeAngle(t, fresh, clean), array)
+	if len(want) == 0 {
+		t.Fatal("the clean frame detects nothing; the test proves nothing")
+	}
+	if !reflect.DeepEqual(dets, want) {
+		t.Fatalf("clean frame after a poisoned one detects %+v, a fresh plan %+v", dets, want)
 	}
 
 	chirps := make([]*fmcw.Frame, 8)
@@ -213,6 +227,18 @@ func TestOverflowingFrameYieldsOnlyFiniteOutput(t *testing.T) {
 			t.Fatalf("range bin %d: velocity %v, power %v reported ok", r, v, pw)
 		}
 	}
+}
+
+// overflowingFrame returns a frame of finite samples large enough to
+// overflow the range FFT and the beamforming sum.
+func overflowingFrame(p fmcw.Params) *fmcw.Frame {
+	hot := fmcw.NewFrame(p, 0)
+	for _, row := range hot.Data {
+		for j := range row {
+			row[j] = complex(1e160*float64(j%3), 0)
+		}
+	}
+	return hot
 }
 
 func TestCDFOfTrackErrors(t *testing.T) {

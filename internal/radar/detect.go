@@ -23,10 +23,17 @@ type Detection struct {
 // thresholds, refined with quadratic interpolation in both range and angle,
 // then mapped to world coordinates through the array. Peaks whose power,
 // range or angle is not finite are skipped before the MaxTargets cap. The
-// interpolation column and peak-finder scratch come from the plan's free
-// list, so a warmed-up call allocates nothing beyond growing dst the first
-// time. The profile must describe the plan's compiled shape (any profile
-// produced by the plan's RangeAngleInto does).
+// peak-finder scratch comes from the plan's free list, so a warmed-up call
+// allocates nothing beyond growing dst the first time. The profile must
+// describe the plan's compiled shape (any profile produced by the plan's
+// RangeAngleInto does).
+//
+// A profile filled by RangeAngleInto carries per-row maxima and NaN flags:
+// the strongest cell is the max of the row maxima (the same value as a fold
+// over every cell, since the max of non-NaN values does not depend on the
+// order), and the peak finder skips the rows that cannot pass the
+// threshold. A profile without the summary is scanned whole. The
+// detections are the same bits either way.
 //
 //rfvet:allocfree
 func (pl *FrontEndPlan) DetectInto(dst []Detection, prof *Profile, array fmcw.Array) []Detection {
@@ -34,8 +41,16 @@ func (pl *FrontEndPlan) DetectInto(dst []Detection, prof *Profile, array fmcw.Ar
 	if prof.RangeBins == 0 {
 		return dst
 	}
+	rowMax, rowNaN := prof.rowMax, prof.rowNaN
+	if len(rowMax) != prof.RangeBins || len(rowNaN) != prof.RangeBins {
+		rowMax, rowNaN = nil, nil
+	}
 	maxPower := 0.0
-	for _, v := range prof.Power {
+	cells := prof.Power
+	if rowMax != nil {
+		cells = rowMax
+	}
+	for _, v := range cells {
 		if v > maxPower {
 			maxPower = v
 		}
@@ -54,8 +69,7 @@ func (pl *FrontEndPlan) DetectInto(dst []Detection, prof *Profile, array fmcw.Ar
 	if !ok {
 		e = newDetExec()
 	}
-	peaks := e.finder.Find(prof.Power, prof.RangeBins, prof.AngleBins, thresh, sep)
-	col := e.rangeCol(prof.RangeBins)
+	peaks := e.finder.FindRows(prof.Power, prof.RangeBins, prof.AngleBins, rowMax, rowNaN, thresh, sep)
 	for _, pk := range peaks {
 		if len(dst) == pl.cfg.MaxTargets {
 			break
@@ -63,10 +77,7 @@ func (pl *FrontEndPlan) DetectInto(dst []Detection, prof *Profile, array fmcw.Ar
 		// Sub-bin refinement along range (column fixed) and angle (row fixed).
 		rowSlice := prof.Power[pk.Row*prof.AngleBins : (pk.Row+1)*prof.AngleBins]
 		aOff := dsp.QuadraticInterp(rowSlice, pk.Col)
-		for r := 0; r < prof.RangeBins; r++ {
-			col[r] = prof.At(r, pk.Col)
-		}
-		rOff := dsp.QuadraticInterp(col, pk.Row)
+		rOff := columnInterp(prof.Power, prof.RangeBins, prof.AngleBins, pk.Row, pk.Col)
 		rng := prof.RangeOfBin(float64(pk.Row) + rOff)
 		aoa := prof.AngleOfBin(float64(pk.Col) + aOff)
 		if !finite(pk.Value) || !finite(rng) || !finite(aoa) {
@@ -88,20 +99,14 @@ func (pl *FrontEndPlan) DetectInto(dst []Detection, prof *Profile, array fmcw.Ar
 	return dst
 }
 
-// rangeCol returns the executor's interpolation column sized to n bins,
-// growing it on first use. The growth lives here rather than inline in
-// DetectInto because it is a one-time warm-up cost: every later call with
-// the plan's compiled shape reuses the slice, and keeping the make out of
-// DetectInto's body lets its //rfvet:allocfree annotation hold. noinline
-// keeps the compiler from folding the make back into DetectInto's escape
-// diagnostics; the call costs one jump per detection pass.
-//
-//go:noinline
-func (e *detExec) rangeCol(n int) []float64 {
-	if cap(e.col) < n {
-		e.col = make([]float64, n)
+// columnInterp is dsp.QuadraticInterp along column c of the rows×cols
+// row-major grid g at row r, reading only the three cells it fits: boundary
+// rows return 0, as QuadraticInterp's do.
+func columnInterp(g []float64, rows, cols, r, c int) float64 {
+	if r <= 0 || r >= rows-1 {
+		return 0
 	}
-	return e.col[:n]
+	return dsp.QuadraticOffset(g[(r-1)*cols+c], g[r*cols+c], g[(r+1)*cols+c])
 }
 
 // ProcessFrames runs the full front end over a frame sequence: successive

@@ -154,11 +154,7 @@ func (m *RangeDopplerMap) DetectMoving(thresholdFrac float64, maxTargets int) []
 	for _, pk := range peaks {
 		rowSlice := m.Power[pk.Row*m.DopplerBins : (pk.Row+1)*m.DopplerBins]
 		dOff := dsp.QuadraticInterp(rowSlice, pk.Col)
-		col := make([]float64, m.RangeBins)
-		for r := 0; r < m.RangeBins; r++ {
-			col[r] = m.At(r, pk.Col)
-		}
-		rOff := dsp.QuadraticInterp(col, pk.Row)
+		rOff := columnInterp(m.Power, m.RangeBins, m.DopplerBins, pk.Row, pk.Col)
 		out = append(out, MovingTarget{
 			Range:    m.RangeOfBin(float64(pk.Row) + rOff),
 			Velocity: m.VelocityOfBin(float64(pk.Col) + dOff),

@@ -217,17 +217,24 @@ func (pl *FrontEndPlan) newRAExec() *raExec {
 // multiply; and seeding from antenna 0 (whose steering weight is exp(0) =
 // 1 at every angle) instead of from zero can only flip the sign of a zero
 // accumulator, which the final squaring maps to +0 either way.
+//
+// Each row's kernel also folds the row summary the detector prunes with
+// (Profile.rowMax, rowNaN) as it stores the powers, so no second pass
+// reads the row back.
 func (e *raExec) beamSweep(r0, r1 int) {
 	pl := e.pl
 	bins := pl.cfg.AngleBins
 	vector := useBeamAVX && bins >= 4 && pl.nAnt <= beamMaxAVXAnt
 	for r := r0; r < r1; r++ {
 		row := e.prof.Power[r*bins : (r+1)*bins : (r+1)*bins]
+		var m float64
+		var nan bool
 		if vector {
-			e.beamRowAVX(row, r)
+			m, nan = e.beamRowAVX(row, r)
 		} else {
-			e.beamRowScalar(row, r, 0)
+			m, nan = e.beamRowScalar(row, r, 0, 0, false)
 		}
+		e.prof.rowMax[r], e.prof.rowNaN[r] = m, nan
 	}
 }
 
@@ -237,7 +244,11 @@ func (e *raExec) beamSweep(r0, r1 int) {
 // performs exactly beamRowScalar's multiply/add sequence for its own angle
 // (VMULPD/VADDPD/VSUBPD are lanewise IEEE-754 double ops, and amd64 never
 // contracts to FMA), so every lane rounds identically to the scalar path.
-func (e *raExec) beamRowAVX(row []float64, r int) {
+// The sweep also returns the row summary, folded per lane with VMAXPD in
+// the operand order that keeps the accumulator on a NaN exactly as
+// beamRowScalar's v > m test does; the max of non-NaN values does not depend
+// on the fold order, so the lanes and the tail combine to the same value.
+func (e *raExec) beamRowAVX(row []float64, r int) (rowMax float64, rowNaN bool) {
 	pl := e.pl
 	// Pack the per-bin spectra on the stack: at Workers > 1 the rows of one
 	// sweep run concurrently on one raExec, so per-exec scratch would race.
@@ -250,10 +261,11 @@ func (e *raExec) beamRowAVX(row []float64, r int) {
 		s[2*k+1] = imag(v)
 	}
 	n4 := len(row) &^ 3
-	beamSweepAVX(&row[0], n4, pl.nAnt, &s[0], &pl.steerReFlat[0], &pl.steerImFlat[0], pl.cfg.AngleBins)
+	rowMax, rowNaN = beamSweepAVX(&row[0], n4, pl.nAnt, &s[0], &pl.steerReFlat[0], &pl.steerImFlat[0], pl.cfg.AngleBins)
 	if n4 < len(row) {
-		e.beamRowScalar(row, r, n4)
+		rowMax, rowNaN = e.beamRowScalar(row, r, n4, rowMax, rowNaN)
 	}
+	return rowMax, rowNaN
 }
 
 // beamRowScalar computes angle bins [a0, len(row)) of range bin r: an
@@ -261,8 +273,10 @@ func (e *raExec) beamRowAVX(row []float64, r int) {
 // planes — the sequence every AVX lane executes. It is the whole row when
 // the AVX sweep is off and the tail bins when it is on. Angle-outer loops
 // with register accumulators leave no shared scratch for concurrently swept
-// rows of one raExec to race on.
-func (e *raExec) beamRowScalar(row []float64, r, a0 int) {
+// rows of one raExec to race on. It continues the row summary (m, nan) of
+// bins [0, a0) over the bins it writes and returns it: m is the fold
+// if v > m { m = v }, which passes over NaN, and nan records one.
+func (e *raExec) beamRowScalar(row []float64, r, a0 int, m float64, nan bool) (float64, bool) {
 	pl := e.pl
 	s0 := e.spectra[0][r]
 	for a := a0; a < len(row); a++ {
@@ -275,8 +289,14 @@ func (e *raExec) beamRowScalar(row []float64, r, a0 int) {
 			re += skr*wr - ski*wi
 			im += skr*wi + ski*wr
 		}
-		row[a] = re*re + im*im
+		v := re*re + im*im
+		row[a] = v
+		if v > m {
+			m = v
+		}
+		nan = nan || v != v
 	}
+	return m, nan
 }
 
 // RangeAngleInto computes the range–angle power profile of f into prof,
@@ -309,11 +329,17 @@ func (pl *FrontEndPlan) RangeAngleInto(ctx context.Context, f *fmcw.Frame, prof 
 	prof.RangeBins = pl.maxBin
 	prof.AngleBins = bins
 	prof.Power = growFloats(prof.Power, pl.maxBin*bins)
+	prof.rowMax = growFloats(prof.rowMax, pl.maxBin)
+	prof.rowNaN = growBools(prof.rowNaN, pl.maxBin)
 	// The beamforming sweep writes only rows [minBin, maxBin); zero the
-	// skipped near-range rows so a reused Power matches a fresh one exactly.
+	// skipped near-range rows so a reused Power matches a fresh one exactly,
+	// and give them the summary of a zero row.
 	head := prof.Power[:pl.minBin*bins]
 	for i := range head {
 		head[i] = 0
+	}
+	for r := 0; r < pl.minBin; r++ {
+		prof.rowMax[r], prof.rowNaN[r] = 0, false
 	}
 	// Windowed range FFT per antenna, then Eq. 2 beamforming over batches
 	// of range bins; every work item writes only its own rows, so any
@@ -471,10 +497,18 @@ func growFloats(s []float64, n int) []float64 {
 	return make([]float64, n)
 }
 
-// detExec is one detection execution context: the range-column interpolation
-// scratch and the reusable 2-D peak finder.
+// growBools is growFloats for the profile's per-row NaN flags.
+//
+//go:noinline
+func growBools(s []bool, n int) []bool {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]bool, n)
+}
+
+// detExec is one detection execution context: the reusable 2-D peak finder.
 type detExec struct {
-	col    []float64
 	finder dsp.Peak2DFinder
 }
 

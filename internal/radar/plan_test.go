@@ -90,14 +90,22 @@ func scratchFrame(p fmcw.Params, seed int64, at float64) *fmcw.Frame {
 	return synthesize(p, rets, at, rng)
 }
 
+// profilesEqual compares two profiles' fields, power grids and row
+// summaries.
 func profilesEqual(a, b *Profile) bool {
 	if a.Params != b.Params || a.Time != b.Time ||
 		a.RangeBins != b.RangeBins || a.AngleBins != b.AngleBins ||
-		len(a.Power) != len(b.Power) {
+		len(a.Power) != len(b.Power) || len(a.rowMax) != len(b.rowMax) ||
+		len(a.rowNaN) != len(b.rowNaN) {
 		return false
 	}
 	for i := range a.Power {
 		if a.Power[i] != b.Power[i] {
+			return false
+		}
+	}
+	for r := range a.rowMax {
+		if a.rowMax[r] != b.rowMax[r] || a.rowNaN[r] != b.rowNaN[r] {
 			return false
 		}
 	}

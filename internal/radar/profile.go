@@ -50,12 +50,35 @@ func DefaultConfig() Config {
 
 // Profile is a range–angle power map: Power[r*AngleBins + a] is the power at
 // range bin r, angle bin a.
+//
+// RangeAngleInto also leaves a summary of each range row — its maximum and
+// whether it holds a NaN — which DetectInto reads to skip the rows that
+// cannot hold a peak. The summary describes Power as RangeAngleInto wrote
+// it: a caller that edits Power in place before DetectInto must refill the
+// profile through RangeAngleInto or build a fresh Profile, which DetectInto
+// scans whole. Copy a profile with Clone, never by value, so the copy does
+// not share the summary storage.
 type Profile struct {
 	Params    fmcw.Params
 	Time      float64
 	RangeBins int
 	AngleBins int
 	Power     []float64
+
+	// rowMax[r] is the fold m = 0; if v > m { m = v } over row r's cells
+	// (NaN cells never pass the test); rowNaN[r] is set when row r holds a
+	// NaN. Both have RangeBins entries once RangeAngleInto has run.
+	rowMax []float64
+	rowNaN []bool
+}
+
+// Clone returns a deep copy of p that shares no storage with it.
+func (p *Profile) Clone() *Profile {
+	cp := *p
+	cp.Power = append([]float64(nil), p.Power...)
+	cp.rowMax = append([]float64(nil), p.rowMax...)
+	cp.rowNaN = append([]bool(nil), p.rowNaN...)
+	return &cp
 }
 
 // RangeOfBin returns the range in meters at (possibly fractional) bin r.
