@@ -1,8 +1,8 @@
 GO ?= go
 
 # Coverage floor (percent of statements) enforced by `make cover` on the
-# packages whose correctness rests on their test harness: the concurrent
-# scheduler, the worker pool, the FFT kernels and their shared plans, the
+# packages whose correctness rests on their test harness: the pipeline's
+# stage runner, the worker pool, the FFT kernels and their shared plans, the
 # frame synthesis and radar front-end kernels with their pools and plans, the
 # scene capture paths, the spoof-detection suite, and the daemon's service
 # layer with its ingest decoder.

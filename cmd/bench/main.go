@@ -297,18 +297,6 @@ func runSnapshot(minDur time.Duration, seed int64, quick bool) Snapshot {
 	})
 	add("fft_512_cached_plan", 1, fft, true)
 
-	// Real-input FFT with the window fused into the pack: the half-spectrum
-	// transform (pack-two-reals over a size-256 complex FFT) behind
-	// dsp.DominantFrequency. Reuses the cached plan and allocates nothing.
-	rx := make([]float64, len(x))
-	for i, v := range x {
-		rx[i] = real(v)
-	}
-	half := make([]complex128, len(x)/2+1)
-	hann := dsp.Hann.Coefficients(len(x))
-	wrfftS := measure(minDur, func() { dsp.WindowedRFFTTo(half, rx, hann) })
-	add("windowed_rfft_512", 1, wrfftS, true)
-
 	// Plan construction cost, for the record: transform a size the process
 	// has never seen, forcing a cold plan build, vs the warm transform.
 	// (Each iteration uses a fresh odd size, so every call builds a plan.)

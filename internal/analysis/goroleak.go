@@ -10,10 +10,10 @@ import (
 // return only after every goroutine they spawned has been joined (the
 // property the pipeline and experiment sweeps advertise as "no goroutine
 // outlives the call"). The join must be visible in the spawning function
-// itself — a sync.WaitGroup/parallel.Group Wait call, a channel receive,
-// or a range over a channel. Structured-concurrency primitives whose whole
-// purpose is to carry the join elsewhere (parallel.Group.GoCtx hands it
-// to Group.Wait) document themselves with //rfvet:allow goroleak.
+// itself — a sync.WaitGroup Wait call, a channel receive, or a range over
+// a channel. Primitives whose whole purpose is to carry the join elsewhere
+// (parallel.NewPool's persistent workers, joined by Pool.Close) document
+// themselves with //rfvet:allow goroleak.
 //
 // Package main and tests are exempt: commands may detach UX helpers for
 // the life of the process, and test scaffolding joins through t.Cleanup.

@@ -22,7 +22,7 @@ import (
 //     same offset; stream derivation must go through parallel.SplitSeed,
 //     whose SplitMix64 finalizer is the one blessed mixing function.
 //  3. A worker closure (a func literal handed to a go statement or passed
-//     as a call argument, e.g. to parallel.Group.GoCtx or ForEachCtx) that
+//     as a call argument, e.g. a parallel.ForEachCtx body) that
 //     constructs a source must derive it via parallel.SplitSeed: a
 //     captured base seed — split or not — decides which stream each
 //     concurrent unit owns, and only SplitSeed keys it on the unit index.
@@ -85,7 +85,7 @@ func runSeedSplit(p *Pass) error {
 
 // workerFuncLits collects the func literals that run as concurrent or
 // callee-controlled units: operands of go statements and literals passed
-// directly as call arguments (parallel.Group.GoCtx, ForEachCtx bodies).
+// directly as call arguments (parallel.ForEachCtx bodies).
 func workerFuncLits(f *ast.File) map[*ast.FuncLit]bool {
 	set := map[*ast.FuncLit]bool{}
 	ast.Inspect(f, func(n ast.Node) bool {

@@ -18,7 +18,10 @@
 // end's range transform over complex IQ rows — fuses the window multiply
 // into the transform's first pass: for power-of-two lengths the windowed
 // samples are gathered straight into bit-reversed order, the same bits as
-// window-then-transform with one fewer pass over the data.
+// window-then-transform with one fewer pass over the data. It is the one
+// windowed transform: DominantFrequency, the breathing-rate and oscillation
+// estimator, widens its real series into complex, runs WindowedFFTTo and
+// keeps the first N/2 bins of the conjugate-symmetric spectrum.
 //
 // Transforms of the same size reuse a cached plan (bit-reversal
 // permutation, per-stage twiddle tables, and for Bluestein the kernel's
@@ -26,18 +29,6 @@
 // planned transforms are bit-identical to unplanned ones because the
 // tables replicate the incremental twiddle recurrence exactly. Once a
 // size's plan exists, every transform is allocation-free.
-//
-// # Real-input FFT
-//
-// WindowedRFFTTo exploits the conjugate symmetry of a real signal's
-// spectrum — X[N−k] = conj(X[k]) — and returns only the N/2+1
-// non-negative-frequency bins. Power-of-two lengths pack even/odd samples
-// into one half-length complex transform and unpack with a single twiddle
-// pass (about half the work of the complex path, equal up to rounding);
-// other lengths widen into pooled scratch and are bit-identical to the
-// complex transform's half spectrum. It serves DominantFrequency, the
-// breathing-rate and oscillation estimator; the radar frames themselves are
-// complex and go through WindowedFFTTo.
 //
 // # Window conventions
 //

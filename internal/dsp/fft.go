@@ -224,3 +224,35 @@ func Magnitude(x []complex128) []float64 {
 	}
 	return dst
 }
+
+// DominantFrequency estimates the strongest nonzero frequency component of a
+// real series sampled at fs Hz, using a Hann-windowed FFT with quadratic
+// peak interpolation over the non-negative-frequency bins. It returns 0 for
+// series shorter than 4 samples.
+func DominantFrequency(x []float64, fs float64) float64 {
+	n := len(x)
+	if n < 4 {
+		return 0
+	}
+	// Remove the mean so the DC bin does not dominate. The series is real,
+	// so its spectrum is conjugate-symmetric and the first n/2 bins carry
+	// every candidate peak.
+	m := Mean(x)
+	c := make([]complex128, n)
+	for i, v := range x {
+		c[i] = complex(v-m, 0)
+	}
+	spec := WindowedFFTTo(make([]complex128, n), c, Hann.Coefficients(n))
+	mag := Magnitude(spec[:n/2])
+	best, bestVal := 0, 0.0
+	for i := 1; i < len(mag); i++ {
+		if mag[i] > bestVal {
+			best, bestVal = i, mag[i]
+		}
+	}
+	if best == 0 {
+		return 0
+	}
+	off := QuadraticInterp(mag, best)
+	return (float64(best) + off) * fs / float64(n)
+}

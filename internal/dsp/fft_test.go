@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -174,5 +175,115 @@ func BenchmarkFFT1024(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		FFTInPlace(x)
+	}
+}
+
+// TestWindowedFFTToBitIdentical pins the complex-side fusion: gathering
+// windowed samples straight into bit-reversed order must equal the
+// window-copy + FFTInPlace sequence exactly, for radix-2 sizes (including
+// the unrolled size 8) and the Bluestein fallback alike.
+func TestWindowedFFTToBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for _, n := range []int{1, 2, 4, 8, 16, 64, 512, 3, 7, 12, 100} {
+		x := make([]complex128, n)
+		for i := range x {
+			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		win := Hann.Coefficients(n)
+		want := make([]complex128, n)
+		for i := range x {
+			want[i] = x[i] * complex(win[i], 0)
+		}
+		FFTInPlace(want)
+		got := WindowedFFTTo(make([]complex128, n), x, win)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: WindowedFFTTo differs from window-then-FFTInPlace", n)
+		}
+	}
+}
+
+// TestFFT8BitIdenticalToGenericStages replays the generic butterfly loop
+// over the size-8 plan's tables and checks the unrolled kernel reproduces it
+// bit for bit, in both directions.
+func TestFFT8BitIdenticalToGenericStages(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	p := planFor(8)
+	for _, inverse := range []bool{false, true} {
+		stages := p.fwd
+		if inverse {
+			stages = p.inv
+		}
+		for trial := 0; trial < 16; trial++ {
+			x := make([]complex128, 8)
+			for i := range x {
+				x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+			want := append([]complex128(nil), x...)
+			s := 0
+			for size := 2; size <= 8; size <<= 1 {
+				half := size >> 1
+				tw := stages[s]
+				s++
+				for start := 0; start < 8; start += size {
+					for k := 0; k < half; k++ {
+						a := want[start+k]
+						b := want[start+k+half] * tw[k]
+						want[start+k] = a + b
+						want[start+k+half] = a - b
+					}
+				}
+			}
+			got := append([]complex128(nil), x...)
+			fft8(got, stages)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("inverse=%v: fft8 differs from generic stage loop", inverse)
+			}
+		}
+	}
+}
+
+// TestRFFTEdgeCases covers DominantFrequency's degenerate inputs: series too
+// short to estimate, a constant series (nothing but DC, which the mean
+// removal cancels), and the shortest accepted length.
+func TestRFFTEdgeCases(t *testing.T) {
+	for n := 0; n < 4; n++ {
+		if got := DominantFrequency(make([]float64, n), 10); got != 0 {
+			t.Fatalf("n=%d: got %v, want 0 for a too-short series", n, got)
+		}
+	}
+	for _, n := range []int{4, 5, 64} {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = 3.25
+		}
+		if got := DominantFrequency(x, 10); got != 0 {
+			t.Fatalf("constant n=%d: got %v, want 0", n, got)
+		}
+	}
+	// n = 4: only bin 1 is a candidate, and it sits at the edge of the
+	// kept half spectrum, so no interpolation applies: fs/4 exactly.
+	if got := DominantFrequency([]float64{0, 1, 0, -1}, 8); got != 2 {
+		t.Fatalf("n=4 quarter-rate tone: got %v, want 2", got)
+	}
+}
+
+// TestRFFTToMatchesComplexHalfSpectrum checks DominantFrequency recovers an
+// off-bin tone (under a DC offset) to well within one bin on every transform
+// path: radix-2 lengths, odd lengths and even non-power-of-two lengths (both
+// of the latter run Bluestein).
+func TestRFFTToMatchesComplexHalfSpectrum(t *testing.T) {
+	const fs = 50.0
+	for _, n := range []int{64, 256, 1024, 63, 101, 313, 100, 300} {
+		for _, cycles := range []float64{5.3, 11.7, 0.3 * float64(n)} {
+			f0 := cycles * fs / float64(n)
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = -1.5 + math.Sin(2*math.Pi*f0*float64(i)/fs+0.4)
+			}
+			got := DominantFrequency(x, fs)
+			if tol := 0.25 * fs / float64(n); math.Abs(got-f0) > tol {
+				t.Fatalf("n=%d f0=%v: got %v, want within %v", n, f0, got, tol)
+			}
+		}
 	}
 }

@@ -154,3 +154,37 @@ func FuzzPeakRows(f *testing.F) {
 		checkSamePeaks(t, "fuzz", pruned.FindRows(g, rows, cols, rowMax, rowNaN, minVal, minDist), want)
 	})
 }
+
+// TestPeak2DFinderMatchesFindPeaks2D checks the reusable finder returns the
+// exact result of the allocating function across reuses of one finder.
+func TestPeak2DFinderMatchesFindPeaks2D(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	var f Peak2DFinder
+	for trial := 0; trial < 20; trial++ {
+		rows, cols := 4+rng.Intn(12), 4+rng.Intn(12)
+		g := make([]float64, rows*cols)
+		for i := range g {
+			g[i] = rng.Float64()
+		}
+		minVal := 0.3 + 0.4*rng.Float64()
+		minDist := 1 + rng.Intn(3)
+		want := FindPeaks2D(g, rows, cols, minVal, minDist)
+		got := f.Find(g, rows, cols, minVal, minDist)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: got %d peaks, want %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d peak %d: got %+v want %+v", trial, i, got[i], want[i])
+			}
+		}
+	}
+	g := make([]float64, 16*16)
+	for i := range g {
+		g[i] = float64((i*2654435761)%97) / 97
+	}
+	f.Find(g, 16, 16, 0.5, 2) // warm the scratch
+	if a := testing.AllocsPerRun(50, func() { f.Find(g, 16, 16, 0.5, 2) }); a != 0 {
+		t.Fatalf("Peak2DFinder.Find: %v allocs/op, want 0", a)
+	}
+}

@@ -61,29 +61,27 @@ func Fig11Ctx(ctx context.Context, sz Sizes, seed int64) (Fig11Result, error) {
 		// output are identical for every worker count.
 		trials := make([]metrics.SpoofErrors, sz.TrajPerRoom)
 		measured := make([]bool, sz.TrajPerRoom)
-		g := parallel.NewGroup(0)
-		for i := 0; i < sz.TrajPerRoom; i++ {
-			i := i
-			g.GoCtx(ctx, func() error {
-				rng := rand.New(rand.NewSource(parallel.SplitSeed(seed+200, i)))
-				env, err := NewEnv(room, params)
-				if err != nil {
-					return err
-				}
-				world := FitGhostTrajectory(gens[i], env, room, rng)
-				m, err := env.MeasureGhostCtx(ctx, world, motion.SampleRate, rng)
-				if err != nil {
-					return err
-				}
-				if len(m.Measured) < 5 {
-					return nil
-				}
-				trials[i] = metrics.EvaluateSpoof(m.Measured, m.Requested, env.Scene.Radar)
-				measured[i] = true
+		errs := make([]error, sz.TrajPerRoom)
+		trial := func(i int) error {
+			rng := rand.New(rand.NewSource(parallel.SplitSeed(seed+200, i)))
+			env, err := NewEnv(room, params)
+			if err != nil {
+				return err
+			}
+			world := FitGhostTrajectory(gens[i], env, room, rng)
+			m, err := env.MeasureGhostCtx(ctx, world, motion.SampleRate, rng)
+			if err != nil {
+				return err
+			}
+			if len(m.Measured) < 5 {
 				return nil
-			})
+			}
+			trials[i] = metrics.EvaluateSpoof(m.Measured, m.Requested, env.Scene.Radar)
+			measured[i] = true
+			return nil
 		}
-		if err := g.Wait(); err != nil {
+		err := parallel.ForEachCtx(ctx, sz.TrajPerRoom, 0, func(i int) { errs[i] = trial(i) })
+		if err := firstError(err, errs); err != nil {
 			return res, err
 		}
 		envRes := Fig11Env{Room: room.Name}

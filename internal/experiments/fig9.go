@@ -48,52 +48,51 @@ func Fig9Ctx(ctx context.Context, seed int64) (Fig9Result, error) {
 	// concurrently; each writes its own slot and the slots are appended in
 	// shape order afterwards, keeping the report ordering stable.
 	results := make([]Fig9Shape, len(shapes))
-	g := parallel.NewGroup(0)
-	for i, sh := range shapes {
-		i, sh := i, sh
-		g.GoCtx(ctx, func() error {
-			sc := scene.NewScene(scene.OfficeRoom(), params)
-			human := scene.NewHuman(sh.traj, params.FrameRate)
-			sc.Humans = []*scene.Human{human}
-			rng := rand.New(rand.NewSource(parallel.SplitSeed(seed, i)))
-			frames, err := sc.CaptureCtx(ctx, 0, len(sh.traj), rng)
-			if err != nil {
-				return err
-			}
-			detSeq, err := radar.PlanFrontEnd(radar.DefaultConfig(), sc.Params).ProcessFrames(ctx, frames, sc.Radar)
-			if err != nil {
-				return err
-			}
-			// Per-frame evaluation against the subject's true position at each
-			// capture instant (the red ground-truth dots of Fig. 9).
-			var detected geom.Trajectory
-			var errs []float64
-			for fi, dets := range detSeq {
-				truth := human.PositionAt(frames[fi+1].Time)
-				best, bestD := -1, 1.0
-				for di, d := range dets {
-					if e := d.Pos.Dist(truth); e < bestD {
-						best, bestD = di, e
-					}
-				}
-				if best >= 0 {
-					detected = append(detected, dets[best].Pos)
-					errs = append(errs, bestD)
+	shapeErrs := make([]error, len(shapes))
+	shape := func(i int) error {
+		sh := shapes[i]
+		sc := scene.NewScene(scene.OfficeRoom(), params)
+		human := scene.NewHuman(sh.traj, params.FrameRate)
+		sc.Humans = []*scene.Human{human}
+		rng := rand.New(rand.NewSource(parallel.SplitSeed(seed, i)))
+		frames, err := sc.CaptureCtx(ctx, 0, len(sh.traj), rng)
+		if err != nil {
+			return err
+		}
+		detSeq, err := radar.PlanFrontEnd(radar.DefaultConfig(), sc.Params).ProcessFrames(ctx, frames, sc.Radar)
+		if err != nil {
+			return err
+		}
+		// Per-frame evaluation against the subject's true position at each
+		// capture instant (the red ground-truth dots of Fig. 9).
+		var detected geom.Trajectory
+		var errs []float64
+		for fi, dets := range detSeq {
+			truth := human.PositionAt(frames[fi+1].Time)
+			best, bestD := -1, 1.0
+			for di, d := range dets {
+				if e := d.Pos.Dist(truth); e < bestD {
+					best, bestD = di, e
 				}
 			}
-			if len(detected) == 0 {
-				return fmt.Errorf("fig9: no detections recovered for %s", sh.name)
+			if best >= 0 {
+				detected = append(detected, dets[best].Pos)
+				errs = append(errs, bestD)
 			}
-			results[i] = Fig9Shape{
-				Name:        sh.name,
-				GroundTruth: sh.traj,
-				Detected:    detected,
-				MedianError: dsp.Median(errs),
-			}
-			return nil
-		})
+		}
+		if len(detected) == 0 {
+			return fmt.Errorf("fig9: no detections recovered for %s", sh.name)
+		}
+		results[i] = Fig9Shape{
+			Name:        sh.name,
+			GroundTruth: sh.traj,
+			Detected:    detected,
+			MedianError: dsp.Median(errs),
+		}
+		return nil
 	}
-	if err := g.Wait(); err != nil {
+	err := parallel.ForEachCtx(ctx, len(shapes), 0, func(i int) { shapeErrs[i] = shape(i) })
+	if err := firstError(err, shapeErrs); err != nil {
 		return res, err
 	}
 	res.Shapes = results

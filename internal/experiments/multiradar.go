@@ -81,30 +81,22 @@ func MultiRadarCtx(ctx context.Context, seed int64) (MultiRadarResult, error) {
 
 	// The two radars' capture-and-process chains are independent (separate
 	// scenes and seeded rngs; a shared front-end plan is safe for concurrent
-	// use), so they run as parallel tasks.
-	var framesA []*fmcw.Frame
-	var detsA, detsB [][]radar.Detection
-	g := parallel.NewGroup(0)
-	g.GoCtx(ctx, func() error {
-		var err error
-		framesA, err = scA.CaptureCtx(ctx, 0, n, rand.New(rand.NewSource(parallel.SplitSeed(seed, 0))))
-		if err != nil {
-			return err
+	// use), so they run as two indices of one fan-out.
+	views := sess.Views[:2]
+	frames := make([][]*fmcw.Frame, len(views))
+	dets := make([][][]radar.Detection, len(views))
+	errs := make([]error, len(views))
+	err = parallel.ForEachCtx(ctx, len(views), 0, func(i int) {
+		sc := views[i]
+		frames[i], errs[i] = sc.CaptureCtx(ctx, 0, n, rand.New(rand.NewSource(parallel.SplitSeed(seed, i))))
+		if errs[i] == nil {
+			dets[i], errs[i] = radar.PlanFrontEnd(radar.DefaultConfig(), sc.Params).ProcessFrames(ctx, frames[i], sc.Radar)
 		}
-		detsA, err = radar.PlanFrontEnd(radar.DefaultConfig(), scA.Params).ProcessFrames(ctx, framesA, scA.Radar)
-		return err
 	})
-	g.GoCtx(ctx, func() error {
-		framesB, err := scB.CaptureCtx(ctx, 0, n, rand.New(rand.NewSource(parallel.SplitSeed(seed, 1))))
-		if err != nil {
-			return err
-		}
-		detsB, err = radar.PlanFrontEnd(radar.DefaultConfig(), scB.Params).ProcessFrames(ctx, framesB, scB.Radar)
-		return err
-	})
-	if err := g.Wait(); err != nil {
+	if err := firstError(err, errs); err != nil {
 		return res, err
 	}
+	framesA, detsA, detsB := frames[0], dets[0], dets[1]
 
 	// Cross-radar consistency per frame: nearest detection to each entity's
 	// apparent position at each radar, then the disagreement between the

@@ -135,7 +135,7 @@ func Names() []string {
 
 // ganBacked marks the experiments that draw from the shared cached
 // trainer's internal RNG (TrainedGAN + Trainer.Sample). The "all" sweep
-// keeps these in their sequential relative order on a single pool task so
+// keeps these in their sequential relative order on a single fan-out index so
 // the trainer's RNG stream — and therefore every report — stays identical
 // to a fully sequential sweep.
 var ganBacked = map[string]bool{
@@ -149,41 +149,39 @@ var ganBacked = map[string]bool{
 // RunCtx executes one experiment by name, or all of them for name == "all",
 // stopping early with ctx.Err() once ctx is done.
 //
-// The "all" sweep runs experiments concurrently through a shared bounded
-// pool: each experiment renders into its own buffer, and buffers are
-// flushed to w in name order, so the combined report is byte-identical to a
-// sequential sweep. GAN-backed experiments (see ganBacked) run in order on
-// one task; every other experiment overlaps freely. A done ctx stops the
+// The "all" sweep runs experiments concurrently as indices of one
+// parallel.ForEachCtx on the shared pool: each experiment renders into its
+// own buffer and error slot, and buffers are flushed to w in name order, so
+// the combined report — and the first error it stops at — is byte-identical
+// to a sequential sweep. GAN-backed experiments (see ganBacked) run in order
+// on one index; every other experiment overlaps freely. A done ctx stops the
 // sweep cooperatively — no new experiments start, in-flight captures
-// return early — and RunCtx returns only after every worker has joined, so
-// no experiment goroutine outlives the call.
+// return early — and RunCtx returns only after every index has joined.
 func RunCtx(ctx context.Context, name string, sz Sizes, seed int64, w io.Writer) error {
 	if name == "all" {
 		names := Names()
 		bufs := make([]bytes.Buffer, len(names))
 		errs := make([]error, len(names))
-		g := parallel.NewGroup(0)
-		g.GoCtx(ctx, func() error {
+		// Index 0 runs the GAN-backed experiments in name order; index k > 0
+		// runs the k-th of the others.
+		var others []int
+		for i, n := range names {
+			if !ganBacked[n] {
+				others = append(others, i)
+			}
+		}
+		run := func(i int) { errs[i] = Registry[names[i]](ctx, sz, seed, &bufs[i]) }
+		if err := parallel.ForEachCtx(ctx, len(others)+1, 0, func(k int) {
+			if k > 0 {
+				run(others[k-1])
+				return
+			}
 			for i, n := range names {
 				if ganBacked[n] {
-					errs[i] = Registry[n](ctx, sz, seed, &bufs[i])
+					run(i)
 				}
 			}
-			return nil
-		})
-		for i, n := range names {
-			if ganBacked[n] {
-				continue
-			}
-			i, n := i, n
-			g.GoCtx(ctx, func() error {
-				errs[i] = Registry[n](ctx, sz, seed, &bufs[i])
-				return nil
-			})
-		}
-		// Wait joins every worker; its error surfaces tasks the pool skipped
-		// because ctx was already done.
-		if err := g.Wait(); err != nil {
+		}); err != nil {
 			return err
 		}
 		for i, n := range names {
@@ -203,4 +201,19 @@ func RunCtx(ctx context.Context, name string, sz Sizes, seed int64, w io.Writer)
 		return fmt.Errorf("unknown experiment %q (have %v)", name, Names())
 	}
 	return r(ctx, sz, seed, w)
+}
+
+// firstError reports a fan-out's outcome: the fan-out's own error (a done
+// ctx) first, then the first non-nil per-index error slot in index order,
+// so the result never depends on which index finished first.
+func firstError(err error, errs []error) error {
+	if err != nil {
+		return err
+	}
+	for _, e := range errs {
+		if e != nil {
+			return e
+		}
+	}
+	return nil
 }

@@ -1,9 +1,12 @@
 // Package parallel provides the small concurrency substrate shared by the
 // simulation stack: a persistent worker pool for index-addressed fan-out
 // (Pool, with the package-level ForEachCtx running on a shared default
-// pool), an errgroup-style Group for heterogeneous tasks, and a
-// deterministic seed-splitting mix (SplitSeed) so parallel code can hand
-// every independent unit of work its own RNG stream.
+// pool) and a deterministic seed-splitting mix (SplitSeed) so parallel code
+// can hand every independent unit of work its own RNG stream. ForEachCtx is
+// the only fan-out primitive: heterogeneous tasks are indices too, each
+// writing its own result slot and, where it can fail, its own error slot,
+// which the caller scans in index order after the join — so the reported
+// error never depends on which task finished first.
 //
 // Everything here is designed around one invariant: results must be
 // bit-identical regardless of the worker count. The helpers guarantee that
@@ -29,7 +32,7 @@
 //
 // # Contexts
 //
-// Every fan-out takes a context.Context (ForEachCtx, Group.GoCtx): there
-// is no context-free variant and no nil-ctx "never cancel" reading. Roots
-// are made once, at main or in a test, with context.Background().
+// Every fan-out takes a context.Context (ForEachCtx, Pool.ForEachCtx):
+// there is no context-free variant and no nil-ctx "never cancel" reading.
+// Roots are made once, at main or in a test, with context.Background().
 package parallel

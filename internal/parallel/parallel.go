@@ -3,7 +3,6 @@ package parallel
 import (
 	"context"
 	"runtime"
-	"sync"
 )
 
 // Workers resolves a requested worker count: values <= 0 mean "one per
@@ -36,78 +35,6 @@ func Workers(n int) int {
 // which indices run, never what an index computes.
 func ForEachCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 	return defaultPool.ForEachCtx(ctx, n, workers, fn)
-}
-
-// Group runs heterogeneous tasks with bounded concurrency and first-error
-// capture, in the style of golang.org/x/sync/errgroup (reimplemented here
-// to keep the module dependency-free). The zero value is not usable; call
-// NewGroup.
-type Group struct {
-	sem chan struct{}
-	wg  sync.WaitGroup
-	mu  sync.Mutex
-	err error
-}
-
-// NewGroup returns a Group running at most the given number of tasks at
-// once (<= 0 means Workers(0)).
-func NewGroup(workers int) *Group {
-	return &Group{sem: make(chan struct{}, Workers(workers))}
-}
-
-// GoCtx schedules fn on the group, blocking while the group is full. The
-// first non-nil error wins; later tasks still run to completion (callers
-// write results to disjoint slots and decide what to keep after Wait).
-//
-// GoCtx stops scheduling once ctx is done: a canceled context makes GoCtx
-// record ctx.Err() (first error wins) and return without running fn —
-// including while blocked waiting for a slot. Tasks already running are
-// not interrupted; fn receives no context and should watch ctx itself if
-// it is long-running.
-//
-//rfvet:allow goroleak -- the Group is the joining primitive: every spawn is wg-counted here and joined by Group.Wait
-func (g *Group) GoCtx(ctx context.Context, fn func() error) {
-	if err := ctx.Err(); err != nil {
-		g.setErr(err)
-		return
-	}
-	g.wg.Add(1)
-	select {
-	case g.sem <- struct{}{}:
-	case <-ctx.Done():
-		g.wg.Done()
-		g.setErr(ctx.Err())
-		return
-	}
-	go func() {
-		defer g.wg.Done()
-		defer func() { <-g.sem }()
-		if err := ctx.Err(); err != nil {
-			g.setErr(err)
-			return
-		}
-		if err := fn(); err != nil {
-			g.setErr(err)
-		}
-	}()
-}
-
-// setErr records the group's first error.
-func (g *Group) setErr(err error) {
-	g.mu.Lock()
-	if g.err == nil {
-		g.err = err
-	}
-	g.mu.Unlock()
-}
-
-// Wait blocks until every scheduled task has finished and returns the first
-// error any of them reported.
-func (g *Group) Wait() error {
-	g.wg.Wait()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.err
 }
 
 // SplitSeed deterministically derives the seed for an independent RNG

@@ -56,49 +56,77 @@ func TestForEachResultIndependentOfWorkers(t *testing.T) {
 	}
 }
 
-func TestGroupCollectsFirstError(t *testing.T) {
-	g := NewGroup(2)
-	boom := errors.New("boom")
-	var ran atomic.Int32
-	for i := 0; i < 8; i++ {
-		i := i
-		g.GoCtx(context.Background(), func() error {
-			ran.Add(1)
-			if i == 3 {
-				return boom
-			}
-			return nil
-		})
-	}
-	if err := g.Wait(); !errors.Is(err, boom) {
-		t.Fatalf("Wait() = %v, want boom", err)
-	}
-	if ran.Load() != 8 {
-		t.Fatalf("ran %d tasks, want all 8 despite the error", ran.Load())
-	}
-}
+// The Group tests below pin the properties the removed errgroup-style Group
+// used to provide, now carried by ForEachCtx with per-index result and error
+// slots — the pattern every heterogeneous fan-out in the tree follows.
 
-func TestGroupNoError(t *testing.T) {
-	g := NewGroup(0)
-	var sum atomic.Int64
-	for i := 1; i <= 10; i++ {
-		i := i
-		g.GoCtx(context.Background(), func() error { sum.Add(int64(i)); return nil })
-	}
-	if err := g.Wait(); err != nil {
+// TestGroupCollectsFirstError: a failing index does not stop the others, and
+// scanning the error slots in index order reports index 3's error even
+// though index 6 fails first.
+func TestGroupCollectsFirstError(t *testing.T) {
+	errs := make([]error, 8)
+	var ran atomic.Int32
+	late, early := errors.New("index 3"), errors.New("index 6")
+	sixDone := make(chan struct{})
+	err := ForEachCtx(context.Background(), len(errs), 2, func(i int) {
+		ran.Add(1)
+		switch i {
+		case 3:
+			select { // finish after index 6 whenever a second participant runs it
+			case <-sixDone:
+			case <-time.After(time.Second):
+			}
+			errs[i] = late
+		case 6:
+			errs[i] = early
+			close(sixDone)
+		}
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Load() != 55 {
-		t.Fatalf("sum = %d", sum.Load())
+	if ran.Load() != 8 {
+		t.Fatalf("ran %d indices, want all 8 despite the errors", ran.Load())
+	}
+	var first error
+	for _, e := range errs {
+		if e != nil {
+			first = e
+			break
+		}
+	}
+	if first != late {
+		t.Fatalf("first error slot = %v, want %v", first, late)
 	}
 }
 
+// TestGroupNoError: every index runs once and writes its own slot.
+func TestGroupNoError(t *testing.T) {
+	slots := make([]int64, 10)
+	if err := ForEachCtx(context.Background(), len(slots), 0, func(i int) {
+		slots[i] += int64(i + 1)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range slots {
+		if v != int64(i+1) {
+			t.Fatalf("slot %d = %d, want %d (one write by its own index)", i, v, i+1)
+		}
+	}
+}
+
+// TestGroupBoundedConcurrency: no more than the requested width of calls is
+// ever in flight, on the shared pool and on a pool wider than the request.
 func TestGroupBoundedConcurrency(t *testing.T) {
 	const workers = 3
-	g := NewGroup(workers)
-	var inFlight, peak atomic.Int32
-	for i := 0; i < 30; i++ {
-		g.GoCtx(context.Background(), func() error {
+	wide := NewPool(8)
+	defer wide.Close()
+	for name, fe := range map[string]func(context.Context, int, int, func(int)) error{
+		"shared": ForEachCtx,
+		"wide":   wide.ForEachCtx,
+	} {
+		var inFlight, peak atomic.Int32
+		if err := fe(context.Background(), 30, workers, func(i int) {
 			cur := inFlight.Add(1)
 			for {
 				p := peak.Load()
@@ -106,15 +134,14 @@ func TestGroupBoundedConcurrency(t *testing.T) {
 					break
 				}
 			}
+			time.Sleep(100 * time.Microsecond)
 			inFlight.Add(-1)
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if peak.Load() > workers {
-		t.Fatalf("observed %d concurrent tasks, cap %d", peak.Load(), workers)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if peak.Load() > workers {
+			t.Fatalf("%s: observed %d concurrent calls, cap %d", name, peak.Load(), workers)
+		}
 	}
 }
 
@@ -165,48 +192,63 @@ func TestForEachCtxAlreadyCanceled(t *testing.T) {
 	}
 }
 
+// TestGroupGoCtxStopsSchedulingAfterCancel: once index 5 cancels, no index
+// starts. Inline (width 1) that is exact; wider, a participant that checked
+// ctx just before the cancel may still claim one more index, so at most one
+// start per other participant sees the canceled context.
 func TestGroupGoCtxStopsSchedulingAfterCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	g := NewGroup(2)
-	var ran atomic.Int32
-	for i := 0; i < 20; i++ {
-		if i == 5 {
-			cancel()
+	for _, workers := range []int{1, 2, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var ran, late atomic.Int32
+		err := ForEachCtx(ctx, 20, workers, func(i int) {
+			if ctx.Err() != nil {
+				late.Add(1)
+			}
+			ran.Add(1)
+			if i == 5 {
+				cancel()
+			}
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
-		g.GoCtx(ctx, func() error { ran.Add(1); return nil })
-	}
-	err := g.Wait()
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Wait() = %v, want context.Canceled", err)
-	}
-	if got := ran.Load(); got > 5 {
-		t.Fatalf("%d tasks ran after cancellation (want <= 5 scheduled before)", got)
+		if workers == 1 && ran.Load() != 6 {
+			t.Fatalf("workers=1: ran %d indices, want exactly 0..5", ran.Load())
+		}
+		if got := late.Load(); got > int32(workers-1) {
+			t.Fatalf("workers=%d: %d indices started after the cancel", workers, got)
+		}
 	}
 }
 
+// TestGroupGoCtxUnblocksFullPoolOnCancel: at width 1, canceling while index 0
+// blocks makes the fan-out return ctx.Err() as soon as index 0 is released,
+// and index 1 never runs.
 func TestGroupGoCtxUnblocksFullPoolOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	g := NewGroup(1)
-	release := make(chan struct{})
-	g.GoCtx(ctx, func() error { <-release; return nil })
-	done := make(chan struct{})
+	started, release := make(chan struct{}), make(chan struct{})
+	done := make(chan error, 1)
 	go func() {
-		// The pool is full; this schedule attempt must return once the
-		// context is canceled instead of blocking forever.
-		g.GoCtx(ctx, func() error { t.Error("task ran after cancel"); return nil })
-		close(done)
+		done <- ForEachCtx(ctx, 2, 1, func(i int) {
+			if i != 0 {
+				t.Error("index 1 ran after cancel")
+				return
+			}
+			close(started)
+			<-release
+		})
 	}()
-	time.Sleep(5 * time.Millisecond)
+	<-started
 	cancel()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("GoCtx stayed blocked on a full pool after cancellation")
-	}
 	close(release)
-	if err := g.Wait(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Wait() = %v, want context.Canceled", err)
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("ForEachCtx stayed blocked after cancellation and release")
 	}
 }
 

@@ -72,11 +72,7 @@ func (b BreathingExtractor) NewStream(p fmcw.Params, distance float64) *PhaseStr
 // Step consumes the next frame and returns its capture time and unwrapped
 // phase sample.
 func (ps *PhaseStream) Step(f *fmcw.Frame) (t, unwrapped float64) {
-	for j, v := range f.Data[ps.ant] {
-		ps.x[j] = v * complex(ps.win[j], 0)
-	}
-	dsp.FFTInPlace(ps.x)
-	w := cmplx.Phase(ps.x[ps.bin])
+	w := cmplx.Phase(dsp.WindowedFFTTo(ps.x, f.Data[ps.ant], ps.win)[ps.bin])
 	unwrapped = w
 	if len(ps.phase) > 0 {
 		d := w - ps.prev

@@ -127,16 +127,23 @@ func (c *Controller) ProgramForRadar(traj geom.Trajectory, radar fmcw.Array, fs,
 		return GhostRecord{}, fmt.Errorf("reflector: sample rate %v must be positive", fs)
 	}
 	cfg := c.tag.cfg
+	// Each antenna's AoA and distance from the radar depend only on the
+	// pose, never on the tick, so they are computed once per call.
+	aoas := make([]float64, cfg.NumAntennas)
+	dists := make([]float64, cfg.NumAntennas)
+	for i := range aoas {
+		pos := cfg.AntennaPosition(i)
+		aoas[i], dists[i] = radar.AoAOf(pos), radar.DistanceOf(pos)
+	}
 	entries := c.resample(traj, fs, func(p geom.Point) GhostEntry {
 		wantAoA := radar.AoAOf(p)
 		best, bestErr := 0, math.Inf(1)
-		for i := 0; i < cfg.NumAntennas; i++ {
-			aoa := radar.AoAOf(cfg.AntennaPosition(i))
+		for i, aoa := range aoas {
 			if e := math.Abs(geom.AngleDiff(aoa, wantAoA)); e < bestErr {
 				best, bestErr = i, e
 			}
 		}
-		extra := radar.DistanceOf(p) - radar.DistanceOf(cfg.AntennaPosition(best))
+		extra := radar.DistanceOf(p) - dists[best]
 		if extra < 0 {
 			extra = 0
 		}

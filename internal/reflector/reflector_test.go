@@ -164,6 +164,72 @@ func TestProgramLocalDisclosureShape(t *testing.T) {
 	}
 }
 
+// TestProgramForRadarMatchesPerTickMapping holds ProgramForRadar, which
+// computes each antenna's AoA and distance once per call, to the mapping
+// that recomputes both on every resampled tick: the entries must agree bit
+// for bit over random trajectories, tag layouts and radar poses, including
+// points nearer the radar than their chosen antenna (extra clamps to 0).
+func TestProgramForRadarMatchesPerTickMapping(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	clamped := 0
+	for trial := 0; trial < 200; trial++ {
+		cfg := DefaultConfig(geom.Point{X: 8 * rng.Float64(), Y: 8 * rng.Float64()}, 2*math.Pi*rng.Float64())
+		cfg.NumAntennas = 1 + rng.Intn(8)
+		cfg.Spacing = 0.05 + 0.4*rng.Float64()
+		cfg.SyncGranularity = 0.005 + 0.05*rng.Float64()
+		tag, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl := NewController(tag)
+		arr := fmcw.Array{
+			Position:  geom.Point{X: 8 * rng.Float64(), Y: 8 * rng.Float64()},
+			AxisAngle: 2 * math.Pi * rng.Float64(),
+			Facing:    1 - 2*rng.Intn(2),
+		}
+		traj := make(geom.Trajectory, 2+rng.Intn(12))
+		for i := range traj {
+			traj[i] = geom.Point{X: -2 + 12*rng.Float64(), Y: -2 + 12*rng.Float64()}
+		}
+		fs := 2 + 18*rng.Float64()
+		rec, err := ctl.ProgramForRadar(traj, arr, fs, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ctl.resample(traj, fs, func(p geom.Point) GhostEntry {
+			wantAoA := arr.AoAOf(p)
+			best, bestErr := 0, math.Inf(1)
+			for i := 0; i < cfg.NumAntennas; i++ {
+				aoa := arr.AoAOf(cfg.AntennaPosition(i))
+				if e := math.Abs(geom.AngleDiff(aoa, wantAoA)); e < bestErr {
+					best, bestErr = i, e
+				}
+			}
+			extra := arr.DistanceOf(p) - arr.DistanceOf(cfg.AntennaPosition(best))
+			if extra < 0 {
+				extra = 0
+			}
+			return GhostEntry{Antenna: best, ExtraDistance: extra}
+		})
+		if len(rec.Entries) != len(want) {
+			t.Fatalf("trial %d: %d entries, want %d", trial, len(rec.Entries), len(want))
+		}
+		for i, e := range rec.Entries {
+			w := want[i]
+			if e.Antenna != w.Antenna || math.Float64bits(e.ExtraDistance) != math.Float64bits(w.ExtraDistance) ||
+				math.Float64bits(e.PhaseShift) != math.Float64bits(w.PhaseShift) {
+				t.Fatalf("trial %d tick %d: got %+v, want %+v", trial, i, e, w)
+			}
+			if w.ExtraDistance == 0 {
+				clamped++
+			}
+		}
+	}
+	if clamped == 0 {
+		t.Fatal("no tick clamped its extra distance to 0; the draw misses that branch")
+	}
+}
+
 func TestProgramErrors(t *testing.T) {
 	tag, _ := testTag(t)
 	ctl := NewController(tag)

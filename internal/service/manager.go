@@ -202,7 +202,6 @@ func (m *Manager) Drain(ctx context.Context) error {
 		r.beginDrain()
 	}
 	done := make(chan struct{})
-	//rfvet:allow goroleak -- joined on both return paths via the done receive below
 	go func() {
 		m.wg.Wait()
 		close(done)
